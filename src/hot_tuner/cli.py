@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__, lyapunov, verify
-from .config import ConfigError, load_config
+from .config import ConfigError, check_seed, load_config
 from .tuner import NonFiniteError
 
 EXIT_OK = 0
@@ -44,12 +44,9 @@ def _fmt(x):
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    """Plain JSON values; NaN anywhere, in arrays and numpy scalars too, becomes null."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _jsonable(obj.tolist())
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -101,10 +98,16 @@ def _write_trace_csv(path, trace):
             w.writerow(row)
 
 
-def cmd_simulate(args):
+def _load_config(args):
+    """The config named on the command line, with --seed applied."""
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.base_seed = args.seed
+        cfg.base_seed = check_seed(args.seed)
+    return cfg
+
+
+def cmd_simulate(args):
+    cfg = _load_config(args)
     trials = args.trials if args.trials is not None else cfg.ensemble
     if trials < 1:
         raise ConfigError("trials", "must be >= 1")
@@ -164,9 +167,7 @@ def _decrement_payload(report):
 
 
 def cmd_verify(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.base_seed = args.seed
+    cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
     consts = cfg.constants()
     if consts.degenerate and args.check in ("bound", "rate", "all"):
@@ -181,9 +182,19 @@ def cmd_verify(args):
         all_ok = all_ok and report.all_pass
 
     if args.check in ("bound", "rate", "all"):
-        ens = verify.run_ensemble(cfg)
+        streams = {}
         if args.check in ("bound", "all"):
-            summary = verify.boundedness_check(ens, consts)
+            streams["bound"] = verify.BoundednessStream(consts)
+        if args.check in ("rate", "all"):
+            try:
+                streams["rate"] = verify.RateStream(cfg.effective_alpha(consts), consts)
+            except lyapunov.InvalidAlphaError as exc:
+                raise ConfigError("alpha", str(exc)) from exc
+        for V in verify.ensemble_blocks(cfg):
+            for stream in streams.values():
+                stream.add(V)
+        if "bound" in streams:
+            summary = streams["bound"].result()
             results["bound"] = {
                 "passed": summary.passed,
                 "max_sup_V": summary.max_sup,
@@ -194,12 +205,8 @@ def cmd_verify(args):
                 "note": "finite-horizon proxy for an almost-sure statement",
             }
             all_ok = all_ok and summary.passed
-        if args.check in ("rate", "all"):
-            alpha = cfg.effective_alpha(consts)
-            try:
-                report = verify.rate_check(ens, alpha, consts)
-            except lyapunov.InvalidAlphaError as exc:
-                raise ConfigError("alpha", str(exc)) from exc
+        if "rate" in streams:
+            report = streams["rate"].result()
             results["rate"] = {
                 "passed": report.passed,
                 "alpha": report.alpha,

@@ -35,6 +35,13 @@ def _vector(d, key, dim, where):
     return np.asarray(v, dtype=float)
 
 
+def check_seed(value):
+    """A base seed: a non-negative integer, as numpy's generators require."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError("base_seed", f"must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _build_regressor(spec, dim):
     kind = _require(spec, "kind", str, "regressor.")
     try:
@@ -153,7 +160,7 @@ class RunConfig:
             alpha = float(alpha)
             if alpha <= 0:
                 raise ConfigError("alpha", "must be positive")
-        base_seed = int(d.get("base_seed", 0))
+        base_seed = check_seed(d.get("base_seed", 0))
         c2_variant = d.get("c2_variant", "theorem")
         if c2_variant not in ("theorem", "appendix"):
             raise ConfigError("c2_variant", "must be 'theorem' or 'appendix'")

@@ -22,31 +22,43 @@ class ConfigurationError(ValueError):
 # deterministic per-(seed, k) uniforms, splitmix64 finalizer
 # ---------------------------------------------------------------------------
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
 def _splitmix64(z):
-    z = (z + np.uint64(0x9E3779B97F4A7C15)) & _MASK
-    z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK
-    z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer, in place on a uint64 array (wrapping mod 2**64)."""
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _hash_uniform(seed, ks, dim):
-    """Doubles in [0, 1), shape (len(ks), dim), keyed by (seed, k, component)."""
-    ks = np.asarray(ks, dtype=np.uint64).reshape(-1, 1)
-    idx = np.arange(dim, dtype=np.uint64).reshape(1, -1)
-    with np.errstate(over="ignore"):
-        z = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * np.uint64(0x9E3779B97F4A7C15)
-             + ks * np.uint64(0xC2B2AE3D27D4EB4F)
-             + idx * np.uint64(0x165667B19E3779F9))
-        z = _splitmix64(z & _MASK)
-    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+def _seed_words(seed, salt=0):
+    """A seed, or a 1-d sequence of seeds, xor salt, as uint64 words (mod 2**64)."""
+    seeds = [seed] if np.ndim(seed) == 0 else seed
+    words = [(int(s) ^ salt) & 0xFFFFFFFFFFFFFFFF for s in seeds]
+    return np.array(words, dtype=np.uint64).reshape(np.shape(seed))
+
+
+def _hash_uniform(words, ks, dim):
+    """Doubles in [0, 1) keyed by (seed, k, component).
+
+    `words` comes from _seed_words: a scalar seed gives shape (len(ks), dim),
+    a 1-d array of S seeds gives (len(ks), S, dim).
+    """
+    ks = np.asarray(ks, dtype=np.uint64).reshape((-1,) + (1,) * (words.ndim + 1))
+    words = words.reshape(words.shape + (1,))
+    idx = np.arange(dim, dtype=np.uint64)
+    z = (words * np.uint64(0x9E3779B97F4A7C15) + ks * np.uint64(0xC2B2AE3D27D4EB4F)
+         + idx * np.uint64(0x165667B19E3779F9))
+    z = _splitmix64(z)
+    z >>= np.uint64(11)
+    return z.astype(np.float64) * (1.0 / (1 << 53))
 
 
 def _clip_to_ball(v, bound):
     """Rescale rows of v so that their 2-norm does not exceed bound."""
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))  # = np.linalg.norm
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > bound, bound / np.maximum(norms, 1e-300), 1.0)
     return v * scale
@@ -163,7 +175,8 @@ class IidBounded:
         return float(self.bound)
 
     def generate_batch(self, k0, k1, seed):
-        u = _hash_uniform(seed, np.arange(k0, k1), self.dimension)
+        """Rows k0..k1-1: shape (k1-k0, N), or (k1-k0, S, N) for S seeds."""
+        u = _hash_uniform(_seed_words(seed), np.arange(k0, k1), self.dimension)
         return _clip_to_ball(self.bound * (2.0 * u - 1.0), self.bound)
 
     def generate(self, k, seed):
@@ -203,12 +216,16 @@ class PiecewiseConstant:
         return float(self.bound)
 
     def generate_batch(self, k0, k1, seed):
+        """Rows k0..k1-1: shape (k1-k0, N), or (k1-k0, S, N) for S seeds."""
         segs = np.arange(k0, k1) // self.dwell
         if self.levels is not None:
             table = np.stack(self.levels)
-            return table[segs % len(self.levels)]
+            rows = table[segs % len(self.levels)]
+            if np.ndim(seed):
+                rows = np.repeat(rows[:, None, :], len(seed), axis=1)
+            return rows
         uniq, inv = np.unique(segs, return_inverse=True)
-        u = _hash_uniform(seed ^ 0x5DEECE66D, uniq, self.dimension)
+        u = _hash_uniform(_seed_words(seed, 0x5DEECE66D), uniq, self.dimension)
         vals = _clip_to_ball(self.bound * (2.0 * u - 1.0), self.bound)
         return vals[inv]
 
@@ -347,7 +364,10 @@ class StateDependentBias:
     def conditional_mean(self, theta=None, vartheta=None):
         if theta is None or vartheta is None:
             raise ValueError("state-dependent noise needs the current (theta, vartheta)")
-        gap = np.linalg.norm(np.asarray(theta) - np.asarray(vartheta), axis=-1)
+        d = np.asarray(theta) - np.asarray(vartheta)
+        # np.linalg.norm(d, axis=-1) computes exactly this for real input,
+        # behind a wrapper that costs more than the arithmetic at small sizes
+        gap = np.sqrt(np.add.reduce(d * d, axis=-1))
         return self.d_amplitude * np.tanh(gap)
 
     def innovation(self, u):

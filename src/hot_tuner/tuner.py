@@ -1,8 +1,9 @@
 """Two-state high-order tuner update and the gradient-descent baseline.
 
 All operations broadcast over leading axes: theta may be (N,), (trials, N) or
-(M, N) against a shared phi, so the same code drives single trajectories,
-lockstep ensembles, and frozen-state resampling probes.
+(M, N) against a shared phi.  hot_step is the reference definition of the
+update, which the lockstep kernel in `verify` reproduces bitwise; _hot_update
+also drives the frozen-state resampling probes.
 """
 from __future__ import annotations
 

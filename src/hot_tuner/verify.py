@@ -2,9 +2,15 @@
 
 Conditional expectations are estimated by frozen-state resampling: freeze
 (theta_k, vartheta_k, phi_k), draw many independent noise samples conditioned
-on that history, advance one step per sample, and average.  Ensembles are run
-in lockstep across trials with the per-trial noise streams pre-drawn, which
-keeps a 200-trial, 50k-step run in the seconds range.
+on that history, advance one step per sample, and average.
+
+Single trajectories and ensembles run on one lockstep kernel that advances
+every trial CHUNK_STEPS steps at a time.  Per chunk it draws each trial's
+innovations from that trial's own generator and builds every trial's
+regressors in one call, so a trial's streams do not depend on the chunk size
+or on the ensemble width.  The boundedness and rate checks are running
+reductions fed chunk by chunk, so `verify` never holds the (trials, horizon)
+V matrix: its memory is O(trials * CHUNK_STEPS + horizon).
 """
 from __future__ import annotations
 
@@ -19,9 +25,12 @@ from .lyapunov import (
     lyapunov_value_arrays,
     theorem4_radius,
 )
-from .tuner import NonFiniteError, TunerState, _hot_update, gd_step
+from .tuner import NonFiniteError, TunerState, _hot_update, gd_step, normalization
 
 DEFAULT_Z = 4.0
+
+# Steps per kernel chunk.  At 200 trials the chunk buffers take a few MB.
+CHUNK_STEPS = 256
 
 
 def _trial_rng(cfg, trial):
@@ -32,6 +41,116 @@ def _draw_innovations(cfg, trial, horizon):
     """The canonical per-trial noise innovation stream."""
     rng = _trial_rng(cfg, trial)
     return np.asarray(cfg.noise.innovation(rng.uniform(size=horizon)), dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# lockstep kernel
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Block:
+    """Trace rows k, k+1, ... of every trial, from one kernel chunk.
+
+    Row j holds the state before observation k+j.  The last block holds the
+    final state alone and no observation.  The state and observation arrays
+    are component-major buffers that the next chunk overwrites.
+    """
+
+    k: int
+    theta: np.ndarray     # (rows, N, trials)
+    vartheta: np.ndarray  # (rows, N, trials)
+    V: np.ndarray         # (trials, rows)
+    eta: np.ndarray       # (observations, trials); observations == rows or 0
+    y: np.ndarray         # (observations, trials)
+    phi: np.ndarray       # (observations, N, trials), trials == 1 if shared
+
+
+def _lockstep(cfg, seeds, horizon, initial):
+    """Advance one trial per seed through `horizon` observations in lockstep.
+
+    The trial with seed s draws its innovations from default_rng(s) and its
+    regressors with seed s.  Each step repeats _hot_update's arithmetic on
+    (N, trials) arrays, so a per-trial dot product is a sum of N rows.
+    Yields _Blocks that cover trace rows 0..horizon in order; raises
+    NonFiniteError naming the first step whose update is not finite.
+    """
+    ts = cfg.true_model.theta_star
+    gains, noise, regressor = cfg.gains, cfg.noise, cfg.regressor
+    gamma, beta, mu = gains.gamma, gains.beta, gains.mu
+    gamma_beta = gamma * beta
+    n, width, size = ts.size, len(seeds), CHUNK_STEPS
+    theta0 = np.tile(gains.theta0[:, None], (1, width))  # full width: no broadcast per step
+    rngs = [np.random.default_rng(s) for s in seeds]
+
+    theta = np.empty((size + 1, n, width))
+    vartheta = np.empty((size + 1, n, width))
+    theta[0] = np.asarray(initial.theta, dtype=float)[:, None]
+    vartheta[0] = np.asarray(initial.vartheta, dtype=float)[:, None]
+    u = np.empty((width, size))
+    eta = np.empty((size, width))
+    y = np.empty((size, width))
+    err = np.empty(width)
+    a = np.empty((n, width))
+    b = np.empty((n, width))
+
+    def gradient(x, p, norm, y_j):
+        """regularized_gradient(x, p, y_j), written into `a`."""
+        np.multiply(x, p, out=a)
+        np.add.reduce(a, axis=0, out=err)
+        np.subtract(err, y_j, out=err)
+        np.multiply(p, err, out=a)
+        np.divide(a, norm, out=a)
+        np.subtract(x, theta0, out=b)
+        np.multiply(mu, b, out=b)
+        return np.add(a, b, out=a)
+
+    def v_rows(th, vt):
+        v = lyapunov_value_arrays(th.transpose(0, 2, 1), vt.transpose(0, 2, 1),
+                                  ts, gamma)
+        return v.T
+
+    for k0 in range(0, horizon, size):
+        m = min(size, horizon - k0)
+        for row, rng in zip(u, rngs):
+            rng.random(out=row[:m])
+        innov = np.ascontiguousarray(noise.innovation(u[:, :m]).T)
+        if regressor.random:
+            phi_rows = regressor.generate_batch(k0, k0 + m, seeds)
+        else:
+            phi_rows = regressor.generate_batch(k0, k0 + m, 0)[:, None, :]
+        norms = normalization(phi_rows)
+        phi_ts = _rowdot(phi_rows, ts)
+        phi = np.ascontiguousarray(phi_rows.transpose(0, 2, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(m):
+                th, vt, p, norm = theta[j], vartheta[j], phi[j], norms[j]
+                np.add(noise.conditional_mean(th.T, vt.T), innov[j], out=eta[j])
+                np.add(phi_ts[j], eta[j], out=y[j])
+                g = gradient(th, p, norm, y[j])
+                np.multiply(gamma_beta, g, out=a)
+                np.subtract(th, a, out=a)                      # theta_bar
+                np.subtract(a, vt, out=b)
+                np.multiply(beta, b, out=b)
+                th_next = np.subtract(a, b, out=theta[j + 1])
+                g = gradient(th_next, p, norm, y[j])
+                np.multiply(gamma, g, out=a)
+                np.subtract(vt, a, out=vartheta[j + 1])
+        finite = (np.isfinite(theta[1:m + 1]).all(axis=(1, 2))
+                  & np.isfinite(vartheta[1:m + 1]).all(axis=(1, 2)))
+        if not finite.all():
+            raise NonFiniteError(k0 + int(np.argmin(finite)))
+        yield _Block(k0, theta[:m], vartheta[:m], v_rows(theta[:m], vartheta[:m]),
+                     eta[:m], y[:m], phi)
+        theta[0], vartheta[0] = theta[m], vartheta[m]
+    yield _Block(horizon, theta[:1], vartheta[:1], v_rows(theta[:1], vartheta[:1]),
+                 eta[:0], y[:0], np.empty((0, n, width)))
+
+
+def _rowdot(a, b):
+    """Dot products over the last axis, rounded as np.dot rounds one pair of
+    vectors (a stack of 1xN by Nx1 products shares its inner loop), so the
+    kernel reproduces a per-step `phi @ theta_star`."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -60,42 +179,36 @@ class TrajectoryTrace:
 
 
 def run_trajectory(cfg, seed, horizon=None, initial=None):
-    """Run one trial for `horizon` steps; deterministic given (cfg, seed)."""
+    """Run one trial for `horizon` steps; deterministic given (cfg, seed).
+
+    This is the one-trial call of the lockstep kernel, so it reproduces row t
+    of run_ensemble when seed == cfg.trial_seed(t).
+    """
     horizon = cfg.horizon if horizon is None else horizon
     state = cfg.initial_state() if initial is None else initial
     consts = cfg.constants()
-    ts = cfg.true_model.theta_star
-    gains = cfg.gains
     n = cfg.dimension
-
-    trial = seed ^ cfg.base_seed  # invert trial_seed so streams line up
-    innov = _draw_innovations(cfg, trial, horizon)
-    phi_all = cfg.regressor.generate_batch(0, horizon, seed)
 
     theta = np.empty((horizon + 1, n))
     vartheta = np.empty((horizon + 1, n))
-    e_y = np.full(horizon + 1, np.nan)
+    V = np.empty(horizon + 1)
     eta = np.full(horizon + 1, np.nan)
+    y = np.empty(horizon)
+    phi = np.empty((horizon, n))
+    for blk in _lockstep(cfg, [seed], horizon, state):
+        rows = slice(blk.k, blk.k + blk.V.shape[1])
+        obs = slice(blk.k, blk.k + len(blk.eta))
+        theta[rows] = blk.theta[:, :, 0]
+        vartheta[rows] = blk.vartheta[:, :, 0]
+        V[rows] = blk.V[0]
+        eta[obs] = blk.eta[:, 0]
+        y[obs] = blk.y[:, 0]
+        phi[obs] = blk.phi[:, :, 0]
+
+    e_y = np.full(horizon + 1, np.nan)
     phi_norm = np.full(horizon + 1, np.nan)
-    theta[0] = state.theta
-    vartheta[0] = state.vartheta
-
-    th, vt = state.theta, state.vartheta
-    for k in range(horizon):
-        phi = phi_all[k]
-        bias = cfg.noise.conditional_mean(th, vt)
-        e = bias + innov[k]
-        y = float(phi @ ts) + e
-        e_y[k] = float(th @ phi) - y
-        eta[k] = e
-        phi_norm[k] = float(np.linalg.norm(phi))
-        th, vt = _hot_update(th, vt, phi, y, gains)
-        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(vt))):
-            raise NonFiniteError(k)
-        theta[k + 1] = th
-        vartheta[k + 1] = vt
-
-    V = lyapunov_value_arrays(theta, vartheta, ts, gains.gamma)
+    e_y[:horizon] = _rowdot(theta[:horizon], phi) - y
+    phi_norm[:horizon] = np.sqrt(_rowdot(phi, phi))
     Vhat = clipped_V(V, consts.K) if not consts.degenerate else np.full_like(V, np.nan)
     return TrajectoryTrace(k=np.arange(horizon + 1), theta=theta, vartheta=vartheta,
                            V=V, Vhat=Vhat, e_y=e_y, eta=eta, phi_norm=phi_norm,
@@ -111,53 +224,41 @@ class EnsembleResult:
     """Per-trial Lyapunov paths from a lockstep ensemble run."""
 
     V: np.ndarray          # (trials, horizon+1)
-    final_theta: np.ndarray
-    final_vartheta: np.ndarray
     seeds: list
     horizon: int
 
 
-def run_ensemble(cfg, n_trials=None, horizon=None, initial=None, chunk=4096):
+def _ensemble_args(cfg, n_trials, horizon, initial):
+    n_trials = cfg.ensemble if n_trials is None else n_trials
+    if n_trials < 1:
+        raise ValueError("ensemble must contain at least one trial")
+    horizon = cfg.horizon if horizon is None else horizon
+    init = cfg.initial_state() if initial is None else initial
+    return [cfg.trial_seed(t) for t in range(n_trials)], horizon, init
+
+
+def ensemble_blocks(cfg, n_trials=None, horizon=None, initial=None):
+    """V of a lockstep ensemble as consecutive (trials, steps) column blocks.
+
+    Trial t uses seed cfg.trial_seed(t).  Feed the blocks, in order, to a
+    BoundednessStream or RateStream to check the ensemble without holding
+    its full V matrix.
+    """
+    seeds, horizon, init = _ensemble_args(cfg, n_trials, horizon, initial)
+    return (blk.V for blk in _lockstep(cfg, seeds, horizon, init))
+
+
+def run_ensemble(cfg, n_trials=None, horizon=None, initial=None):
     """Evolve n_trials independent trajectories in lockstep, recording V only.
 
     Per-trial regressor and noise streams match run_trajectory(cfg,
     cfg.trial_seed(t)) exactly.
     """
-    n_trials = cfg.ensemble if n_trials is None else n_trials
-    if n_trials < 1:
-        raise ValueError("ensemble must contain at least one trial")
-    horizon = cfg.horizon if horizon is None else horizon
-    ts = cfg.true_model.theta_star
-    gains = cfg.gains
-    init = cfg.initial_state() if initial is None else initial
-
-    seeds = [cfg.trial_seed(t) for t in range(n_trials)]
-    innov = np.stack([_draw_innovations(cfg, t, horizon) for t in range(n_trials)])
-
-    theta = np.tile(np.asarray(init.theta, dtype=float), (n_trials, 1))
-    vartheta = np.tile(np.asarray(init.vartheta, dtype=float), (n_trials, 1))
-    V = np.empty((n_trials, horizon + 1))
-    V[:, 0] = lyapunov_value_arrays(theta, vartheta, ts, gains.gamma)
-
-    per_trial_phi = cfg.regressor.random
-    for k0 in range(0, horizon, chunk):
-        k1 = min(k0 + chunk, horizon)
-        if per_trial_phi:
-            phi_chunk = np.stack(
-                [cfg.regressor.generate_batch(k0, k1, s) for s in seeds], axis=1)
-        else:
-            phi_chunk = cfg.regressor.generate_batch(k0, k1, 0)[:, None, :]
-        for j, k in enumerate(range(k0, k1)):
-            phi = phi_chunk[j] if per_trial_phi else phi_chunk[j, 0]
-            bias = cfg.noise.conditional_mean(theta, vartheta)
-            e = bias + innov[:, k]
-            y = phi @ ts + e
-            theta, vartheta = _hot_update(theta, vartheta, phi, y, gains)
-            if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(vartheta))):
-                raise NonFiniteError(k)
-            V[:, k + 1] = lyapunov_value_arrays(theta, vartheta, ts, gains.gamma)
-    return EnsembleResult(V=V, final_theta=theta, final_vartheta=vartheta,
-                          seeds=seeds, horizon=horizon)
+    seeds, horizon, init = _ensemble_args(cfg, n_trials, horizon, initial)
+    V = np.empty((len(seeds), horizon + 1))
+    for blk in _lockstep(cfg, seeds, horizon, init):
+        V[:, blk.k:blk.k + blk.V.shape[1]] = blk.V
+    return EnsembleResult(V=V, seeds=seeds, horizon=horizon)
 
 
 def _v_matrix(traces):
@@ -310,34 +411,65 @@ class BoundednessSummary:
         return self.all_finite and self.all_within_threshold and self.all_reenter
 
 
+def _last_true(mask, offset):
+    """Per row: offset + the column of the last True, or -1 if there is none."""
+    last = offset + mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
+    return np.where(mask.any(axis=1), last, -1)
+
+
+class BoundednessStream:
+    """The Theorem-3 proxy as a running reduction over V.
+
+    Feed the ensemble's V to `add` as consecutive (trials, steps) column
+    blocks, starting at step 0; `result` gives the same summary for any
+    split.  Memory is O(trials).
+    """
+
+    def __init__(self, consts, margin=5.0):
+        if consts.degenerate:
+            raise ValueError("boundedness check needs non-degenerate constants")
+        self.T = consts.T
+        self.margin = margin
+        self.steps = 0
+        self.n_above = 0
+
+    def add(self, V):
+        above = V > self.T
+        sup = np.max(V, axis=1)
+        last_below = _last_true(~above, self.steps)
+        last_above = _last_true(above, self.steps)
+        if self.steps == 0:
+            self.v0 = float(np.max(V[:, 0]))
+        else:
+            sup = np.maximum(self.sup, sup)
+            last_below = np.maximum(self.last_below, last_below)
+            last_above = np.maximum(self.last_above, last_above)
+        self.sup, self.last_below, self.last_above = sup, last_below, last_above
+        self.n_above += int(np.count_nonzero(above))
+        self.steps += V.shape[1]
+
+    def result(self):
+        threshold = max(self.v0, self.T) * self.margin
+        # the last excursion above T must be followed by a return to {V <= T}
+        reenter = (self.last_above < 0) | (self.last_below > self.last_above)
+        return BoundednessSummary(
+            sup_per_trial=self.sup, max_sup=float(np.max(self.sup)),
+            threshold=threshold,
+            frac_steps_above_T=self.n_above / (self.sup.size * self.steps),
+            last_entry_time=self.last_below,
+            all_finite=bool(np.all(np.isfinite(self.sup))),
+            all_within_threshold=bool(np.all(self.sup <= threshold)),
+            all_reenter=bool(np.all(reenter)), margin=self.margin)
+
+
 def boundedness_check(traces, consts, margin=5.0):
     """Theorem-3 proxy: finite sup V, sup below max(V0, T)*margin, re-entry."""
     V = _v_matrix(traces)
     if V.size == 0:
         raise ValueError("empty ensemble")
-    if consts.degenerate:
-        raise ValueError("boundedness check needs non-degenerate constants")
-    sup = np.max(V, axis=1)
-    v0 = float(np.max(V[:, 0]))
-    threshold = max(v0, consts.T) * margin
-    above = V > consts.T
-    frac_above = float(np.mean(above))
-    last_entry = np.full(V.shape[0], -1, dtype=int)
-    all_reenter = True
-    for i in range(V.shape[0]):
-        below = np.flatnonzero(~above[i])
-        last_entry[i] = int(below[-1]) if below.size else -1
-        if above[i].any():
-            # last excursion must be followed by a return to {V <= T}
-            last_exc = int(np.flatnonzero(above[i])[-1])
-            if last_entry[i] < last_exc:
-                all_reenter = False
-    return BoundednessSummary(
-        sup_per_trial=sup, max_sup=float(np.max(sup)), threshold=threshold,
-        frac_steps_above_T=frac_above, last_entry_time=last_entry,
-        all_finite=bool(np.all(np.isfinite(sup))),
-        all_within_threshold=bool(np.all(sup <= threshold)),
-        all_reenter=all_reenter, margin=margin)
+    stream = BoundednessStream(consts, margin)
+    stream.add(V)
+    return stream.result()
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +491,61 @@ class RateReport:
         return bool(np.all(self.pass_per_step))
 
 
+def _column_sums(a):
+    """Sums over axis 0 in row order.
+
+    That is numpy's own order for a reduction over the rows of a C-ordered
+    matrix with two or more columns; add.reduce sums a single column
+    pairwise instead, which would make results depend on the block split.
+    """
+    return np.add.accumulate(a, axis=0)[-1]
+
+
+class RateStream:
+    """The supermartingale-envelope check as a running reduction over V.
+
+    Feed V to `add` as in BoundednessStream.  The per-step mean and standard
+    error of V-hat are computed block by block over the trials, as
+    np.mean/np.std(ddof=1) compute them; memory is O(trials * block + horizon).
+    """
+
+    def __init__(self, alpha, consts, z=DEFAULT_Z):
+        self.clip_radius = theorem4_radius(alpha, consts)  # raises InvalidAlphaError
+        self.alpha = alpha
+        self.z = z
+        self.means = []
+        self.stderrs = []
+
+    def add(self, V):
+        vhat = clipped_V(V, self.clip_radius)
+        n, steps = vhat.shape
+        if not self.means:
+            self.vhat0 = float(np.max(vhat[:, 0]))
+        mean = _column_sums(vhat) / n
+        self.means.append(mean)
+        if n > 1:
+            dev = vhat - mean
+            var = _column_sums(np.multiply(dev, dev, out=dev)) / (n - 1)
+            self.stderrs.append(np.sqrt(var) / math.sqrt(n))
+        else:
+            self.stderrs.append(np.zeros(steps))
+
+    def result(self):
+        mean = np.concatenate(self.means)
+        stderr = np.concatenate(self.stderrs)
+        envelope = (1.0 - self.alpha) ** np.arange(mean.size) * self.vhat0
+        ok = mean <= envelope + self.z * stderr
+        return RateReport(alpha=self.alpha, clip_radius=self.clip_radius,
+                          mean_Vhat=mean, stderr_Vhat=stderr, envelope=envelope,
+                          pass_per_step=ok, z=self.z)
+
+
 def rate_check(traces, alpha, consts, z=DEFAULT_Z):
     """Ensemble mean of V-hat (clipped at the Theorem-4 radius) against the
     supermartingale envelope (1-alpha)^k * Vhat_0."""
-    K4 = theorem4_radius(alpha, consts)  # raises InvalidAlphaError
-    V = _v_matrix(traces)
-    vhat = clipped_V(V, K4)
-    n, steps = vhat.shape
-    mean = np.mean(vhat, axis=0)
-    stderr = (np.std(vhat, axis=0, ddof=1) / math.sqrt(n)) if n > 1 else np.zeros(steps)
-    envelope = (1.0 - alpha) ** np.arange(steps) * float(np.max(vhat[:, 0]))
-    ok = mean <= envelope + z * stderr
-    return RateReport(alpha=alpha, clip_radius=K4, mean_Vhat=mean,
-                      stderr_Vhat=stderr, envelope=envelope,
-                      pass_per_step=ok, z=z)
+    stream = RateStream(alpha, consts, z)
+    stream.add(_v_matrix(traces))
+    return stream.result()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hot_tuner import __version__
-from hot_tuner.cli import main
+from hot_tuner.cli import _jsonable, main
 from hot_tuner import verify
 
 from conftest import reference_dict
@@ -67,6 +67,16 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, small_dict(base_seed=-1))
+        assert main([command, cfg_path, "--out", str(tmp_path / "a")]) == 2
+        assert "base_seed" in capsys.readouterr().err
+        cfg_path = write_config(tmp_path, small_dict(), name="ok.json")
+        assert main([command, cfg_path, "--out", str(tmp_path / "b"),
+                     "--seed", "-1"]) == 2
+        assert "base_seed" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         d = small_dict(mode="unrestricted",
                        gains={"gamma": 1e8, "beta": 0.5, "mu": 0.9},
@@ -120,6 +130,15 @@ class TestVerifyCommand:
         p2 = json.loads((tmp_path / "b" / "verify_all.json").read_text())
         p1.pop("generated_at"), p2.pop("generated_at")
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
+
+
+class TestJson:
+    def test_nan_becomes_null_inside_arrays_too(self):
+        payload = {"scalar": float("nan"), "array": np.array([1.5, np.nan]),
+                   "nested": [np.array([[np.nan], [2.0]])], "n": np.float64(np.nan)}
+        assert json.dumps(_jsonable(payload), allow_nan=False, sort_keys=True) == (
+            '{"array": [1.5, null], "n": null, "nested": [[[null], [2.0]]], '
+            '"scalar": null}')
 
 
 class TestConstantsCommand:

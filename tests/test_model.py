@@ -50,6 +50,17 @@ class TestRegressors:
             for j, k in enumerate(range(10, 20)):
                 assert np.array_equal(batch[j], src.generate(k, seed=11))
 
+    def test_seed_array_matches_per_seed_batches(self):
+        seeds = [0, 7, 2**63 + 5, 20240613 ^ 3]
+        for src in (IidBounded(bound=1.5, dimension=3),
+                    PiecewiseConstant(bound=1.0, dimension=2, dwell=7),
+                    PiecewiseConstant(bound=1.0, dimension=2, dwell=3,
+                                      levels=([0.5, 0.0], [0.0, -0.5]))):
+            batch = src.generate_batch(10, 40, seeds)
+            assert batch.shape == (30, len(seeds), src.dimension)
+            for i, seed in enumerate(seeds):
+                assert np.array_equal(batch[:, i], src.generate_batch(10, 40, seed))
+
     def test_piecewise_holds_levels(self):
         src = PiecewiseConstant(bound=1.0, dimension=2, dwell=5)
         batch = src.generate_batch(0, 10, seed=0)
@@ -124,6 +135,15 @@ class TestNoise:
         stderr = x.std(ddof=1) / np.sqrt(x.size)
         assert abs(x.mean() - 0.1 * np.tanh(10.0)) <= 5 * stderr
         assert noise.sigma_max == pytest.approx(np.hypot(0.1, 0.45))
+
+    def test_state_dependent_gap_is_linalg_norm(self):
+        noise = StateDependentBias(d_amplitude=0.3, sd=0.1)
+        rng = np.random.default_rng(11)
+        for shape in ((3,), (50, 2), (40, 5), (7, 4, 3)):
+            theta = 10.0 * rng.standard_normal(shape)
+            vartheta = rng.standard_normal(shape)
+            expected = 0.3 * np.tanh(np.linalg.norm(theta - vartheta, axis=-1))
+            assert np.array_equal(noise.conditional_mean(theta, vartheta), expected)
 
 
 class TestObservation:

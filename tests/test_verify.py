@@ -4,10 +4,51 @@ import pytest
 from hot_tuner.config import RunConfig
 from hot_tuner.lyapunov import InvalidAlphaError, lyapunov_value_arrays, theorem4_radius
 from hot_tuner.model import StateDependentBias, UniformBiased, Zero
-from hot_tuner.tuner import TunerState
+from hot_tuner.tuner import NonFiniteError, TunerState, hot_step
 from hot_tuner import verify
 
 from conftest import reference_dict
+
+NOISES = {
+    "zero": dict(noise={"kind": "zero"}, d_max=0.0, sigma_max=0.0),
+    "biased_gaussian": {},
+    "uniform_biased": dict(noise={"kind": "uniform_biased", "center": 0.05,
+                                  "halfwidth": 0.5}),
+    "state_dependent_bias": dict(noise={"kind": "state_dependent_bias",
+                                        "d_amplitude": 0.1, "sd": 0.45}),
+}
+REGRESSORS = {
+    "sinusoid": {},
+    "iid_bounded": dict(regressor={"kind": "iid_bounded", "bound": 2.0}),
+    "piecewise_constant": dict(regressor={"kind": "piecewise_constant",
+                                          "bound": 2.0, "dwell": 5}),
+}
+
+
+def hot_step_loop(cfg, seed, horizon):
+    """theta, vartheta and V of one trial from a plain hot_step loop."""
+    rng = np.random.default_rng(seed)
+    innov = cfg.noise.innovation(rng.uniform(size=horizon))
+    phi_all = cfg.regressor.generate_batch(0, horizon, seed)
+    ts = cfg.true_model.theta_star
+    state = cfg.initial_state()
+    theta, vartheta = [state.theta], [state.vartheta]
+    for k in range(horizon):
+        phi = phi_all[k]
+        eta = cfg.noise.conditional_mean(state.theta, state.vartheta) + innov[k]
+        state = hot_step(state, phi, float(phi @ ts) + eta, cfg.gains)
+        theta.append(state.theta)
+        vartheta.append(state.vartheta)
+    theta, vartheta = np.array(theta), np.array(vartheta)
+    return theta, vartheta, lyapunov_value_arrays(theta, vartheta, ts, cfg.gains.gamma)
+
+
+def kernel_states(cfg, seeds, horizon):
+    """theta, vartheta (trials, steps, N) and V (trials, steps) from the kernel."""
+    # copy each block before the kernel reuses its buffers for the next chunk
+    blocks = [(b.theta.transpose(2, 0, 1).copy(), b.vartheta.transpose(2, 0, 1).copy(), b.V)
+              for b in verify._lockstep(cfg, seeds, horizon, cfg.initial_state())]
+    return [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
 
 
 class TestRunTrajectory:
@@ -54,6 +95,87 @@ class TestRunTrajectory:
             trace = verify.run_trajectory(small_config,
                                           small_config.trial_seed(t), horizon=150)
             assert np.array_equal(trace.V, ens.V[t])
+
+
+class TestLockstepKernel:
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize("regressor", sorted(REGRESSORS))
+    def test_matches_hot_step_loop_bitwise(self, noise, regressor, monkeypatch):
+        monkeypatch.setattr(verify, "CHUNK_STEPS", 7)
+        cfg = RunConfig.from_dict(reference_dict(
+            horizon=60, ensemble=3, resamples=500,
+            **NOISES[noise], **REGRESSORS[regressor]))
+        seeds = [cfg.trial_seed(t) for t in range(3)]
+        theta, vartheta, V = kernel_states(cfg, seeds, cfg.horizon)
+        ens = verify.run_ensemble(cfg)
+        for t, seed in enumerate(seeds):
+            ref_theta, ref_vartheta, ref_V = hot_step_loop(cfg, seed, cfg.horizon)
+            assert np.array_equal(theta[t], ref_theta)
+            assert np.array_equal(vartheta[t], ref_vartheta)
+            assert np.array_equal(V[t], ref_V)
+            assert np.array_equal(ens.V[t], ref_V)
+
+    def test_three_dimensional_non_dyadic_theta_star(self, monkeypatch):
+        monkeypatch.setattr(verify, "CHUNK_STEPS", 16)
+        cfg = RunConfig.from_dict(reference_dict(
+            dimension=3, theta_star=[0.3, -1.1, 0.7], theta0=[0.1, 0.2, -0.3],
+            horizon=200, ensemble=4, resamples=500,
+            regressor={"kind": "iid_bounded", "bound": 2.0},
+            **NOISES["state_dependent_bias"]))
+        seeds = [cfg.trial_seed(t) for t in range(4)]
+        theta, vartheta, V = kernel_states(cfg, seeds, cfg.horizon)
+        for t, seed in enumerate(seeds):
+            ref_theta, ref_vartheta, ref_V = hot_step_loop(cfg, seed, cfg.horizon)
+            np.testing.assert_allclose(theta[t], ref_theta, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(vartheta[t], ref_vartheta, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(V[t], ref_V, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256, 1000])
+    def test_streamed_checks_equal_whole_matrix(self, chunk, monkeypatch):
+        cfg = RunConfig.from_dict(reference_dict(horizon=300, ensemble=6,
+                                                 resamples=500))
+        consts = cfg.constants()
+        alpha = consts.c1 / 2.0
+        # start above T so that trials leave and re-enter {V <= T}
+        init = verify.state_on_sphere(1.02 * consts.T, cfg.true_model.theta_star,
+                                      cfg.gains.gamma, np.random.default_rng(4))
+        ens = verify.run_ensemble(cfg, initial=init)
+        whole_bound = verify.boundedness_check(ens, consts)
+        whole_rate = verify.rate_check(ens, alpha, consts)
+        assert 0.0 < whole_bound.frac_steps_above_T < 1.0
+        assert np.any(whole_rate.mean_Vhat > 0.0)
+
+        monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
+        bound = verify.BoundednessStream(consts)
+        rate = verify.RateStream(alpha, consts)
+        for V in verify.ensemble_blocks(cfg, initial=init):
+            bound.add(V)
+            rate.add(V)
+        streamed_bound, streamed_rate = bound.result(), rate.result()
+        for name in ("sup_per_trial", "last_entry_time"):
+            assert np.array_equal(getattr(streamed_bound, name), getattr(whole_bound, name))
+        for name in ("max_sup", "threshold", "frac_steps_above_T", "all_finite",
+                     "all_within_threshold", "all_reenter", "margin"):
+            assert getattr(streamed_bound, name) == getattr(whole_bound, name)
+        for name in ("mean_Vhat", "stderr_Vhat", "envelope", "pass_per_step"):
+            assert np.array_equal(getattr(streamed_rate, name), getattr(whole_rate, name))
+        assert streamed_rate.clip_radius == whole_rate.clip_radius
+
+    @pytest.mark.parametrize("chunk", [40, 37, 38, 18])
+    def test_nonfinite_step_is_first_divergent_step(self, chunk, monkeypatch):
+        # step 37 lands mid-chunk, first in a chunk, last in a chunk, mid-chunk
+        cfg = RunConfig.from_dict(reference_dict(
+            horizon=100, ensemble=3, resamples=500, mode="unrestricted",
+            gains={"gamma": 1e8, "beta": 0.5, "mu": 0.9}))
+        with pytest.raises(NonFiniteError) as ref:
+            hot_step_loop(cfg, cfg.trial_seed(0), cfg.horizon)
+        assert ref.value.step == 37
+        monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
+        with pytest.raises(NonFiniteError) as ens:
+            verify.run_ensemble(cfg)
+        with pytest.raises(NonFiniteError) as one:
+            verify.run_trajectory(cfg, cfg.trial_seed(0))
+        assert ens.value.step == one.value.step == 37
 
 
 class TestProbeStates:
