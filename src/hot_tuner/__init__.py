@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .model import (
     TrueModel,
-    Observation,
     Constant,
     Sinusoid,
     IidBounded,
@@ -22,9 +21,6 @@ from .model import (
     BiasedGaussianTruncated,
     UniformBiased,
     StateDependentBias,
-    generate_regressor,
-    sample_noise,
-    emit_observation,
 )
 from .tuner import Gains, TunerState, NonFiniteError, hot_step, gd_step
 from .lyapunov import (

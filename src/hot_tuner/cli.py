@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 numeric divergence.
+
+`simulate` advances all its trials in one lockstep kernel pass and writes the
+CSVs afterwards, so a divergence in any trial exits 3 before any trace is
+written.  HOT_TUNER_THREADS is accepted and has no effect.
 """
 from __future__ import annotations
 
@@ -12,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,6 +29,8 @@ EXIT_USAGE = 2
 EXIT_NONFINITE = 3
 
 
+# No longer used by the CLI: simulate runs every trial in one lockstep pass.
+# Kept because the benchmark harness records it in each run's context.
 def _thread_count():
     env = os.environ.get("HOT_TUNER_THREADS")
     if env:
@@ -114,13 +119,9 @@ def cmd_simulate(args):
     os.makedirs(args.out, exist_ok=True)
     consts = cfg.constants()
 
-    def one(t):
-        trace = verify.run_trajectory(cfg, cfg.trial_seed(t))
+    traces = verify.run_trajectories(cfg, [cfg.trial_seed(t) for t in range(trials)])
+    for t, trace in enumerate(traces):
         _write_trace_csv(os.path.join(args.out, f"trace_{t}.csv"), trace)
-        return trace
-
-    with ThreadPoolExecutor(max_workers=min(_thread_count(), trials)) as pool:
-        traces = list(pool.map(one, range(trials)))
 
     summary = {
         "version": __version__,

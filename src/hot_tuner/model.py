@@ -116,9 +116,6 @@ class Constant:
     def generate_batch(self, k0, k1, seed):
         return np.broadcast_to(self.value, (k1 - k0, self.value.size)).copy()
 
-    def generate(self, k, seed):
-        return self.value.copy()
-
 
 @dataclass(frozen=True)
 class Sinusoid:
@@ -152,9 +149,6 @@ class Sinusoid:
         ks = np.arange(k0, k1, dtype=float).reshape(-1, 1)
         return self.amplitude * np.sin(self.omega * ks + self.phase)
 
-    def generate(self, k, seed):
-        return self.generate_batch(k, k + 1, seed)[0]
-
 
 @dataclass(frozen=True)
 class IidBounded:
@@ -178,9 +172,6 @@ class IidBounded:
         """Rows k0..k1-1: shape (k1-k0, N), or (k1-k0, S, N) for S seeds."""
         u = _hash_uniform(_seed_words(seed), np.arange(k0, k1), self.dimension)
         return _clip_to_ball(self.bound * (2.0 * u - 1.0), self.bound)
-
-    def generate(self, k, seed):
-        return self.generate_batch(k, k + 1, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -229,16 +220,6 @@ class PiecewiseConstant:
         vals = _clip_to_ball(self.bound * (2.0 * u - 1.0), self.bound)
         return vals[inv]
 
-    def generate(self, k, seed):
-        return self.generate_batch(k, k + 1, seed)[0]
-
-
-def generate_regressor(source, k, seed):
-    """phi_k for the given source; pure in (source, k, seed)."""
-    if k < 0:
-        raise ValueError("step index must be nonnegative")
-    return source.generate(k, seed)
-
 
 # ---------------------------------------------------------------------------
 # noise processes
@@ -262,10 +243,6 @@ class Zero:
 
     def innovation(self, u):
         return np.zeros_like(np.asarray(u, dtype=float))
-
-    def sample(self, history, rng, size=None):
-        u = rng.uniform(size=size)
-        return self.innovation(u)
 
 
 @dataclass(frozen=True)
@@ -304,9 +281,6 @@ class BiasedGaussianTruncated:
     def innovation(self, u):
         return self.sd * special.ndtri(self._cdf_lo + np.asarray(u) * self._cdf_span)
 
-    def sample(self, history, rng, size=None):
-        return self.conditional_mean() + self.innovation(rng.uniform(size=size))
-
 
 @dataclass(frozen=True)
 class UniformBiased:
@@ -332,9 +306,6 @@ class UniformBiased:
 
     def innovation(self, u):
         return self.halfwidth * (2.0 * np.asarray(u) - 1.0)
-
-    def sample(self, history, rng, size=None):
-        return self.conditional_mean() + self.innovation(rng.uniform(size=size))
 
 
 @dataclass(frozen=True)
@@ -373,34 +344,3 @@ class StateDependentBias:
     def innovation(self, u):
         return math.sqrt(3.0) * self.sd * (2.0 * np.asarray(u) - 1.0)
 
-    def sample(self, history, rng, size=None):
-        mean = self.conditional_mean(history.theta, history.vartheta)
-        return mean + self.innovation(rng.uniform(size=size))
-
-
-def sample_noise(model, history, rng, size=None):
-    """One (or size) noise draws conditioned on the supplied history."""
-    return model.sample(history, rng, size=size)
-
-
-# ---------------------------------------------------------------------------
-# observation stream
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Observation:
-    phi: np.ndarray
-    y: float
-    eta: float
-    step: int
-
-
-def emit_observation(model, source, noise, k, history, rng, seed=0):
-    """(phi_k, y_{k+1}) with y = phi . theta_star + eta."""
-    if source.dimension != model.dimension:
-        raise ConfigurationError(
-            f"regressor dimension {source.dimension} != model dimension {model.dimension}")
-    phi = generate_regressor(source, k, seed)
-    eta = float(sample_noise(noise, history, rng))
-    y = float(phi @ model.theta_star) + eta
-    return Observation(phi=phi, y=y, eta=eta, step=k)

@@ -4,9 +4,10 @@ Conditional expectations are estimated by frozen-state resampling: freeze
 (theta_k, vartheta_k, phi_k), draw many independent noise samples conditioned
 on that history, advance one step per sample, and average.
 
-Single trajectories and ensembles run on one lockstep kernel that advances
-every trial CHUNK_STEPS steps at a time.  Per chunk it draws each trial's
-innovations from that trial's own generator and builds every trial's
+Every multi-step HOT run -- traces, ensembles, the simulate command and the
+HOT half of compare_baseline -- goes through one lockstep kernel that
+advances every trial CHUNK_STEPS steps at a time.  Per chunk it draws each
+trial's innovations from that trial's own generator and builds every trial's
 regressors in one call, so a trial's streams do not depend on the chunk size
 or on the ensemble width.  The boundedness and rate checks are running
 reductions fed chunk by chunk, so `verify` never holds the (trials, horizon)
@@ -31,16 +32,6 @@ DEFAULT_Z = 4.0
 
 # Steps per kernel chunk.  At 200 trials the chunk buffers take a few MB.
 CHUNK_STEPS = 256
-
-
-def _trial_rng(cfg, trial):
-    return np.random.default_rng(cfg.trial_seed(trial))
-
-
-def _draw_innovations(cfg, trial, horizon):
-    """The canonical per-trial noise innovation stream."""
-    rng = _trial_rng(cfg, trial)
-    return np.asarray(cfg.noise.innovation(rng.uniform(size=horizon)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +145,7 @@ def _rowdot(a, b):
 
 
 # ---------------------------------------------------------------------------
-# single-trial trace
+# per-trial traces
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -163,7 +154,7 @@ class TrajectoryTrace:
 
     Row k holds the state before consuming observation k; the observation
     fields (e_y, eta, phi_norm) of the final row are NaN since no observation
-    is consumed there.
+    is consumed there.  phi and y hold the horizon observations themselves.
     """
 
     k: np.ndarray
@@ -174,45 +165,53 @@ class TrajectoryTrace:
     e_y: np.ndarray
     eta: np.ndarray
     phi_norm: np.ndarray
+    phi: np.ndarray
+    y: np.ndarray
     seed: int
     config: object
 
 
-def run_trajectory(cfg, seed, horizon=None, initial=None):
-    """Run one trial for `horizon` steps; deterministic given (cfg, seed).
+def run_trajectories(cfg, seeds, horizon=None, initial=None):
+    """One TrajectoryTrace per seed, from one lockstep kernel pass.
 
-    This is the one-trial call of the lockstep kernel, so it reproduces row t
-    of run_ensemble when seed == cfg.trial_seed(t).
+    Deterministic given (cfg, seed): a trial's trace does not depend on the
+    other seeds, so row t of run_ensemble matches seed cfg.trial_seed(t).
     """
     horizon = cfg.horizon if horizon is None else horizon
     state = cfg.initial_state() if initial is None else initial
     consts = cfg.constants()
-    n = cfg.dimension
+    shape = (len(seeds), horizon + 1, cfg.dimension)
 
-    theta = np.empty((horizon + 1, n))
-    vartheta = np.empty((horizon + 1, n))
-    V = np.empty(horizon + 1)
-    eta = np.full(horizon + 1, np.nan)
-    y = np.empty(horizon)
-    phi = np.empty((horizon, n))
-    for blk in _lockstep(cfg, [seed], horizon, state):
+    theta = np.empty(shape)
+    vartheta = np.empty(shape)
+    V = np.empty(shape[:2])
+    eta = np.full(shape[:2], np.nan)
+    y = np.empty((len(seeds), horizon))
+    phi = np.empty((len(seeds), horizon, cfg.dimension))
+    for blk in _lockstep(cfg, seeds, horizon, state):
         rows = slice(blk.k, blk.k + blk.V.shape[1])
         obs = slice(blk.k, blk.k + len(blk.eta))
-        theta[rows] = blk.theta[:, :, 0]
-        vartheta[rows] = blk.vartheta[:, :, 0]
-        V[rows] = blk.V[0]
-        eta[obs] = blk.eta[:, 0]
-        y[obs] = blk.y[:, 0]
-        phi[obs] = blk.phi[:, :, 0]
+        theta[:, rows] = blk.theta.transpose(2, 0, 1)
+        vartheta[:, rows] = blk.vartheta.transpose(2, 0, 1)
+        V[:, rows] = blk.V
+        eta[:, obs] = blk.eta.T
+        y[:, obs] = blk.y.T
+        phi[:, obs] = blk.phi.transpose(2, 0, 1)
 
-    e_y = np.full(horizon + 1, np.nan)
-    phi_norm = np.full(horizon + 1, np.nan)
-    e_y[:horizon] = _rowdot(theta[:horizon], phi) - y
-    phi_norm[:horizon] = np.sqrt(_rowdot(phi, phi))
+    e_y = np.full(shape[:2], np.nan)
+    phi_norm = np.full(shape[:2], np.nan)
+    e_y[:, :horizon] = _rowdot(theta[:, :horizon], phi) - y
+    phi_norm[:, :horizon] = np.sqrt(_rowdot(phi, phi))
     Vhat = clipped_V(V, consts.K) if not consts.degenerate else np.full_like(V, np.nan)
-    return TrajectoryTrace(k=np.arange(horizon + 1), theta=theta, vartheta=vartheta,
-                           V=V, Vhat=Vhat, e_y=e_y, eta=eta, phi_norm=phi_norm,
-                           seed=seed, config=cfg)
+    return [TrajectoryTrace(k=np.arange(horizon + 1), theta=theta[t], vartheta=vartheta[t],
+                            V=V[t], Vhat=Vhat[t], e_y=e_y[t], eta=eta[t],
+                            phi_norm=phi_norm[t], phi=phi[t], y=y[t], seed=seed, config=cfg)
+            for t, seed in enumerate(seeds)]
+
+
+def run_trajectory(cfg, seed, horizon=None, initial=None):
+    """Run one trial for `horizon` steps: run_trajectories for one seed."""
+    return run_trajectories(cfg, [seed], horizon, initial)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +380,7 @@ def decrement_report(cfg, consts=None, M=None, z=DEFAULT_Z, noises=None,
     noises = [cfg.noise] if noises is None else noises
     states = probe_states(cfg, consts, n_harvest=n_harvest, seed=seed)
     rng = np.random.default_rng([cfg.base_seed, seed, 0xDEC])
-    phi = cfg.regressor.generate(0, cfg.trial_seed(0))
+    phi = cfg.regressor.generate_batch(0, 1, cfg.trial_seed(0))[0]
     probes = []
     for noise in noises:
         for label, state in states:
@@ -568,50 +567,35 @@ class BaselineComparison:
     normalized_gd: bool
 
 
-def compare_baseline(cfg, seeds, normalized_gd=False, horizon=None):
-    """HOT vs the plain gradient recursion on identical (phi, eta) streams."""
-    horizon = cfg.horizon if horizon is None else horizon
-    ts = cfg.true_model.theta_star
-    gains = cfg.gains
-    hot_runs, gd_runs = [], []
-    for seed in seeds:
-        trial = seed ^ cfg.base_seed
-        innov = _draw_innovations(cfg, trial, horizon)
-        phi_all = cfg.regressor.generate_batch(0, horizon, seed)
+def _baseline_run(theta, trace, diverged_at=-1):
+    """Errors ||theta_k - theta*|| and losses (theta_k . phi_k - y_k)^2 / 2 of
+    an estimate path read against a trace's observations; NaN rows stay NaN."""
+    d = theta - trace.config.true_model.theta_star
+    err = np.sqrt(_rowdot(d, d))
+    e = _rowdot(theta[:-1], trace.phi) - trace.y
+    return BaselineRun(terminal_error=float(err[np.isfinite(err)][-1]),
+                       error_trace=err, loss_trace=0.5 * e**2, diverged_at=diverged_at)
 
-        th, vt = cfg.initial_state().theta, cfg.initial_state().vartheta
-        gd_th = cfg.gains.theta0.copy()
-        hot_err = np.full(horizon + 1, np.nan)
-        gd_err = np.full(horizon + 1, np.nan)
-        hot_loss = np.full(horizon, np.nan)
-        gd_loss = np.full(horizon, np.nan)
-        hot_err[0] = gd_err[0] = float(np.linalg.norm(gains.theta0 - ts))
-        hot_div = gd_div = -1
-        for k in range(horizon):
-            phi = phi_all[k]
-            eta = cfg.noise.conditional_mean(th, vt) + innov[k]
-            y = float(phi @ ts) + eta
-            if hot_div < 0:
-                hot_loss[k] = 0.5 * (float(th @ phi) - y) ** 2
-                try:
-                    th, vt = _hot_update(th, vt, phi, y, gains)
-                    if not (np.all(np.isfinite(th)) and np.all(np.isfinite(vt))):
-                        raise NonFiniteError(k)
-                    hot_err[k + 1] = float(np.linalg.norm(th - ts))
-                except NonFiniteError:
-                    hot_div = k
-            if gd_div < 0:
-                gd_loss[k] = 0.5 * (float(gd_th @ phi) - y) ** 2
-                try:
-                    gd_th = gd_step(gd_th, phi, y, gains.gamma, normalized=normalized_gd)
-                    gd_err[k + 1] = float(np.linalg.norm(gd_th - ts))
-                except NonFiniteError:
-                    gd_div = k
-        hot_runs.append(BaselineRun(
-            terminal_error=float(hot_err[np.isfinite(hot_err)][-1]),
-            error_trace=hot_err, loss_trace=hot_loss, diverged_at=hot_div))
-        gd_runs.append(BaselineRun(
-            terminal_error=float(gd_err[np.isfinite(gd_err)][-1]),
-            error_trace=gd_err, loss_trace=gd_loss, diverged_at=gd_div))
+
+def compare_baseline(cfg, seeds, normalized_gd=False, horizon=None):
+    """HOT vs the plain gradient recursion on identical (phi, y) streams.
+
+    The HOT half is run_trajectories' traces, so a HOT divergence raises
+    NonFiniteError; the gradient recursion then reads each trace's phi and y,
+    and its divergence is recorded in diverged_at.
+    """
+    hot_runs, gd_runs = [], []
+    for trace in run_trajectories(cfg, seeds, horizon):
+        hot_runs.append(_baseline_run(trace.theta, trace))
+        gd = np.full_like(trace.theta, np.nan)
+        gd[0] = cfg.gains.theta0
+        gd_div = -1
+        for k, (phi, y) in enumerate(zip(trace.phi, trace.y)):
+            try:
+                gd[k + 1] = gd_step(gd[k], phi, y, cfg.gains.gamma, normalized=normalized_gd)
+            except NonFiniteError:
+                gd_div = k
+                break
+        gd_runs.append(_baseline_run(gd, trace, gd_div))
     return BaselineComparison(seeds=list(seeds), hot=hot_runs, gd=gd_runs,
                               normalized_gd=normalized_gd)

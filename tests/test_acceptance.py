@@ -123,7 +123,8 @@ def test_criterion_7_noise_conformance(cfg):
         for _ in range(100):
             history = TunerState(theta=rng.normal(size=2) * 3,
                                  vartheta=rng.normal(size=2) * 3)
-            x = np.atleast_1d(noise.sample(history, rng, size=100_000))
+            x = np.atleast_1d(noise.conditional_mean(history.theta, history.vartheta)
+                              + noise.innovation(rng.uniform(size=100_000)))
             if x.size == 1:  # zero kind collapses to a scalar draw path
                 x = np.zeros(100_000)
             if np.ptp(x) > 0:

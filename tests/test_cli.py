@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hot_tuner import __version__
-from hot_tuner.cli import _jsonable, main
+from hot_tuner.cli import _jsonable, _write_trace_csv, main
+from hot_tuner.config import load_config
 from hot_tuner import verify
 
 from conftest import reference_dict
@@ -42,7 +43,6 @@ class TestSimulate:
         cfg_path = write_config(tmp_path, small_dict(ensemble=1))
         out = str(tmp_path / "out")
         assert main(["simulate", cfg_path, "--out", out]) == 0
-        from hot_tuner.config import load_config
         cfg = load_config(cfg_path)
         trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
         with open(os.path.join(out, "trace_0.csv"), newline="") as fh:
@@ -51,6 +51,19 @@ class TestSimulate:
         for i, row in enumerate(rows):
             assert float(row["V"]) == trace.V[i]  # bitwise round-trip
             assert float(row["theta_0"]) == trace.theta[i, 0]
+
+    def test_traces_equal_single_trial_runs(self, tmp_path):
+        # one lockstep pass over all trials writes what each trial gives alone
+        cfg_path = write_config(tmp_path, small_dict(
+            horizon=300, regressor={"kind": "iid_bounded", "bound": 2.0},
+            noise={"kind": "state_dependent_bias", "d_amplitude": 0.1, "sd": 0.45}))
+        out = tmp_path / "out"
+        assert main(["simulate", cfg_path, "--out", str(out), "--trials", "3"]) == 0
+        cfg = load_config(cfg_path)
+        for t in range(3):
+            ref = tmp_path / f"ref_{t}.csv"
+            _write_trace_csv(str(ref), verify.run_trajectory(cfg, cfg.trial_seed(t)))
+            assert (out / f"trace_{t}.csv").read_bytes() == ref.read_bytes()
 
     def test_gamma_violation_names_field(self, tmp_path, capsys):
         d = small_dict(gains={"gamma": 0.05, "beta": 0.5, "mu": 0.1})

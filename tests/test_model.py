@@ -12,27 +12,38 @@ from hot_tuner.model import (
     TrueModel,
     UniformBiased,
     Zero,
-    emit_observation,
-    generate_regressor,
-    sample_noise,
 )
+from hot_tuner import verify
+from hot_tuner.config import ConfigError, RunConfig
 from hot_tuner.tuner import TunerState
+
+from conftest import reference_dict
+
+
+def row(src, k, seed):
+    """phi_k of a regressor source, as a one-row batch."""
+    return src.generate_batch(k, k + 1, seed)[0]
+
+
+def draw(noise, rng, size=None, theta=None, vartheta=None):
+    """Noise draws given the state: conditional mean plus innovation."""
+    return noise.conditional_mean(theta, vartheta) + noise.innovation(rng.uniform(size=size))
 
 
 class TestRegressors:
     def test_constant_is_step_independent(self):
         src = Constant(value=[1.0, 0.0])
-        assert np.array_equal(generate_regressor(src, 7, seed=3), [1.0, 0.0])
-        assert np.array_equal(generate_regressor(src, 0, seed=99), [1.0, 0.0])
+        assert np.array_equal(row(src, 7, seed=3), [1.0, 0.0])
+        assert np.array_equal(row(src, 0, seed=99), [1.0, 0.0])
 
     def test_sinusoid_unit_sine(self):
         src = Sinusoid(amplitude=[1.0], omega=np.pi / 2, phase=[0.0])
-        assert generate_regressor(src, 1, seed=0) == pytest.approx([1.0])
+        assert row(src, 1, seed=0) == pytest.approx([1.0])
 
     def test_iid_deterministic_and_bounded(self):
         src = IidBounded(bound=2.0, dimension=3)
-        a = generate_regressor(src, 5, seed=42)
-        b = generate_regressor(src, 5, seed=42)
+        a = row(src, 5, seed=42)
+        b = row(src, 5, seed=42)
         assert np.array_equal(a, b)
         # brute-force bound check over many draws
         batch = src.generate_batch(0, 100_000, seed=42)
@@ -40,7 +51,7 @@ class TestRegressors:
 
     def test_iid_different_seeds_differ(self):
         src = IidBounded(bound=1.0, dimension=2)
-        assert not np.array_equal(src.generate(3, 1), src.generate(3, 2))
+        assert not np.array_equal(row(src, 3, 1), row(src, 3, 2))
 
     def test_batch_matches_single(self):
         for src in (IidBounded(bound=1.5, dimension=2),
@@ -48,7 +59,7 @@ class TestRegressors:
                     Sinusoid(amplitude=[1.0, 0.5], omega=0.3)):
             batch = src.generate_batch(10, 20, seed=11)
             for j, k in enumerate(range(10, 20)):
-                assert np.array_equal(batch[j], src.generate(k, seed=11))
+                assert np.array_equal(batch[j], row(src, k, seed=11))
 
     def test_seed_array_matches_per_seed_batches(self):
         seeds = [0, 7, 2**63 + 5, 20240613 ^ 3]
@@ -96,14 +107,14 @@ class TestNoise:
     def test_zero_kind(self):
         rng = np.random.default_rng(0)
         noise = Zero()
-        assert sample_noise(noise, None, rng) == 0.0
-        assert np.all(noise.sample(None, rng, size=100) == 0.0)
+        assert draw(noise, rng) == 0.0
+        assert np.all(draw(noise, rng, size=100) == 0.0)
         assert noise.d_max == 0.0 and noise.sigma_max == 0.0
 
     def test_truncated_gaussian_moments(self):
         noise = BiasedGaussianTruncated(bias=0.1, sd=0.5)
         rng = np.random.default_rng(7)
-        x = noise.sample(None, rng, size=1_000_000)
+        x = draw(noise, rng, size=1_000_000)
         stderr = x.std(ddof=1) / np.sqrt(x.size)
         assert abs(x.mean() - 0.1) <= 5 * stderr
         assert np.mean(x ** 2) <= (0.1 ** 2 + 0.5 ** 2) * 1.01
@@ -118,7 +129,7 @@ class TestNoise:
     def test_uniform_biased_support_and_mean(self):
         noise = UniformBiased(center=-0.2, halfwidth=0.3)
         rng = np.random.default_rng(11)
-        x = noise.sample(None, rng, size=500_000)
+        x = draw(noise, rng, size=500_000)
         assert np.all(x >= -0.5) and np.all(x <= 0.1)
         stderr = x.std(ddof=1) / np.sqrt(x.size)
         assert abs(x.mean() + 0.2) <= 5 * stderr
@@ -131,7 +142,7 @@ class TestNoise:
         assert noise.conditional_mean(far.theta, far.vartheta) == pytest.approx(
             0.1 * np.tanh(10.0))
         rng = np.random.default_rng(3)
-        x = noise.sample(far, rng, size=200_000)
+        x = draw(noise, rng, size=200_000, theta=far.theta, vartheta=far.vartheta)
         stderr = x.std(ddof=1) / np.sqrt(x.size)
         assert abs(x.mean() - 0.1 * np.tanh(10.0)) <= 5 * stderr
         assert noise.sigma_max == pytest.approx(np.hypot(0.1, 0.45))
@@ -146,38 +157,49 @@ class TestNoise:
             assert np.array_equal(noise.conditional_mean(theta, vartheta), expected)
 
 
+def observation_config(**overrides):
+    """A noise-free one-chunk config; overrides replace reference fields."""
+    d = dict(horizon=20, ensemble=1, resamples=500, noise={"kind": "zero"},
+             d_max=0.0, sigma_max=0.0, vartheta0=None)
+    d.update(overrides)
+    return RunConfig.from_dict(reference_dict(**d))
+
+
 class TestObservation:
+    """The observations y_k = phi_k . theta* + eta_k that a trace records."""
+
     def test_noise_free_dot_product(self):
-        model = TrueModel(theta_star=[1.0])
-        src = Constant(value=[2.0])
-        obs = emit_observation(model, src, Zero(), 0, None,
-                               np.random.default_rng(0))
-        assert obs.y == 2.0 and obs.eta == 0.0
+        cfg = observation_config(dimension=1, theta_star=[1.0], theta0=[0.0],
+                                 regressor={"kind": "constant", "value": [2.0]})
+        trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
+        assert np.all(trace.y == 2.0) and np.all(trace.eta[:-1] == 0.0)
 
     def test_cancellation_plus_noise(self):
         # theta* = [1, -1], phi = [3, 3], eta = 0.5 -> y = 0.5
-        model = TrueModel(theta_star=[1.0, -1.0])
-        src = Constant(value=[3.0, 3.0])
-        noise = UniformBiased(center=0.5, halfwidth=0.0)
-        obs = emit_observation(model, src, noise, 0, None,
-                               np.random.default_rng(0))
-        assert obs.y == pytest.approx(0.5)
-        assert obs.y == pytest.approx(float(obs.phi @ model.theta_star) + obs.eta)
+        cfg = observation_config(theta_star=[1.0, -1.0],
+                                 regressor={"kind": "constant", "value": [3.0, 3.0]},
+                                 noise={"kind": "uniform_biased", "center": 0.5,
+                                        "halfwidth": 0.0}, d_max=0.5, sigma_max=0.5)
+        trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
+        assert trace.y == pytest.approx(0.5)
+        assert np.array_equal(trace.y, trace.phi @ cfg.true_model.theta_star + trace.eta[:-1])
 
     def test_constant_stream(self):
-        model = TrueModel(theta_star=[0.7])
-        src = Constant(value=[1.0])
+        cfg = observation_config(dimension=1, theta_star=[0.7], theta0=[0.0],
+                                 regressor={"kind": "constant", "value": [1.0]})
+        trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
         for k in (0, 3, 17):
-            obs = emit_observation(model, src, Zero(), k, None,
-                                   np.random.default_rng(0))
-            assert obs.y == pytest.approx(0.7)
-            assert obs.step == k
+            assert trace.y[k] == pytest.approx(0.7)
+            assert trace.k[k] == k
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            emit_observation(TrueModel(theta_star=[1.0, 2.0]),
-                             Constant(value=[1.0]), Zero(), 0, None,
-                             np.random.default_rng(0))
+        # the dimension check behind y = phi . theta* happens at config load
+        for regressor, name in (({"kind": "constant", "value": [1.0]}, "regressor.value"),
+                                ({"kind": "sinusoid", "amplitude": [1.0, 1.0, 1.0],
+                                  "omega": 0.5}, "regressor.amplitude")):
+            with pytest.raises(ConfigError) as exc:
+                observation_config(regressor=regressor)
+            assert exc.value.field == name
 
     def test_invalid_true_model(self):
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,7 @@ import pytest
 from hot_tuner.config import RunConfig
 from hot_tuner.lyapunov import InvalidAlphaError, lyapunov_value_arrays, theorem4_radius
 from hot_tuner.model import StateDependentBias, UniformBiased, Zero
-from hot_tuner.tuner import NonFiniteError, TunerState, hot_step
+from hot_tuner.tuner import NonFiniteError, TunerState, gd_step, hot_step
 from hot_tuner import verify
 
 from conftest import reference_dict
@@ -25,21 +25,29 @@ REGRESSORS = {
 }
 
 
-def hot_step_loop(cfg, seed, horizon):
-    """theta, vartheta and V of one trial from a plain hot_step loop."""
+def hot_step_run(cfg, seed, horizon):
+    """theta, vartheta of one trial from a plain hot_step loop, and the phi
+    and y fed to each step."""
     rng = np.random.default_rng(seed)
     innov = cfg.noise.innovation(rng.uniform(size=horizon))
     phi_all = cfg.regressor.generate_batch(0, horizon, seed)
     ts = cfg.true_model.theta_star
     state = cfg.initial_state()
-    theta, vartheta = [state.theta], [state.vartheta]
+    theta, vartheta, ys = [state.theta], [state.vartheta], []
     for k in range(horizon):
         phi = phi_all[k]
         eta = cfg.noise.conditional_mean(state.theta, state.vartheta) + innov[k]
-        state = hot_step(state, phi, float(phi @ ts) + eta, cfg.gains)
+        ys.append(float(phi @ ts) + eta)
+        state = hot_step(state, phi, ys[-1], cfg.gains)
         theta.append(state.theta)
         vartheta.append(state.vartheta)
-    theta, vartheta = np.array(theta), np.array(vartheta)
+    return np.array(theta), np.array(vartheta), phi_all, np.array(ys)
+
+
+def hot_step_loop(cfg, seed, horizon):
+    """theta, vartheta and V of one trial from a plain hot_step loop."""
+    theta, vartheta, _, _ = hot_step_run(cfg, seed, horizon)
+    ts = cfg.true_model.theta_star
     return theta, vartheta, lyapunov_value_arrays(theta, vartheta, ts, cfg.gains.gamma)
 
 
@@ -204,7 +212,7 @@ class TestDecrement:
         consts = cfg.constants()
         rng = np.random.default_rng(1)
         state = cfg.initial_state()
-        phi = cfg.regressor.generate(0, cfg.trial_seed(0))
+        phi = cfg.regressor.generate_batch(0, 1, cfg.trial_seed(0))[0]
         probe = verify.conditional_decrement_probe(state, phi, cfg, consts,
                                                    500, rng)
         assert probe.stderr == 0.0
@@ -215,7 +223,7 @@ class TestDecrement:
         consts = cfg.constants()
         state = TunerState(theta=cfg.true_model.theta_star.copy(),
                            vartheta=cfg.true_model.theta_star.copy())
-        phi = cfg.regressor.generate(0, cfg.trial_seed(0))
+        phi = cfg.regressor.generate_batch(0, 1, cfg.trial_seed(0))[0]
         probe = verify.conditional_decrement_probe(
             state, phi, cfg, consts, 10_000, np.random.default_rng(2))
         assert probe.V_k == 0.0
@@ -321,3 +329,50 @@ class TestCompareBaseline:
                                     horizon=100)
         assert np.array_equal(a.hot[0].error_trace, b.hot[0].error_trace)
         assert np.array_equal(a.gd[0].error_trace, b.gd[0].error_trace)
+
+    @pytest.mark.parametrize("noise", ["biased_gaussian", "state_dependent_bias"])
+    def test_hot_half_matches_hot_step_loop(self, noise):
+        cfg = RunConfig.from_dict(reference_dict(
+            horizon=300, ensemble=2, resamples=500,
+            **NOISES[noise], **REGRESSORS["iid_bounded"]))
+        seeds = [cfg.trial_seed(t) for t in range(2)]
+        ts = cfg.true_model.theta_star
+        cmp = verify.compare_baseline(cfg, seeds)
+        for run, seed in zip(cmp.hot, seeds):
+            theta, _, phi, y = hot_step_run(cfg, seed, cfg.horizon)
+            assert np.array_equal(run.error_trace,
+                                  [float(np.linalg.norm(th - ts)) for th in theta])
+            # numpy squares with one correctly rounded product; a float ** 2 may differ
+            loss = [0.5 * (float(th @ p) - y_k) ** 2 for th, p, y_k in zip(theta, phi, y)]
+            np.testing.assert_allclose(run.loss_trace, loss, rtol=1e-15, atol=0)
+            assert run.diverged_at == -1
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("noise", ["biased_gaussian", "state_dependent_bias"])
+    def test_gd_half_matches_plain_gd_step_loop(self, noise, normalized):
+        cfg = RunConfig.from_dict(reference_dict(
+            horizon=300, ensemble=1, resamples=500,
+            **NOISES[noise], **REGRESSORS["iid_bounded"]))
+        seed = cfg.trial_seed(0)
+        ts = cfg.true_model.theta_star
+        _, _, phi, y = hot_step_run(cfg, seed, cfg.horizon)
+        theta = cfg.gains.theta0
+        errors = [float(np.linalg.norm(theta - ts))]
+        for p, y_k in zip(phi, y):
+            theta = gd_step(theta, p, y_k, cfg.gains.gamma, normalized=normalized)
+            errors.append(float(np.linalg.norm(theta - ts)))
+        cmp = verify.compare_baseline(cfg, [seed], normalized_gd=normalized)
+        assert np.array_equal(cmp.gd[0].error_trace, errors)
+        assert cmp.gd[0].diverged_at == -1
+
+    @pytest.mark.filterwarnings("ignore:gamma > 1/16")
+    @pytest.mark.parametrize("noise", ["uniform_biased", "state_dependent_bias"])
+    def test_hot_divergence_raises(self, noise):
+        # the plain recursion stays finite here; HOT's leakage mu * gamma = 50 does not
+        cfg = RunConfig.from_dict(reference_dict(
+            horizon=2000, ensemble=1, resamples=500, mode="unrestricted",
+            gains={"gamma": 100.0, "beta": 0.5, "mu": 0.5},
+            regressor={"kind": "constant", "value": [0.01, 0.01]}, **NOISES[noise]))
+        with pytest.raises(NonFiniteError) as exc:
+            verify.compare_baseline(cfg, [cfg.trial_seed(0)])
+        assert exc.value.step == 198
