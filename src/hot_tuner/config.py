@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +29,39 @@ def _require(d, key, types, where):
     return v
 
 
-def _vector(d, key, dim, where):
-    v = _require(d, key, list, where)
-    if len(v) != dim or not all(isinstance(x, (int, float)) for x in v):
-        raise ConfigError(f"{where}{key}", f"expected a numeric vector of length {dim}")
+def _is_number(x, integer=False):
+    """True for a finite JSON number (an int if `integer`); bools are not numbers here."""
+    if isinstance(x, bool) or not isinstance(x, int if integer else (int, float)):
+        return False
+    return integer or abs(x) <= sys.float_info.max  # false for NaN and inf
+
+
+_REQUIRED = object()
+
+
+def _number(d, key, where, default=_REQUIRED, integer=False):
+    """d[key] as a float (an int if `integer`); `default` if it is absent, or
+    null when a default is given."""
+    if key not in d or (d[key] is None and default is not _REQUIRED):
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}{key}", "missing")
+        return default
+    value = d[key]
+    if not _is_number(value, integer):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where}{key}", f"expected {kind}, got {value!r}")
+    return value if integer else float(value)
+
+
+def _check_vector(v, dim, name):
+    if (not isinstance(v, list) or len(v) != dim
+            or not all(_is_number(x) for x in v)):
+        raise ConfigError(name, f"expected a finite numeric vector of length {dim}")
     return np.asarray(v, dtype=float)
+
+
+def _vector(d, key, dim, where):
+    return _check_vector(_require(d, key, list, where), dim, f"{where}{key}")
 
 
 def check_seed(value):
@@ -48,23 +77,26 @@ def _build_regressor(spec, dim):
         if kind == "constant":
             return model_mod.Constant(
                 value=_vector(spec, "value", dim, "regressor."),
-                phi_bound=spec.get("phi_bound"))
+                phi_bound=_number(spec, "phi_bound", "regressor.", None))
         if kind == "sinusoid":
             return model_mod.Sinusoid(
                 amplitude=_vector(spec, "amplitude", dim, "regressor."),
-                omega=float(_require(spec, "omega", (int, float), "regressor.")),
+                omega=_number(spec, "omega", "regressor."),
                 phase=_vector(spec, "phase", dim, "regressor.") if "phase" in spec else None,
-                phi_bound=spec.get("phi_bound"))
+                phi_bound=_number(spec, "phi_bound", "regressor.", None))
         if kind == "iid_bounded":
             return model_mod.IidBounded(
-                bound=float(_require(spec, "bound", (int, float), "regressor.")),
-                dimension=dim)
+                bound=_number(spec, "bound", "regressor."), dimension=dim)
         if kind == "piecewise_constant":
+            levels = None
+            if spec.get("levels"):
+                levels = tuple(_check_vector(v, dim, "regressor.levels")
+                               for v in _require(spec, "levels", list, "regressor."))
             return model_mod.PiecewiseConstant(
-                bound=float(_require(spec, "bound", (int, float), "regressor.")),
+                bound=_number(spec, "bound", "regressor."),
                 dimension=dim,
-                dwell=int(_require(spec, "dwell", int, "regressor.")),
-                levels=tuple(spec["levels"]) if spec.get("levels") else None)
+                dwell=_number(spec, "dwell", "regressor.", integer=True),
+                levels=levels)
     except model_mod.ConfigurationError as exc:
         raise ConfigError("regressor", str(exc)) from exc
     raise ConfigError("regressor.kind", f"unknown kind '{kind}'")
@@ -77,17 +109,17 @@ def _build_noise(spec):
             return model_mod.Zero()
         if kind == "biased_gaussian":
             return model_mod.BiasedGaussianTruncated(
-                bias=float(_require(spec, "bias", (int, float), "noise.")),
-                sd=float(_require(spec, "sd", (int, float), "noise.")),
-                truncation=float(spec.get("truncation", 3.0)))
+                bias=_number(spec, "bias", "noise."),
+                sd=_number(spec, "sd", "noise."),
+                truncation=_number(spec, "truncation", "noise.", 3.0))
         if kind == "uniform_biased":
             return model_mod.UniformBiased(
-                center=float(_require(spec, "center", (int, float), "noise.")),
-                halfwidth=float(_require(spec, "halfwidth", (int, float), "noise.")))
+                center=_number(spec, "center", "noise."),
+                halfwidth=_number(spec, "halfwidth", "noise."))
         if kind == "state_dependent_bias":
             return model_mod.StateDependentBias(
-                d_amplitude=float(_require(spec, "d_amplitude", (int, float), "noise.")),
-                sd=float(_require(spec, "sd", (int, float), "noise.")))
+                d_amplitude=_number(spec, "d_amplitude", "noise."),
+                sd=_number(spec, "sd", "noise."))
     except model_mod.ConfigurationError as exc:
         raise ConfigError("noise", str(exc)) from exc
     raise ConfigError("noise.kind", f"unknown kind '{kind}'")
@@ -115,7 +147,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        dim = _require(d, "dimension", int, "")
+        dim = _number(d, "dimension", "", integer=True)
         if dim < 1:
             raise ConfigError("dimension", "must be >= 1")
         theta_star = _vector(d, "theta_star", dim, "")
@@ -127,11 +159,9 @@ class RunConfig:
         if mode not in ("certified", "unrestricted"):
             raise ConfigError("mode", "must be 'certified' or 'unrestricted'")
         gspec = _require(d, "gains", dict, "")
-        for key in ("gamma", "beta", "mu"):
-            _require(gspec, key, (int, float), "gains.")
+        gamma, beta, mu = (_number(gspec, key, "gains.") for key in ("gamma", "beta", "mu"))
         try:
-            gains = Gains(gamma=float(gspec["gamma"]), beta=float(gspec["beta"]),
-                          mu=float(gspec["mu"]), theta0=theta0, mode=mode)
+            gains = Gains(gamma=gamma, beta=beta, mu=mu, theta0=theta0, mode=mode)
         except ValueError as exc:
             raise ConfigError("gains.gamma" if "gamma" in str(exc) else "gains",
                               str(exc)) from exc
@@ -139,25 +169,24 @@ class RunConfig:
         regressor = _build_regressor(_require(d, "regressor", dict, ""), dim)
         noise = _build_noise(_require(d, "noise", dict, ""))
 
-        d_max = float(d.get("d_max", noise.d_max))
-        sigma_max = float(d.get("sigma_max", noise.sigma_max))
+        d_max = _number(d, "d_max", "", noise.d_max)
+        sigma_max = _number(d, "sigma_max", "", noise.sigma_max)
         if d_max < noise.d_max - 1e-12:
             raise ConfigError("d_max", "smaller than the noise kind's analytic bound")
         if sigma_max < noise.sigma_max - 1e-12:
             raise ConfigError("sigma_max", "smaller than the noise kind's analytic bound")
 
-        horizon = _require(d, "horizon", int, "")
+        horizon = _number(d, "horizon", "", integer=True)
         if horizon < 1:
             raise ConfigError("horizon", "must be >= 1")
-        ensemble = int(d.get("ensemble", 1))
+        ensemble = _number(d, "ensemble", "", 1, integer=True)
         if ensemble < 1:
             raise ConfigError("ensemble", "must be >= 1")
-        resamples = int(d.get("resamples", 10000))
+        resamples = _number(d, "resamples", "", 10000, integer=True)
         if resamples < 100:
             raise ConfigError("resamples", "must be >= 100")
-        alpha = d.get("alpha")
+        alpha = _number(d, "alpha", "", None)
         if alpha is not None:
-            alpha = float(alpha)
             if alpha <= 0:
                 raise ConfigError("alpha", "must be positive")
         base_seed = check_seed(d.get("base_seed", 0))

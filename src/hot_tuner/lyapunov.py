@@ -30,7 +30,7 @@ def lyapunov_value(state, theta_star, gamma):
 
 
 def lyapunov_value_arrays(theta, vartheta, theta_star, gamma):
-    """As lyapunov_value, on raw arrays (used by the lockstep runners)."""
+    """As lyapunov_value, on raw arrays."""
     a = vartheta - theta_star
     b = theta - vartheta
     return (np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)) / gamma

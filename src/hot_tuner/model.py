@@ -1,7 +1,10 @@
 """Ground-truth linear regression model, regressor generators, noise processes.
 
 Regressor generation is a pure function of (kind, params, seed, k) so that
-trajectories are reproducible and trivially parallelizable.  Noise kinds are
+trajectories are reproducible and trivially parallelizable.  The hashed kinds
+build a batch for S seeds component-major, in (steps, N, S) memory, which is
+the layout the lockstep kernel steps in; generate_batch returns it as a
+(steps, S, N) view.  Noise kinds are
 parameterized so that the conditional mean / second-moment bounds (d_max,
 sigma_max) hold analytically, not just empirically.
 """
@@ -24,44 +27,73 @@ class ConfigurationError(ValueError):
 
 def _splitmix64(z):
     """The splitmix64 finalizer, in place on a uint64 array (wrapping mod 2**64)."""
+    t = np.empty_like(z)
     z += np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(30)
+    z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
 def _seed_words(seed, salt=0):
-    """A seed, or a 1-d sequence of seeds, xor salt, as uint64 words (mod 2**64)."""
+    """A seed, or a 1-d sequence of seeds, xor salt, as a 1-d uint64 array (mod 2**64)."""
     seeds = [seed] if np.ndim(seed) == 0 else seed
-    words = [(int(s) ^ salt) & 0xFFFFFFFFFFFFFFFF for s in seeds]
-    return np.array(words, dtype=np.uint64).reshape(np.shape(seed))
+    return np.array([(int(s) ^ salt) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
 
 
 def _hash_uniform(words, ks, dim):
-    """Doubles in [0, 1) keyed by (seed, k, component).
-
-    `words` comes from _seed_words: a scalar seed gives shape (len(ks), dim),
-    a 1-d array of S seeds gives (len(ks), S, dim).
+    """Doubles in [0, 1) keyed by (seed, k, component), component-major:
+    shape (len(ks), dim, len(words)).
     """
-    ks = np.asarray(ks, dtype=np.uint64).reshape((-1,) + (1,) * (words.ndim + 1))
-    words = words.reshape(words.shape + (1,))
-    idx = np.arange(dim, dtype=np.uint64)
-    z = (words * np.uint64(0x9E3779B97F4A7C15) + ks * np.uint64(0xC2B2AE3D27D4EB4F)
-         + idx * np.uint64(0x165667B19E3779F9))
-    z = _splitmix64(z)
+    ks = np.asarray(ks, dtype=np.uint64)
+    # a (k, component) key plus the seed's word; the sums wrap mod 2**64, so
+    # their order does not change the result
+    keys = (ks[:, None, None] * np.uint64(0xC2B2AE3D27D4EB4F)
+            + np.arange(dim, dtype=np.uint64)[:, None] * np.uint64(0x165667B19E3779F9))
+    z = _splitmix64(np.add(keys, words * np.uint64(0x9E3779B97F4A7C15)))
     z >>= np.uint64(11)
-    return z.astype(np.float64) * (1.0 / (1 << 53))
+    return np.multiply(z, 1.0 / (1 << 53), out=z.view(np.float64))
+
+
+def _sum_squares(v):
+    """Sum over axis 1 of v * v, a left fold over the slabs v[:, i].
+
+    For fewer than 8 components that is the order np.sum takes along a
+    contiguous axis (from 8 on, np.sum adds pairwise), and unlike np.sum's
+    order it does not depend on the sizes of the other axes.
+    """
+    acc = v[:, 0] * v[:, 0]
+    for i in range(1, v.shape[1]):
+        acc += v[:, i] * v[:, i]
+    return acc
 
 
 def _clip_to_ball(v, bound):
-    """Rescale rows of v so that their 2-norm does not exceed bound."""
-    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))  # = np.linalg.norm
+    """Rescale in place the vectors v[k, :, s] of a component-major
+    (rows, N, seeds) array so that their 2-norm does not exceed bound."""
+    norms = np.sqrt(_sum_squares(v))  # = np.linalg.norm for N < 8
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > bound, bound / np.maximum(norms, 1e-300), 1.0)
-    return v * scale
+    v *= scale[:, None, :]
+    return v
+
+
+def _uniform_rows(words, ks, dim, bound):
+    """Hashed rows uniform in [-bound, bound]^dim clipped to the bound-ball,
+    component-major as _hash_uniform lays them out."""
+    v = _hash_uniform(words, ks, dim)
+    v *= 2.0
+    v -= 1.0
+    v *= bound
+    return _clip_to_ball(v, bound)
+
+
+def _seed_rows(v, seed):
+    """A component-major (rows, N, seeds) batch as the (rows, S, N) view for a
+    seed sequence, or the (rows, N) rows of a scalar seed."""
+    return v.transpose(0, 2, 1) if np.ndim(seed) else v[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +201,10 @@ class IidBounded:
         return float(self.bound)
 
     def generate_batch(self, k0, k1, seed):
-        """Rows k0..k1-1: shape (k1-k0, N), or (k1-k0, S, N) for S seeds."""
-        u = _hash_uniform(_seed_words(seed), np.arange(k0, k1), self.dimension)
-        return _clip_to_ball(self.bound * (2.0 * u - 1.0), self.bound)
+        """Rows k0..k1-1: shape (k1-k0, N), or (k1-k0, S, N) for S seeds, a
+        view of component-major (k1-k0, N, S) memory."""
+        v = _uniform_rows(_seed_words(seed), np.arange(k0, k1), self.dimension, self.bound)
+        return _seed_rows(v, seed)
 
 
 @dataclass(frozen=True)
@@ -207,18 +240,15 @@ class PiecewiseConstant:
         return float(self.bound)
 
     def generate_batch(self, k0, k1, seed):
-        """Rows k0..k1-1: shape (k1-k0, N), or (k1-k0, S, N) for S seeds."""
+        """Rows k0..k1-1: shape (k1-k0, N), or (k1-k0, S, N) for S seeds, a
+        view of component-major (k1-k0, N, S) memory."""
         segs = np.arange(k0, k1) // self.dwell
         if self.levels is not None:
-            table = np.stack(self.levels)
-            rows = table[segs % len(self.levels)]
-            if np.ndim(seed):
-                rows = np.repeat(rows[:, None, :], len(seed), axis=1)
-            return rows
+            rows = np.stack(self.levels)[segs % len(self.levels)]
+            return _seed_rows(np.repeat(rows[:, :, None], np.size(seed), axis=2), seed)
         uniq, inv = np.unique(segs, return_inverse=True)
-        u = _hash_uniform(_seed_words(seed, 0x5DEECE66D), uniq, self.dimension)
-        vals = _clip_to_ball(self.bound * (2.0 * u - 1.0), self.bound)
-        return vals[inv]
+        vals = _uniform_rows(_seed_words(seed, 0x5DEECE66D), uniq, self.dimension, self.bound)
+        return _seed_rows(vals[inv], seed)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +259,9 @@ class PiecewiseConstant:
 #     eta = conditional_mean(history) + innovation(u),   u ~ U[0, 1)
 # where the innovation has zero mean given the history.  This makes the
 # conditional moments available in closed form and lets runners pre-draw the
-# uniform stream for a whole trajectory in one call.
+# uniform stream for a whole trajectory in one call.  A state-dependent mean
+# reduces over the `axis` that holds the N components of theta and vartheta:
+# the last by default, 0 for the lockstep kernel's (N, trials) states.
 
 @dataclass(frozen=True)
 class Zero:
@@ -238,7 +270,7 @@ class Zero:
     d_max = 0.0
     sigma_max = 0.0
 
-    def conditional_mean(self, theta=None, vartheta=None):
+    def conditional_mean(self, theta=None, vartheta=None, axis=-1):
         return 0.0
 
     def innovation(self, u):
@@ -275,7 +307,7 @@ class BiasedGaussianTruncated:
     def sigma_max(self):
         return math.sqrt(self.bias ** 2 + self._trunc_var)
 
-    def conditional_mean(self, theta=None, vartheta=None):
+    def conditional_mean(self, theta=None, vartheta=None, axis=-1):
         return self.bias
 
     def innovation(self, u):
@@ -301,7 +333,7 @@ class UniformBiased:
     def sigma_max(self):
         return math.sqrt(self.center ** 2 + self.halfwidth ** 2 / 3.0)
 
-    def conditional_mean(self, theta=None, vartheta=None):
+    def conditional_mean(self, theta=None, vartheta=None, axis=-1):
         return self.center
 
     def innovation(self, u):
@@ -332,13 +364,13 @@ class StateDependentBias:
     def sigma_max(self):
         return math.sqrt(self.d_amplitude ** 2 + self.sd ** 2)
 
-    def conditional_mean(self, theta=None, vartheta=None):
+    def conditional_mean(self, theta=None, vartheta=None, axis=-1):
         if theta is None or vartheta is None:
             raise ValueError("state-dependent noise needs the current (theta, vartheta)")
         d = np.asarray(theta) - np.asarray(vartheta)
-        # np.linalg.norm(d, axis=-1) computes exactly this for real input,
+        # np.linalg.norm(d, axis=axis) computes exactly this for real input,
         # behind a wrapper that costs more than the arithmetic at small sizes
-        gap = np.sqrt(np.add.reduce(d * d, axis=-1))
+        gap = np.sqrt(np.add.reduce(d * d, axis=axis))
         return self.d_amplitude * np.tanh(gap)
 
     def innovation(self, u):

@@ -2,8 +2,8 @@
 
 All operations broadcast over leading axes: theta may be (N,), (trials, N) or
 (M, N) against a shared phi.  hot_step is the reference definition of the
-update, which the lockstep kernel in `verify` reproduces bitwise; _hot_update
-also drives the frozen-state resampling probes.
+update, which the lockstep kernel in `verify` reproduces bitwise for fewer
+than 8 components; _hot_update also drives the frozen-state resampling probes.
 """
 from __future__ import annotations
 

@@ -9,9 +9,12 @@ HOT half of compare_baseline -- goes through one lockstep kernel that
 advances every trial CHUNK_STEPS steps at a time.  Per chunk it draws each
 trial's innovations from that trial's own generator and builds every trial's
 regressors in one call, so a trial's streams do not depend on the chunk size
-or on the ensemble width.  The boundedness and rate checks are running
-reductions fed chunk by chunk, so `verify` never holds the (trials, horizon)
-V matrix: its memory is O(trials * CHUNK_STEPS + horizon).
+or on the ensemble width.  A chunk's states, regressors, normalisations and V
+are laid out component-major, (steps, N, trials): every sum over the N
+components is a left fold of N contiguous (steps, trials) slabs rather than a
+reduction along a short or strided axis.  The boundedness and rate checks are
+running reductions fed chunk by chunk, so `verify` never holds the
+(trials, horizon) V matrix: its memory is O(trials * CHUNK_STEPS + horizon).
 """
 from __future__ import annotations
 
@@ -26,7 +29,8 @@ from .lyapunov import (
     lyapunov_value_arrays,
     theorem4_radius,
 )
-from .tuner import NonFiniteError, TunerState, _hot_update, gd_step, normalization
+from .model import _sum_squares
+from .tuner import NonFiniteError, TunerState, _hot_update, gd_step
 
 DEFAULT_Z = 4.0
 
@@ -61,9 +65,12 @@ def _lockstep(cfg, seeds, horizon, initial):
 
     The trial with seed s draws its innovations from default_rng(s) and its
     regressors with seed s.  Each step repeats _hot_update's arithmetic on
-    (N, trials) arrays, so a per-trial dot product is a sum of N rows.
-    Yields _Blocks that cover trace rows 0..horizon in order; raises
-    NonFiniteError naming the first step whose update is not finite.
+    (N, trials) arrays, so a per-trial dot product is a sum of N rows.  The
+    per-chunk normalisations and V fold the N slabs left to right, which is
+    the order numpy sums fewer than 8 contiguous terms in, so for N < 8 the
+    kernel is bitwise a hot_step loop.  Yields _Blocks that cover trace rows
+    0..horizon in order; raises NonFiniteError naming the first step whose
+    update is not finite.
     """
     ts = cfg.true_model.theta_star
     gains, noise, regressor = cfg.gains, cfg.noise, cfg.regressor
@@ -96,9 +103,14 @@ def _lockstep(cfg, seeds, horizon, initial):
         return np.add(a, b, out=a)
 
     def v_rows(th, vt):
-        v = lyapunov_value_arrays(th.transpose(0, 2, 1), vt.transpose(0, 2, 1),
-                                  ts, gamma)
-        return v.T
+        """V of (rows, N, trials) states, as (trials, rows).
+
+        A huge but finite state overflows to V = inf, which the boundedness
+        check reports; it is not an error here.
+        """
+        with np.errstate(over="ignore"):
+            v = _sum_squares(vt - ts[:, None]) + _sum_squares(th - vt)
+            return (v / gamma).T
 
     for k0 in range(0, horizon, size):
         m = min(size, horizon - k0)
@@ -109,13 +121,15 @@ def _lockstep(cfg, seeds, horizon, initial):
             phi_rows = regressor.generate_batch(k0, k0 + m, seeds)
         else:
             phi_rows = regressor.generate_batch(k0, k0 + m, 0)[:, None, :]
-        norms = normalization(phi_rows)
-        phi_ts = _rowdot(phi_rows, ts)
         phi = np.ascontiguousarray(phi_rows.transpose(0, 2, 1))
+        norms = 1.0 + _sum_squares(phi)
+        # np.dot's rounding of phi . theta* differs from a fold of products
+        # (and between a strided and a contiguous phi), so take it row-major
+        phi_ts = _rowdot(np.ascontiguousarray(phi_rows), ts)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(m):
                 th, vt, p, norm = theta[j], vartheta[j], phi[j], norms[j]
-                np.add(noise.conditional_mean(th.T, vt.T), innov[j], out=eta[j])
+                np.add(noise.conditional_mean(th, vt, axis=0), innov[j], out=eta[j])
                 np.add(phi_ts[j], eta[j], out=y[j])
                 g = gradient(th, p, norm, y[j])
                 np.multiply(gamma_beta, g, out=a)

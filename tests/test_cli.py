@@ -145,6 +145,44 @@ class TestVerifyCommand:
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
 
 
+REFERENCE_REPORTS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference")
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("workload", ["verify-reference", "verify-long-random"])
+    def test_shrunk_benchmark_report_is_exact(self, tmp_path, workload):
+        # the benchmark's shrunk ops, recorded before any optimisation; every
+        # number must come out bit for bit, not merely to a tolerance
+        with open(os.path.join(REFERENCE_REPORTS, f"{workload}.shrunk.json")) as fh:
+            golden = json.load(fh)
+        assert (golden["config"]["horizon"], golden["config"]["ensemble"]) == (200, 4)
+        cfg_path = write_config(tmp_path, golden["config"])
+        out = tmp_path / "out"
+        assert main(["verify", cfg_path, "--check", "all", "--out", str(out),
+                     "--seed", "20240613"]) == 0
+        report = json.loads((out / "verify_all.json").read_text())
+        report.pop("generated_at")
+        assert report == golden
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("field, overrides", [
+        ("d_max", dict(d_max=float("nan"))),
+        ("gains.gamma", dict(gains={"gamma": float("nan"), "beta": 0.5, "mu": 0.1})),
+        ("regressor.omega", dict(regressor={"kind": "sinusoid", "amplitude": [1.0, 1.0],
+                                            "omega": float("nan")})),
+        ("dimension", dict(dimension=True)),
+        ("theta_star", dict(theta_star=[float("nan"), 1.0])),
+        ("noise.sd", dict(noise={"kind": "biased_gaussian", "bias": 0.1,
+                                 "sd": float("inf")})),
+        ("ensemble", dict(ensemble=True)),
+    ])
+    def test_usage_error_names_field(self, tmp_path, capsys, field, overrides):
+        cfg_path = write_config(tmp_path, small_dict(**overrides))
+        assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+
 class TestJson:
     def test_nan_becomes_null_inside_arrays_too(self):
         payload = {"scalar": float("nan"), "array": np.array([1.5, np.nan]),

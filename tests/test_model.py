@@ -64,11 +64,15 @@ class TestRegressors:
     def test_seed_array_matches_per_seed_batches(self):
         seeds = [0, 7, 2**63 + 5, 20240613 ^ 3]
         for src in (IidBounded(bound=1.5, dimension=3),
+                    IidBounded(bound=0.5, dimension=12),
                     PiecewiseConstant(bound=1.0, dimension=2, dwell=7),
+                    PiecewiseConstant(bound=0.5, dimension=9, dwell=4),
                     PiecewiseConstant(bound=1.0, dimension=2, dwell=3,
                                       levels=([0.5, 0.0], [0.0, -0.5]))):
             batch = src.generate_batch(10, 40, seeds)
             assert batch.shape == (30, len(seeds), src.dimension)
+            # a view of component-major memory, the lockstep kernel's layout
+            assert batch.transpose(0, 2, 1).flags.c_contiguous
             for i, seed in enumerate(seeds):
                 assert np.array_equal(batch[:, i], src.generate_batch(10, 40, seed))
 
@@ -155,6 +159,18 @@ class TestNoise:
             vartheta = rng.standard_normal(shape)
             expected = 0.3 * np.tanh(np.linalg.norm(theta - vartheta, axis=-1))
             assert np.array_equal(noise.conditional_mean(theta, vartheta), expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_state_dependent_component_axis(self, n):
+        # the lockstep kernel's (N, trials) states give the row-major values
+        noise = StateDependentBias(d_amplitude=0.3, sd=0.1)
+        rng = np.random.default_rng(n)
+        for trials in (1, 5, 200):
+            theta = 10.0 * rng.standard_normal((n, trials))
+            vartheta = rng.standard_normal((n, trials))
+            rows = noise.conditional_mean(np.ascontiguousarray(theta.T),
+                                          np.ascontiguousarray(vartheta.T))
+            assert np.array_equal(noise.conditional_mean(theta, vartheta, axis=0), rows)
 
 
 def observation_config(**overrides):

@@ -138,6 +138,28 @@ class TestLockstepKernel:
             np.testing.assert_allclose(vartheta[t], ref_vartheta, rtol=1e-12, atol=0)
             np.testing.assert_allclose(V[t], ref_V, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_many_components_match_hot_step_loop(self, n, monkeypatch):
+        # 60 steps in chunks of 7 end on a 4-step tail chunk.  Below 8 terms
+        # numpy sums in the order of the kernel's slab folds, so the kernel is
+        # bitwise the loop; from 8 terms on np.sum adds pairwise.
+        monkeypatch.setattr(verify, "CHUNK_STEPS", 7)
+        rng = np.random.default_rng(n)
+        cfg = RunConfig.from_dict(reference_dict(
+            dimension=n, theta_star=list(rng.uniform(-1.0, 1.0, n)),
+            theta0=list(rng.uniform(-0.3, 0.3, n)), horizon=60, ensemble=3,
+            resamples=500, regressor={"kind": "iid_bounded", "bound": 2.0},
+            **NOISES["state_dependent_bias"]))
+        seeds = [cfg.trial_seed(t) for t in range(3)]
+        theta, vartheta, V = kernel_states(cfg, seeds, cfg.horizon)
+        for t, seed in enumerate(seeds):
+            ref = hot_step_loop(cfg, seed, cfg.horizon)
+            for got, want in zip((theta[t], vartheta[t], V[t]), ref):
+                if n < 8:
+                    assert np.array_equal(got, want)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("chunk", [1, 7, 256, 1000])
     def test_streamed_checks_equal_whole_matrix(self, chunk, monkeypatch):
         cfg = RunConfig.from_dict(reference_dict(horizon=300, ensemble=6,
@@ -170,6 +192,7 @@ class TestLockstepKernel:
         assert streamed_rate.clip_radius == whole_rate.clip_radius
 
     @pytest.mark.parametrize("chunk", [40, 37, 38, 18])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_step_is_first_divergent_step(self, chunk, monkeypatch):
         # step 37 lands mid-chunk, first in a chunk, last in a chunk, mid-chunk
         cfg = RunConfig.from_dict(reference_dict(
