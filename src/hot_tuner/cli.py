@@ -138,12 +138,9 @@ def cmd_simulate(args):
     _write_json(os.path.join(args.out, "summary.json"), summary)
 
     if args.emit_plot_data:
-        alpha = cfg.effective_alpha(consts)
-        K4 = lyapunov.theorem4_radius(alpha, consts)
-        V = np.stack([t.V for t in traces])
-        vhat = lyapunov.clipped_V(V, K4)
-        mean = np.mean(vhat, axis=0)
-        env = (1.0 - alpha) ** np.arange(mean.size) * float(np.max(vhat[:, 0]))
+        report = verify.rate_check(np.stack([t.V for t in traces]),
+                                   cfg.effective_alpha(consts), consts)
+        mean, env = report.mean_Vhat, report.envelope
         step = max(1, mean.size // 1000)
         with open(os.path.join(args.out, "plotdata.csv"), "w", newline="",
                   encoding="utf-8") as fh:

@@ -64,6 +64,38 @@ def _vector(d, key, dim, where):
     return _check_vector(_require(d, key, list, where), dim, f"{where}{key}")
 
 
+def _check_keys(d, allowed, where):
+    """Reject the first key of d that is not in `allowed`."""
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"{where}{key}", "unknown key")
+
+
+# the keys of each section; a regressor or noise spec also has its "kind"
+_TOP_KEYS = {"dimension", "theta_star", "theta0", "vartheta0", "regressor", "noise",
+             "d_max", "sigma_max", "gains", "horizon", "ensemble", "resamples", "alpha",
+             "base_seed", "mode", "c2_variant"}
+_GAINS_KEYS = ("gamma", "beta", "mu")
+_REGRESSOR_KEYS = {"constant": {"value", "phi_bound"},
+                   "sinusoid": {"amplitude", "omega", "phase", "phi_bound"},
+                   "iid_bounded": {"bound"},
+                   "piecewise_constant": {"bound", "dwell", "levels"}}
+_NOISE_KEYS = {"zero": set(),
+               "biased_gaussian": {"bias", "sd", "truncation"},
+               "uniform_biased": {"center", "halfwidth"},
+               "state_dependent_bias": {"d_amplitude", "sd"}}
+
+
+def _kind(spec, kinds, where):
+    """spec's kind, after checking that it is known and that spec has no
+    key the kind does not take."""
+    kind = _require(spec, "kind", str, where)
+    if kind not in kinds:
+        raise ConfigError(f"{where}kind", f"unknown kind '{kind}'")
+    _check_keys(spec, kinds[kind] | {"kind"}, where)
+    return kind
+
+
 def check_seed(value):
     """A base seed: a non-negative integer, as numpy's generators require."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -72,7 +104,7 @@ def check_seed(value):
 
 
 def _build_regressor(spec, dim):
-    kind = _require(spec, "kind", str, "regressor.")
+    kind = _kind(spec, _REGRESSOR_KEYS, "regressor.")
     try:
         if kind == "constant":
             return model_mod.Constant(
@@ -99,11 +131,10 @@ def _build_regressor(spec, dim):
                 levels=levels)
     except model_mod.ConfigurationError as exc:
         raise ConfigError("regressor", str(exc)) from exc
-    raise ConfigError("regressor.kind", f"unknown kind '{kind}'")
 
 
 def _build_noise(spec):
-    kind = _require(spec, "kind", str, "noise.")
+    kind = _kind(spec, _NOISE_KEYS, "noise.")
     try:
         if kind == "zero":
             return model_mod.Zero()
@@ -122,7 +153,6 @@ def _build_noise(spec):
                 sd=_number(spec, "sd", "noise."))
     except model_mod.ConfigurationError as exc:
         raise ConfigError("noise", str(exc)) from exc
-    raise ConfigError("noise.kind", f"unknown kind '{kind}'")
 
 
 @dataclass
@@ -147,6 +177,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
+        _check_keys(d, _TOP_KEYS, "")
         dim = _number(d, "dimension", "", integer=True)
         if dim < 1:
             raise ConfigError("dimension", "must be >= 1")
@@ -159,7 +190,8 @@ class RunConfig:
         if mode not in ("certified", "unrestricted"):
             raise ConfigError("mode", "must be 'certified' or 'unrestricted'")
         gspec = _require(d, "gains", dict, "")
-        gamma, beta, mu = (_number(gspec, key, "gains.") for key in ("gamma", "beta", "mu"))
+        _check_keys(gspec, _GAINS_KEYS, "gains.")
+        gamma, beta, mu = (_number(gspec, key, "gains.") for key in _GAINS_KEYS)
         try:
             gains = Gains(gamma=gamma, beta=beta, mu=mu, theta0=theta0, mode=mode)
         except ValueError as exc:

@@ -48,18 +48,14 @@ def gamma_max(beta, mu):
 def threshold_K(c1, c2, c_hat):
     """Greatest root of -c1 x + c2 sqrt(x) + c_hat = 0, in closed form."""
     if c1 <= 0.0:
-        raise DegenerateConstantsError("c1 must be positive for the root K")
+        raise DegenerateConstantsError("c1 must be positive for the roots K and T")
     disc = max(c2 ** 4 + 4.0 * c1 * c2 ** 2 * c_hat, 0.0)
     return (c2 ** 2 + 2.0 * c1 * c_hat + math.sqrt(disc)) / (2.0 * c1 ** 2)
 
 
 def threshold_T(c1, c2, c_hat, K):
     """Greatest root of c1 x - c2 sqrt(x) - (c_hat + K) = 0, in closed form."""
-    if c1 <= 0.0:
-        raise DegenerateConstantsError("c1 must be positive for the root T")
-    s = c_hat + K
-    disc = max(c2 ** 4 + 4.0 * c1 * c2 ** 2 * s, 0.0)
-    return (c2 ** 2 + 2.0 * c1 * s + math.sqrt(disc)) / (2.0 * c1 ** 2)
+    return threshold_K(c1, c2, c_hat + K)
 
 
 @dataclass(frozen=True)
@@ -81,14 +77,6 @@ class LyapunovConstants:
     T: float
     degenerate: bool
     c2_variant: str
-    # inputs echoed for reports
-    gamma: float
-    beta: float
-    mu: float
-    d_max: float
-    sigma_max: float
-    theta_star: np.ndarray
-    theta0: np.ndarray
 
 
 def constants(gains, d_max, sigma_max, theta_star, theta0=None, c2_variant="theorem"):
@@ -136,9 +124,7 @@ def constants(gains, d_max, sigma_max, theta_star, theta0=None, c2_variant="theo
 
     return LyapunovConstants(
         c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c_hat=c_hat, K=K, T=T,
-        degenerate=degenerate, c2_variant=c2_variant,
-        gamma=gamma, beta=beta, mu=mu, d_max=d_max, sigma_max=sigma_max,
-        theta_star=ts, theta0=t0)
+        degenerate=degenerate, c2_variant=c2_variant)
 
 
 def clipped_V(v, K):

@@ -1,10 +1,10 @@
 """Ground-truth linear regression model, regressor generators, noise processes.
 
 Regressor generation is a pure function of (kind, params, seed, k) so that
-trajectories are reproducible and trivially parallelizable.  The hashed kinds
-build a batch for S seeds component-major, in (steps, N, S) memory, which is
-the layout the lockstep kernel steps in; generate_batch returns it as a
-(steps, S, N) view.  Noise kinds are
+trajectories are reproducible and trivially parallelizable.  A batch for a
+sequence of S seeds is component-major, (steps, N, S), the layout the
+lockstep kernel steps in; kinds whose rows do not depend on the seed return
+(steps, N, 1), which broadcasts across the seeds.  Noise kinds are
 parameterized so that the conditional mean / second-moment bounds (d_max,
 sigma_max) hold analytically, not just empirically.
 """
@@ -37,9 +37,8 @@ def _splitmix64(z):
     return z
 
 
-def _seed_words(seed, salt=0):
-    """A seed, or a 1-d sequence of seeds, xor salt, as a 1-d uint64 array (mod 2**64)."""
-    seeds = [seed] if np.ndim(seed) == 0 else seed
+def _seed_words(seeds, salt=0):
+    """A sequence of seeds, each xor salt, as a 1-d uint64 array (mod 2**64)."""
     return np.array([(int(s) ^ salt) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
 
 
@@ -70,6 +69,18 @@ def _sum_squares(v):
     return acc
 
 
+def _sum_rows(rows, out=None):
+    """rows[0] + rows[1] + ..., folded left as _sum_squares folds, over an
+    array's first axis or a sequence of arrays (a tuple of row views saves
+    the indexing per call)."""
+    if len(rows) == 1:
+        return np.positive(rows[0], out=out)
+    out = np.add(rows[0], rows[1], out=out)
+    for row in rows[2:]:
+        out += row
+    return out
+
+
 def _clip_to_ball(v, bound):
     """Rescale in place the vectors v[k, :, s] of a component-major
     (rows, N, seeds) array so that their 2-norm does not exceed bound."""
@@ -88,12 +99,6 @@ def _uniform_rows(words, ks, dim, bound):
     v -= 1.0
     v *= bound
     return _clip_to_ball(v, bound)
-
-
-def _seed_rows(v, seed):
-    """A component-major (rows, N, seeds) batch as the (rows, S, N) view for a
-    seed sequence, or the (rows, N) rows of a scalar seed."""
-    return v.transpose(0, 2, 1) if np.ndim(seed) else v[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +134,6 @@ class Constant:
 
     value: np.ndarray
     phi_bound: float = None
-    random = False
 
     def __post_init__(self):
         v = np.asarray(self.value, dtype=float)
@@ -145,8 +149,8 @@ class Constant:
     def dimension(self):
         return self.value.size
 
-    def generate_batch(self, k0, k1, seed):
-        return np.broadcast_to(self.value, (k1 - k0, self.value.size)).copy()
+    def generate_batch(self, k0, k1, seeds):
+        return np.tile(self.value[:, None], (k1 - k0, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,6 @@ class Sinusoid:
     omega: float
     phase: np.ndarray = None
     phi_bound: float = None
-    random = False
 
     def __post_init__(self):
         amp = np.atleast_1d(np.asarray(self.amplitude, dtype=float))
@@ -177,9 +180,9 @@ class Sinusoid:
     def dimension(self):
         return self.amplitude.size
 
-    def generate_batch(self, k0, k1, seed):
-        ks = np.arange(k0, k1, dtype=float).reshape(-1, 1)
-        return self.amplitude * np.sin(self.omega * ks + self.phase)
+    def generate_batch(self, k0, k1, seeds):
+        ks = np.arange(k0, k1, dtype=float).reshape(-1, 1, 1)
+        return self.amplitude[:, None] * np.sin(self.omega * ks + self.phase[:, None])
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,6 @@ class IidBounded:
 
     bound: float
     dimension: int
-    random = True
 
     def __post_init__(self):
         if self.bound < 0:
@@ -200,11 +202,8 @@ class IidBounded:
     def phi_bound(self):
         return float(self.bound)
 
-    def generate_batch(self, k0, k1, seed):
-        """Rows k0..k1-1: shape (k1-k0, N), or (k1-k0, S, N) for S seeds, a
-        view of component-major (k1-k0, N, S) memory."""
-        v = _uniform_rows(_seed_words(seed), np.arange(k0, k1), self.dimension, self.bound)
-        return _seed_rows(v, seed)
+    def generate_batch(self, k0, k1, seeds):
+        return _uniform_rows(_seed_words(seeds), np.arange(k0, k1), self.dimension, self.bound)
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,6 @@ class PiecewiseConstant:
     dimension: int
     dwell: int
     levels: tuple = None
-    random = True
 
     def __post_init__(self):
         if self.dwell < 1:
@@ -239,16 +237,13 @@ class PiecewiseConstant:
     def phi_bound(self):
         return float(self.bound)
 
-    def generate_batch(self, k0, k1, seed):
-        """Rows k0..k1-1: shape (k1-k0, N), or (k1-k0, S, N) for S seeds, a
-        view of component-major (k1-k0, N, S) memory."""
+    def generate_batch(self, k0, k1, seeds):
         segs = np.arange(k0, k1) // self.dwell
         if self.levels is not None:
-            rows = np.stack(self.levels)[segs % len(self.levels)]
-            return _seed_rows(np.repeat(rows[:, :, None], np.size(seed), axis=2), seed)
+            return np.stack(self.levels)[segs % len(self.levels), :, None]
         uniq, inv = np.unique(segs, return_inverse=True)
-        vals = _uniform_rows(_seed_words(seed, 0x5DEECE66D), uniq, self.dimension, self.bound)
-        return _seed_rows(vals[inv], seed)
+        return _uniform_rows(_seed_words(seeds, 0x5DEECE66D), uniq, self.dimension,
+                             self.bound)[inv]
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +255,8 @@ class PiecewiseConstant:
 # where the innovation has zero mean given the history.  This makes the
 # conditional moments available in closed form and lets runners pre-draw the
 # uniform stream for a whole trajectory in one call.  A state-dependent mean
-# reduces over the `axis` that holds the N components of theta and vartheta:
-# the last by default, 0 for the lockstep kernel's (N, trials) states.
+# folds left to right over the `axis` that holds the N components of theta and
+# vartheta: the last by default, 0 for the lockstep kernel's (N, trials) states.
 
 @dataclass(frozen=True)
 class Zero:
@@ -368,9 +363,9 @@ class StateDependentBias:
         if theta is None or vartheta is None:
             raise ValueError("state-dependent noise needs the current (theta, vartheta)")
         d = np.asarray(theta) - np.asarray(vartheta)
-        # np.linalg.norm(d, axis=axis) computes exactly this for real input,
-        # behind a wrapper that costs more than the arithmetic at small sizes
-        gap = np.sqrt(np.add.reduce(d * d, axis=axis))
+        sq = d * d
+        # the kernel's axis 0 needs no moveaxis, which costs more than the sum
+        gap = np.sqrt(_sum_rows(sq if axis == 0 else np.moveaxis(sq, axis, 0)))
         return self.d_amplitude * np.tanh(gap)
 
     def innovation(self, u):

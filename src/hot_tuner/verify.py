@@ -29,7 +29,7 @@ from .lyapunov import (
     lyapunov_value_arrays,
     theorem4_radius,
 )
-from .model import _sum_squares
+from .model import _sum_rows, _sum_squares
 from .tuner import NonFiniteError, TunerState, _hot_update, gd_step
 
 DEFAULT_Z = 4.0
@@ -65,12 +65,13 @@ def _lockstep(cfg, seeds, horizon, initial):
 
     The trial with seed s draws its innovations from default_rng(s) and its
     regressors with seed s.  Each step repeats _hot_update's arithmetic on
-    (N, trials) arrays, so a per-trial dot product is a sum of N rows.  The
-    per-chunk normalisations and V fold the N slabs left to right, which is
-    the order numpy sums fewer than 8 contiguous terms in, so for N < 8 the
-    kernel is bitwise a hot_step loop.  Yields _Blocks that cover trace rows
-    0..horizon in order; raises NonFiniteError naming the first step whose
-    update is not finite.
+    (N, trials) arrays, so a per-trial dot product is a sum of N rows.  Apart
+    from phi . theta*, which rounds as np.dot does, every sum over the N
+    components folds left to right: that is the order numpy sums fewer than
+    8 contiguous terms in, so for N < 8 the kernel is bitwise a hot_step
+    loop, and at any N a trial's values do not depend on the ensemble width.
+    Yields _Blocks that cover trace rows 0..horizon in order; raises
+    NonFiniteError naming the first step whose update is not finite.
     """
     ts = cfg.true_model.theta_star
     gains, noise, regressor = cfg.gains, cfg.noise, cfg.regressor
@@ -89,12 +90,13 @@ def _lockstep(cfg, seeds, horizon, initial):
     y = np.empty((size, width))
     err = np.empty(width)
     a = np.empty((n, width))
+    a_rows = tuple(a)  # its component rows, for the per-step fold
     b = np.empty((n, width))
 
     def gradient(x, p, norm, y_j):
         """regularized_gradient(x, p, y_j), written into `a`."""
         np.multiply(x, p, out=a)
-        np.add.reduce(a, axis=0, out=err)
+        _sum_rows(a_rows, out=err)
         np.subtract(err, y_j, out=err)
         np.multiply(p, err, out=a)
         np.divide(a, norm, out=a)
@@ -117,15 +119,11 @@ def _lockstep(cfg, seeds, horizon, initial):
         for row, rng in zip(u, rngs):
             rng.random(out=row[:m])
         innov = np.ascontiguousarray(noise.innovation(u[:, :m]).T)
-        if regressor.random:
-            phi_rows = regressor.generate_batch(k0, k0 + m, seeds)
-        else:
-            phi_rows = regressor.generate_batch(k0, k0 + m, 0)[:, None, :]
-        phi = np.ascontiguousarray(phi_rows.transpose(0, 2, 1))
+        phi = regressor.generate_batch(k0, k0 + m, seeds)
         norms = 1.0 + _sum_squares(phi)
         # np.dot's rounding of phi . theta* differs from a fold of products
         # (and between a strided and a contiguous phi), so take it row-major
-        phi_ts = _rowdot(np.ascontiguousarray(phi_rows), ts)
+        phi_ts = _rowdot(np.ascontiguousarray(phi.transpose(0, 2, 1)), ts)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(m):
                 th, vt, p, norm = theta[j], vartheta[j], phi[j], norms[j]
@@ -274,18 +272,6 @@ def run_ensemble(cfg, n_trials=None, horizon=None, initial=None):
     return EnsembleResult(V=V, seeds=seeds, horizon=horizon)
 
 
-def _v_matrix(traces):
-    """Accept an EnsembleResult, a list of traces, or a raw (trials, steps) array."""
-    if isinstance(traces, EnsembleResult):
-        return traces.V
-    if isinstance(traces, np.ndarray):
-        return np.atleast_2d(traces)
-    paths = [t.V if hasattr(t, "V") else np.asarray(t, dtype=float) for t in traces]
-    if not paths:
-        raise ValueError("empty ensemble")
-    return np.stack(paths)
-
-
 # ---------------------------------------------------------------------------
 # probe states
 # ---------------------------------------------------------------------------
@@ -394,7 +380,7 @@ def decrement_report(cfg, consts=None, M=None, z=DEFAULT_Z, noises=None,
     noises = [cfg.noise] if noises is None else noises
     states = probe_states(cfg, consts, n_harvest=n_harvest, seed=seed)
     rng = np.random.default_rng([cfg.base_seed, seed, 0xDEC])
-    phi = cfg.regressor.generate_batch(0, 1, cfg.trial_seed(0))[0]
+    phi = cfg.regressor.generate_batch(0, 1, [cfg.trial_seed(0)])[0, :, 0]
     probes = []
     for noise in noises:
         for label, state in states:
@@ -475,9 +461,9 @@ class BoundednessStream:
             all_reenter=bool(np.all(reenter)), margin=self.margin)
 
 
-def boundedness_check(traces, consts, margin=5.0):
-    """Theorem-3 proxy: finite sup V, sup below max(V0, T)*margin, re-entry."""
-    V = _v_matrix(traces)
+def boundedness_check(V, consts, margin=5.0):
+    """Theorem-3 proxy on a (trials, steps) V matrix: finite sup V, sup below
+    max(V0, T)*margin, re-entry."""
     if V.size == 0:
         raise ValueError("empty ensemble")
     stream = BoundednessStream(consts, margin)
@@ -553,11 +539,12 @@ class RateStream:
                           pass_per_step=ok, z=self.z)
 
 
-def rate_check(traces, alpha, consts, z=DEFAULT_Z):
-    """Ensemble mean of V-hat (clipped at the Theorem-4 radius) against the
-    supermartingale envelope (1-alpha)^k * Vhat_0."""
+def rate_check(V, alpha, consts, z=DEFAULT_Z):
+    """Ensemble mean of V-hat (clipped at the Theorem-4 radius) over a
+    (trials, steps) V matrix against the supermartingale envelope
+    (1-alpha)^k * Vhat_0."""
     stream = RateStream(alpha, consts, z)
-    stream.add(_v_matrix(traces))
+    stream.add(V)
     return stream.result()
 
 

@@ -16,6 +16,11 @@ def reference_dict(**overrides):
     return d
 
 
+def rows(src, k0, k1, seed):
+    """Regressor rows k0..k1-1 of one seed, (k1-k0, N), from a one-seed batch."""
+    return src.generate_batch(k0, k1, [seed])[:, :, 0]
+
+
 @pytest.fixture
 def reference_config():
     return RunConfig.from_dict(reference_dict())

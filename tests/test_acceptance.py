@@ -73,7 +73,7 @@ def test_criterion_2_strict_decrease_outside_D(decrement, consts):
 
 def test_criterion_3_boundedness(cfg, consts):
     ens = verify.run_ensemble(cfg, n_trials=200, horizon=50_000)
-    summary = verify.boundedness_check(ens, consts, margin=5.0)
+    summary = verify.boundedness_check(ens.V, consts, margin=5.0)
     _report("3 boundedness (200 trials, horizon 5e4)", summary.passed)
 
 
@@ -84,7 +84,7 @@ def test_criterion_4_exponential_rate(cfg, consts):
                                   cfg.gains.gamma,
                                   np.random.default_rng(cfg.base_seed))
     ens = verify.run_ensemble(cfg, n_trials=200, horizon=5000, initial=init)
-    report = verify.rate_check(ens, alpha, consts, z=Z)
+    report = verify.rate_check(ens.V, alpha, consts, z=Z)
     _report("4 exponential rate envelope", report.passed)
 
 

@@ -183,6 +183,29 @@ class TestMalformedNumbers:
         assert f"config field '{field}'" in capsys.readouterr().err
 
 
+class TestUnknownKeys:
+    @pytest.mark.parametrize("field, overrides", [
+        ("ensmble", dict(ensmble=5)),
+        ("gains.gama", dict(gains={"gamma": 0.04, "beta": 0.5, "mu": 0.1, "gama": 0.01})),
+        ("regressor.omgea", dict(regressor={"kind": "sinusoid", "amplitude": [1.0, 1.0],
+                                            "omega": 0.5, "omgea": 0.4})),
+        ("regressor.phi_bound", dict(regressor={"kind": "iid_bounded", "bound": 2.0,
+                                                "phi_bound": 2.0})),
+        ("noise.truncaton", dict(noise={"kind": "biased_gaussian", "bias": 0.1, "sd": 0.48,
+                                        "truncaton": 2.0})),
+        ("noise.sd", dict(noise={"kind": "zero", "sd": 0.1})),
+    ])
+    def test_usage_error_names_key(self, tmp_path, capsys, field, overrides):
+        cfg_path = write_config(tmp_path, small_dict(**overrides))
+        assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{field}': unknown key" in capsys.readouterr().err
+
+    def test_unknown_kind_is_named_before_its_keys(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, small_dict(noise={"kind": "laplace", "scale": 1.0}))
+        assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'noise.kind': unknown kind 'laplace'" in capsys.readouterr().err
+
+
 class TestJson:
     def test_nan_becomes_null_inside_arrays_too(self):
         payload = {"scalar": float("nan"), "array": np.array([1.5, np.nan]),

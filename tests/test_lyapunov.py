@@ -187,9 +187,7 @@ class TestClippedAndPsi:
         from hot_tuner.lyapunov import LyapunovConstants
         return LyapunovConstants(c1=c1, c2=c2, c3=c_hat, c4=0.0, c5=0.0,
                                  c_hat=c_hat, K=K, T=T, degenerate=False,
-                                 c2_variant="theorem", gamma=0.04, beta=0.5,
-                                 mu=0.1, d_max=0.1, sigma_max=0.5,
-                                 theta_star=np.zeros(1), theta0=np.zeros(1))
+                                 c2_variant="theorem")
 
     def test_psi_branches(self):
         c = self._consts(1.0, 1.0, 0.0)  # K = 1, T ~ 2.618

@@ -17,12 +17,12 @@ from hot_tuner import verify
 from hot_tuner.config import ConfigError, RunConfig
 from hot_tuner.tuner import TunerState
 
-from conftest import reference_dict
+from conftest import reference_dict, rows
 
 
 def row(src, k, seed):
     """phi_k of a regressor source, as a one-row batch."""
-    return src.generate_batch(k, k + 1, seed)[0]
+    return rows(src, k, k + 1, seed)[0]
 
 
 def draw(noise, rng, size=None, theta=None, vartheta=None):
@@ -46,7 +46,7 @@ class TestRegressors:
         b = row(src, 5, seed=42)
         assert np.array_equal(a, b)
         # brute-force bound check over many draws
-        batch = src.generate_batch(0, 100_000, seed=42)
+        batch = rows(src, 0, 100_000, seed=42)
         assert np.max(np.linalg.norm(batch, axis=1)) <= 2.0 + 1e-12
 
     def test_iid_different_seeds_differ(self):
@@ -57,28 +57,31 @@ class TestRegressors:
         for src in (IidBounded(bound=1.5, dimension=2),
                     PiecewiseConstant(bound=1.0, dimension=2, dwell=7),
                     Sinusoid(amplitude=[1.0, 0.5], omega=0.3)):
-            batch = src.generate_batch(10, 20, seed=11)
+            batch = rows(src, 10, 20, seed=11)
             for j, k in enumerate(range(10, 20)):
                 assert np.array_equal(batch[j], row(src, k, seed=11))
 
     def test_seed_array_matches_per_seed_batches(self):
+        # the lockstep kernel's component-major (steps, N, seeds) layout; rows
+        # that do not depend on the seed come once, (steps, N, 1)
         seeds = [0, 7, 2**63 + 5, 20240613 ^ 3]
-        for src in (IidBounded(bound=1.5, dimension=3),
-                    IidBounded(bound=0.5, dimension=12),
-                    PiecewiseConstant(bound=1.0, dimension=2, dwell=7),
-                    PiecewiseConstant(bound=0.5, dimension=9, dwell=4),
-                    PiecewiseConstant(bound=1.0, dimension=2, dwell=3,
-                                      levels=([0.5, 0.0], [0.0, -0.5]))):
+        for src, width in ((IidBounded(bound=1.5, dimension=3), 4),
+                           (IidBounded(bound=0.5, dimension=12), 4),
+                           (PiecewiseConstant(bound=1.0, dimension=2, dwell=7), 4),
+                           (PiecewiseConstant(bound=0.5, dimension=9, dwell=4), 4),
+                           (PiecewiseConstant(bound=1.0, dimension=2, dwell=3,
+                                              levels=([0.5, 0.0], [0.0, -0.5])), 1),
+                           (Constant(value=[1.0, -2.0, 0.5]), 1),
+                           (Sinusoid(amplitude=[1.0, 0.5], omega=0.3), 1)):
             batch = src.generate_batch(10, 40, seeds)
-            assert batch.shape == (30, len(seeds), src.dimension)
-            # a view of component-major memory, the lockstep kernel's layout
-            assert batch.transpose(0, 2, 1).flags.c_contiguous
+            assert batch.shape == (30, src.dimension, width)
+            assert batch.flags.c_contiguous
             for i, seed in enumerate(seeds):
-                assert np.array_equal(batch[:, i], src.generate_batch(10, 40, seed))
+                assert np.array_equal(batch[:, :, i % width], rows(src, 10, 40, seed))
 
     def test_piecewise_holds_levels(self):
         src = PiecewiseConstant(bound=1.0, dimension=2, dwell=5)
-        batch = src.generate_batch(0, 10, seed=0)
+        batch = rows(src, 0, 10, seed=0)
         assert np.array_equal(batch[0], batch[4])
         assert not np.array_equal(batch[4], batch[5])
         assert np.max(np.linalg.norm(batch, axis=1)) <= 1.0 + 1e-12
@@ -86,14 +89,14 @@ class TestRegressors:
     def test_piecewise_explicit_levels(self):
         src = PiecewiseConstant(bound=2.0, dimension=2, dwell=2,
                                 levels=([1.0, 0.0], [0.0, 1.0]))
-        batch = src.generate_batch(0, 4, seed=0)
+        batch = rows(src, 0, 4, seed=0)
         assert np.array_equal(batch[1], [1.0, 0.0])
         assert np.array_equal(batch[2], [0.0, 1.0])
 
     def test_bound_enforced_over_long_run(self):
         for src in (Sinusoid(amplitude=[1.0, 1.0], omega=0.37),
                     IidBounded(bound=0.7, dimension=3)):
-            batch = src.generate_batch(0, 10_000, seed=5)
+            batch = rows(src, 0, 10_000, seed=5)
             assert np.max(np.linalg.norm(batch, axis=1)) <= src.phi_bound + 1e-12
 
     def test_invalid_params_rejected_at_construction(self):

@@ -7,7 +7,7 @@ from hot_tuner.model import StateDependentBias, UniformBiased, Zero
 from hot_tuner.tuner import NonFiniteError, TunerState, gd_step, hot_step
 from hot_tuner import verify
 
-from conftest import reference_dict
+from conftest import reference_dict, rows
 
 NOISES = {
     "zero": dict(noise={"kind": "zero"}, d_max=0.0, sigma_max=0.0),
@@ -30,7 +30,7 @@ def hot_step_run(cfg, seed, horizon):
     and y fed to each step."""
     rng = np.random.default_rng(seed)
     innov = cfg.noise.innovation(rng.uniform(size=horizon))
-    phi_all = cfg.regressor.generate_batch(0, horizon, seed)
+    phi_all = rows(cfg.regressor, 0, horizon, seed)
     ts = cfg.true_model.theta_star
     state = cfg.initial_state()
     theta, vartheta, ys = [state.theta], [state.vartheta], []
@@ -104,6 +104,25 @@ class TestRunTrajectory:
                                           small_config.trial_seed(t), horizon=150)
             assert np.array_equal(trace.V, ens.V[t])
 
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_many_components_independent_of_width(self, n):
+        # from 8 terms on, np.sum adds a contiguous axis pairwise, so a sum
+        # over the components of a one-wide (N, 1) state would round
+        # differently from the same trial's column of a wider state
+        rng = np.random.default_rng(n)
+        cfg = RunConfig.from_dict(reference_dict(
+            dimension=n, theta_star=list(rng.uniform(-1.0, 1.0, n)),
+            theta0=list(rng.uniform(-0.3, 0.3, n)), horizon=300, ensemble=3,
+            resamples=500, regressor={"kind": "iid_bounded", "bound": 2.0},
+            **NOISES["state_dependent_bias"]))
+        seeds = [cfg.trial_seed(t) for t in range(3)]
+        ens = verify.run_ensemble(cfg)
+        for t, wide in enumerate(verify.run_trajectories(cfg, seeds)):
+            one = verify.run_trajectory(cfg, seeds[t])
+            for name in ("theta", "vartheta", "V", "y"):
+                assert np.array_equal(getattr(one, name), getattr(wide, name))
+            assert np.array_equal(one.V, ens.V[t])
+
 
 class TestLockstepKernel:
     @pytest.mark.parametrize("noise", sorted(NOISES))
@@ -170,8 +189,8 @@ class TestLockstepKernel:
         init = verify.state_on_sphere(1.02 * consts.T, cfg.true_model.theta_star,
                                       cfg.gains.gamma, np.random.default_rng(4))
         ens = verify.run_ensemble(cfg, initial=init)
-        whole_bound = verify.boundedness_check(ens, consts)
-        whole_rate = verify.rate_check(ens, alpha, consts)
+        whole_bound = verify.boundedness_check(ens.V, consts)
+        whole_rate = verify.rate_check(ens.V, alpha, consts)
         assert 0.0 < whole_bound.frac_steps_above_T < 1.0
         assert np.any(whole_rate.mean_Vhat > 0.0)
 
@@ -235,7 +254,7 @@ class TestDecrement:
         consts = cfg.constants()
         rng = np.random.default_rng(1)
         state = cfg.initial_state()
-        phi = cfg.regressor.generate_batch(0, 1, cfg.trial_seed(0))[0]
+        phi = rows(cfg.regressor, 0, 1, cfg.trial_seed(0))[0]
         probe = verify.conditional_decrement_probe(state, phi, cfg, consts,
                                                    500, rng)
         assert probe.stderr == 0.0
@@ -246,7 +265,7 @@ class TestDecrement:
         consts = cfg.constants()
         state = TunerState(theta=cfg.true_model.theta_star.copy(),
                            vartheta=cfg.true_model.theta_star.copy())
-        phi = cfg.regressor.generate_batch(0, 1, cfg.trial_seed(0))[0]
+        phi = rows(cfg.regressor, 0, 1, cfg.trial_seed(0))[0]
         probe = verify.conditional_decrement_probe(
             state, phi, cfg, consts, 10_000, np.random.default_rng(2))
         assert probe.V_k == 0.0
@@ -272,7 +291,7 @@ class TestDecrement:
 class TestBoundedness:
     def test_empty_ensemble_rejected(self, small_config):
         with pytest.raises(ValueError):
-            verify.boundedness_check([], small_config.constants())
+            verify.boundedness_check(np.empty((0, 0)), small_config.constants())
 
     def test_zero_noise_perfect_init_sup_is_v0(self):
         d = reference_dict(horizon=300, ensemble=2, resamples=500,
@@ -280,13 +299,13 @@ class TestBoundedness:
                            theta0=[1.0, -0.5], vartheta0=[1.0, -0.5])
         cfg = RunConfig.from_dict(d)
         ens = verify.run_ensemble(cfg)
-        summary = verify.boundedness_check(ens, cfg.constants())
+        summary = verify.boundedness_check(ens.V, cfg.constants())
         assert summary.max_sup == pytest.approx(float(ens.V[:, 0].max()))
         assert summary.passed
 
     def test_noisy_reference_bounded(self, small_config):
         ens = verify.run_ensemble(small_config)
-        summary = verify.boundedness_check(ens, small_config.constants())
+        summary = verify.boundedness_check(ens.V, small_config.constants())
         assert summary.passed
         assert summary.frac_steps_above_T == 0.0
 
@@ -296,14 +315,14 @@ class TestRate:
         consts = small_config.constants()
         ens = verify.run_ensemble(small_config, n_trials=2, horizon=50)
         with pytest.raises(InvalidAlphaError):
-            verify.rate_check(ens, consts.c1, consts)
+            verify.rate_check(ens.V, consts.c1, consts)
 
     def test_start_inside_target_set(self, small_config):
         cfg = small_config
         consts = cfg.constants()
         alpha = consts.c1 / 2.0
         ens = verify.run_ensemble(cfg, n_trials=4, horizon=200)
-        report = verify.rate_check(ens, alpha, consts)
+        report = verify.rate_check(ens.V, alpha, consts)
         # V0 is far below the clip radius, so Vhat stays identically zero
         assert np.all(report.envelope == 0.0)
         assert report.passed
@@ -316,7 +335,7 @@ class TestRate:
         init = verify.state_on_sphere(10 * K4, cfg.true_model.theta_star,
                                       cfg.gains.gamma, np.random.default_rng(5))
         ens = verify.run_ensemble(cfg, n_trials=16, horizon=500, initial=init)
-        report = verify.rate_check(ens, alpha, consts)
+        report = verify.rate_check(ens.V, alpha, consts)
         assert report.passed
 
 
