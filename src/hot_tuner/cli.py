@@ -41,13 +41,6 @@ def _thread_count():
     return os.cpu_count() or 1
 
 
-def _fmt(x):
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _jsonable(obj):
     """Plain JSON values; NaN anywhere, in arrays and numpy scalars too, becomes null."""
     if isinstance(obj, (np.ndarray, np.generic)):
@@ -90,17 +83,13 @@ def _write_trace_csv(path, trace):
     header = (["k"] + [f"theta_{i}" for i in range(n)]
               + [f"vartheta_{i}" for i in range(n)]
               + ["V", "Vhat", "e_y", "eta", "phi_norm"])
+    # floats as their shortest round-trip decimal (repr)
+    values = np.column_stack((trace.theta, trace.vartheta, trace.V, trace.Vhat,
+                              trace.e_y, trace.eta, trace.phi_norm)).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i in range(trace.k.size):
-            row = ([str(int(trace.k[i]))]
-                   + [_fmt(float(v)) for v in trace.theta[i]]
-                   + [_fmt(float(v)) for v in trace.vartheta[i]]
-                   + [_fmt(float(trace.V[i])), _fmt(float(trace.Vhat[i])),
-                      _fmt(float(trace.e_y[i])), _fmt(float(trace.eta[i])),
-                      _fmt(float(trace.phi_norm[i]))])
-            w.writerow(row)
+        w.writerows([str(k), *map(repr, row)] for k, row in zip(trace.k.tolist(), values))
 
 
 def _load_config(args):
@@ -116,8 +105,9 @@ def cmd_simulate(args):
     trials = args.trials if args.trials is not None else cfg.ensemble
     if trials < 1:
         raise ConfigError("trials", "must be >= 1")
-    os.makedirs(args.out, exist_ok=True)
     consts = cfg.constants()
+    constants = _constants_payload(cfg, consts)
+    os.makedirs(args.out, exist_ok=True)
 
     traces = verify.run_trajectories(cfg, [cfg.trial_seed(t) for t in range(trials)])
     for t, trace in enumerate(traces):
@@ -129,7 +119,7 @@ def cmd_simulate(args):
         "config": cfg.raw,
         "base_seed": cfg.base_seed,
         "trials": trials,
-        "constants": _constants_payload(cfg, consts),
+        "constants": constants,
         "sup_V_per_trial": [float(np.max(t.V)) for t in traces],
         "terminal_error_per_trial": [
             float(np.linalg.norm(t.theta[-1] - cfg.true_model.theta_star))
@@ -147,7 +137,7 @@ def cmd_simulate(args):
             w = csv.writer(fh)
             w.writerow(["k", "mean_Vhat", "envelope"])
             for i in range(0, mean.size, step):
-                w.writerow([str(i), _fmt(float(mean[i])), _fmt(float(env[i]))])
+                w.writerow([str(i), repr(float(mean[i])), repr(float(env[i]))])
     return EXIT_OK
 
 
@@ -166,61 +156,63 @@ def _decrement_payload(report):
 
 def cmd_verify(args):
     cfg = _load_config(args)
-    os.makedirs(args.out, exist_ok=True)
     consts = cfg.constants()
-    if consts.degenerate and args.check in ("bound", "rate", "all"):
+    constants = _constants_payload(cfg, consts)
+    os.makedirs(args.out, exist_ok=True)
+    checks = ("decrement", "bound", "rate") if args.check == "all" else (args.check,)
+    if consts.degenerate and ("bound" in checks or "rate" in checks):
         raise ConfigError("gains", "degenerate constants (mu*gamma*beta = 0)")
 
-    results = {}
-    all_ok = True
-
-    if args.check in ("decrement", "all"):
-        report = verify.decrement_report(cfg, consts)
-        results["decrement"] = _decrement_payload(report)
-        all_ok = all_ok and report.all_pass
-
-    if args.check in ("bound", "rate", "all"):
-        streams = {}
-        if args.check in ("bound", "all"):
-            streams["bound"] = verify.BoundednessStream(consts)
-        if args.check in ("rate", "all"):
-            try:
-                streams["rate"] = verify.RateStream(cfg.effective_alpha(consts), consts)
-            except lyapunov.InvalidAlphaError as exc:
-                raise ConfigError("alpha", str(exc)) from exc
-        for V in verify.ensemble_blocks(cfg):
+    streams = {}
+    if "bound" in checks:
+        streams["bound"] = verify.BoundednessStream(consts)
+    if "rate" in checks:
+        streams["rate"] = verify.RateStream(cfg.effective_alpha(consts), consts)
+    harvest = None
+    if "decrement" in checks and streams:
+        # trial 0 of the ensemble is the decrement probe's one-wide harvest
+        # run, row for row, when the ensemble runs at least as long
+        harvest = verify.Harvest(cfg)
+        if harvest.horizon > cfg.horizon:
+            harvest = None
+    if streams:
+        for V in verify.ensemble_blocks(cfg, harvest=harvest):
             for stream in streams.values():
                 stream.add(V)
-        if "bound" in streams:
-            summary = streams["bound"].result()
-            results["bound"] = {
-                "passed": summary.passed,
-                "max_sup_V": summary.max_sup,
-                "threshold": summary.threshold,
-                "margin": summary.margin,
-                "frac_steps_above_T": summary.frac_steps_above_T,
-                "all_reenter": summary.all_reenter,
-                "note": "finite-horizon proxy for an almost-sure statement",
-            }
-            all_ok = all_ok and summary.passed
-        if "rate" in streams:
-            report = streams["rate"].result()
-            results["rate"] = {
-                "passed": report.passed,
-                "alpha": report.alpha,
-                "clip_radius": report.clip_radius,
-                "z": report.z,
-                "failing_steps": [int(i) for i in
-                                  np.flatnonzero(~report.pass_per_step)[:20]],
-            }
-            all_ok = all_ok and report.passed
+
+    results = {}
+    if "decrement" in checks:
+        report = verify.decrement_report(cfg, consts, harvest=harvest)
+        results["decrement"] = _decrement_payload(report)
+    if "bound" in streams:
+        summary = streams["bound"].result()
+        results["bound"] = {
+            "passed": summary.passed,
+            "max_sup_V": summary.max_sup,
+            "threshold": summary.threshold,
+            "margin": summary.margin,
+            "frac_steps_above_T": summary.frac_steps_above_T,
+            "all_reenter": summary.all_reenter,
+            "note": "finite-horizon proxy for an almost-sure statement",
+        }
+    if "rate" in streams:
+        report = streams["rate"].result()
+        results["rate"] = {
+            "passed": report.passed,
+            "alpha": report.alpha,
+            "clip_radius": report.clip_radius,
+            "z": report.z,
+            "failing_steps": [int(i) for i in
+                              np.flatnonzero(~report.pass_per_step)[:20]],
+        }
+    all_ok = all(res["passed"] for res in results.values())
 
     payload = {
         "version": __version__,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": cfg.raw,
         "base_seed": cfg.base_seed,
-        "constants": _constants_payload(cfg, consts),
+        "constants": constants,
         "checks": results,
         "passed": all_ok,
     }
@@ -277,6 +269,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except lyapunov.InvalidAlphaError as exc:
+        # every command reads the config's alpha for the Theorem-4 radius
+        print(f"error: {ConfigError('alpha', str(exc))}", file=sys.stderr)
+        return EXIT_USAGE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -121,9 +121,11 @@ def _build_regressor(spec, dim):
                 bound=_number(spec, "bound", "regressor."), dimension=dim)
         if kind == "piecewise_constant":
             levels = None
-            if spec.get("levels"):
+            if spec.get("levels") is not None:
                 levels = tuple(_check_vector(v, dim, "regressor.levels")
                                for v in _require(spec, "levels", list, "regressor."))
+                if not levels:
+                    raise ConfigError("regressor.levels", "must hold at least one level")
             return model_mod.PiecewiseConstant(
                 bound=_number(spec, "bound", "regressor."),
                 dimension=dim,

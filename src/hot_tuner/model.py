@@ -25,9 +25,9 @@ class ConfigurationError(ValueError):
 # deterministic per-(seed, k) uniforms, splitmix64 finalizer
 # ---------------------------------------------------------------------------
 
-def _splitmix64(z):
-    """The splitmix64 finalizer, in place on a uint64 array (wrapping mod 2**64)."""
-    t = np.empty_like(z)
+def _splitmix64(z, t):
+    """The splitmix64 finalizer, in place on a uint64 array (wrapping mod 2**64);
+    t is scratch of z's shape."""
     z += np.uint64(0x9E3779B97F4A7C15)
     z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -51,9 +51,12 @@ def _hash_uniform(words, ks, dim):
     # their order does not change the result
     keys = (ks[:, None, None] * np.uint64(0xC2B2AE3D27D4EB4F)
             + np.arange(dim, dtype=np.uint64)[:, None] * np.uint64(0x165667B19E3779F9))
-    z = _splitmix64(np.add(keys, words * np.uint64(0x9E3779B97F4A7C15)))
+    z = np.add(keys, words * np.uint64(0x9E3779B97F4A7C15))
+    t = np.empty_like(z)
+    _splitmix64(z, t)
     z >>= np.uint64(11)
-    return np.multiply(z, 1.0 / (1 << 53), out=z.view(np.float64))
+    # into the scratch: a cast in place would first copy z
+    return np.multiply(z, 1.0 / (1 << 53), out=t.view(np.float64))
 
 
 def _sum_squares(v):
@@ -85,8 +88,11 @@ def _clip_to_ball(v, bound):
     """Rescale in place the vectors v[k, :, s] of a component-major
     (rows, N, seeds) array so that their 2-norm does not exceed bound."""
     norms = np.sqrt(_sum_squares(v))  # = np.linalg.norm for N < 8
+    inside = norms <= bound
+    # scale = where(norms > bound, bound / max(norms, 1e-300), 1), in place
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(norms > bound, bound / np.maximum(norms, 1e-300), 1.0)
+        scale = np.divide(bound, np.maximum(norms, 1e-300, out=norms), out=norms)
+    np.copyto(scale, 1.0, where=inside)
     v *= scale[:, None, :]
     return v
 
@@ -255,17 +261,27 @@ class PiecewiseConstant:
 # where the innovation has zero mean given the history.  This makes the
 # conditional moments available in closed form and lets runners pre-draw the
 # uniform stream for a whole trajectory in one call.  A state-dependent mean
-# folds left to right over the `axis` that holds the N components of theta and
-# vartheta: the last by default, 0 for the lockstep kernel's (N, trials) states.
+# folds left to right over the N components of theta and vartheta (the last
+# axis).  state_mean(n, width) gives the lockstep kernel the same mean on its
+# component-major (n, width) states, or None when the mean is a constant that
+# the kernel adds to a whole chunk of innovations at once.
+
+
+class _ConstantMean:
+    """A kind whose conditional mean does not depend on the state."""
+
+    def state_mean(self, n, width):
+        return None
+
 
 @dataclass(frozen=True)
-class Zero:
+class Zero(_ConstantMean):
     """Noise-free observations."""
 
     d_max = 0.0
     sigma_max = 0.0
 
-    def conditional_mean(self, theta=None, vartheta=None, axis=-1):
+    def conditional_mean(self, theta=None, vartheta=None):
         return 0.0
 
     def innovation(self, u):
@@ -273,7 +289,7 @@ class Zero:
 
 
 @dataclass(frozen=True)
-class BiasedGaussianTruncated:
+class BiasedGaussianTruncated(_ConstantMean):
     """Constant bias plus a zero-mean Gaussian truncated at +-truncation*sd.
 
     Truncation keeps the amplitude bounded so desk-scale second-moment checks
@@ -302,7 +318,7 @@ class BiasedGaussianTruncated:
     def sigma_max(self):
         return math.sqrt(self.bias ** 2 + self._trunc_var)
 
-    def conditional_mean(self, theta=None, vartheta=None, axis=-1):
+    def conditional_mean(self, theta=None, vartheta=None):
         return self.bias
 
     def innovation(self, u):
@@ -310,7 +326,7 @@ class BiasedGaussianTruncated:
 
 
 @dataclass(frozen=True)
-class UniformBiased:
+class UniformBiased(_ConstantMean):
     """Uniform noise on [center - halfwidth, center + halfwidth]."""
 
     center: float
@@ -328,7 +344,7 @@ class UniformBiased:
     def sigma_max(self):
         return math.sqrt(self.center ** 2 + self.halfwidth ** 2 / 3.0)
 
-    def conditional_mean(self, theta=None, vartheta=None, axis=-1):
+    def conditional_mean(self, theta=None, vartheta=None):
         return self.center
 
     def innovation(self, u):
@@ -359,14 +375,31 @@ class StateDependentBias:
     def sigma_max(self):
         return math.sqrt(self.d_amplitude ** 2 + self.sd ** 2)
 
-    def conditional_mean(self, theta=None, vartheta=None, axis=-1):
+    def conditional_mean(self, theta=None, vartheta=None):
         if theta is None or vartheta is None:
             raise ValueError("state-dependent noise needs the current (theta, vartheta)")
         d = np.asarray(theta) - np.asarray(vartheta)
         sq = d * d
-        # the kernel's axis 0 needs no moveaxis, which costs more than the sum
-        gap = np.sqrt(_sum_rows(sq if axis == 0 else np.moveaxis(sq, axis, 0)))
+        gap = np.sqrt(_sum_rows(np.moveaxis(sq, -1, 0)))
         return self.d_amplitude * np.tanh(gap)
+
+    def state_mean(self, n, width):
+        """conditional_mean of (n, width) component-major states, as a function
+        of (theta, vartheta) that computes it in the same order into buffers it
+        owns; the returned (width,) mean is overwritten by the next call."""
+        d = np.empty((n, width))
+        d_rows = tuple(d)
+        gap = np.empty(width)
+        amplitude = np.array(self.d_amplitude)
+        subtract, multiply, sqrt, tanh = np.subtract, np.multiply, np.sqrt, np.tanh
+
+        def mean(theta, vartheta):
+            subtract(theta, vartheta, d)
+            multiply(d, d, d)
+            sqrt(d_rows[0] if n == 1 else _sum_rows(d_rows, out=gap), gap)
+            tanh(gap, gap)
+            return multiply(amplitude, gap, gap)
+        return mean
 
     def innovation(self, u):
         return math.sqrt(3.0) * self.sd * (2.0 * np.asarray(u) - 1.0)

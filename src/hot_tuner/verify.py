@@ -12,9 +12,20 @@ regressors in one call, so a trial's streams do not depend on the chunk size
 or on the ensemble width.  A chunk's states, regressors, normalisations and V
 are laid out component-major, (steps, N, trials): every sum over the N
 components is a left fold of N contiguous (steps, trials) slabs rather than a
-reduction along a short or strided axis.  The boundedness and rate checks are
-running reductions fed chunk by chunk, so `verify` never holds the
-(trials, horizon) V matrix: its memory is O(trials * CHUNK_STEPS + horizon).
+reduction along a short or strided axis.
+
+Per chunk the kernel does all the work that does not depend on the state:
+innovations, regressor rows, phi . theta*, the normalisations, a shared
+regressor broadcast to full width, V and the finite check, and for a noise
+kind whose conditional mean is a constant, every eta and y.  Per step it
+makes only the update's ufunc calls (and a state-dependent mean's), on
+(N, trials) buffers it owns.
+
+The boundedness and rate checks are running reductions fed chunk by chunk,
+so `verify` never holds the (trials, horizon) V matrix: its memory is
+O(trials * CHUNK_STEPS + horizon).  `verify --check all` makes one kernel
+pass: a Harvest takes the decrement probe's trajectory states from trial 0
+of the checks' ensemble, which is bitwise the one-wide run.
 """
 from __future__ import annotations
 
@@ -47,8 +58,8 @@ class _Block:
     """Trace rows k, k+1, ... of every trial, from one kernel chunk.
 
     Row j holds the state before observation k+j.  The last block holds the
-    final state alone and no observation.  The state and observation arrays
-    are component-major buffers that the next chunk overwrites.
+    final state alone and no observation.  The state, V and observation
+    arrays are views of kernel buffers that the next chunk overwrites.
     """
 
     k: int
@@ -72,14 +83,25 @@ def _lockstep(cfg, seeds, horizon, initial):
     loop, and at any N a trial's values do not depend on the ensemble width.
     Yields _Blocks that cover trace rows 0..horizon in order; raises
     NonFiniteError naming the first step whose update is not finite.
+
+    Work that does not depend on the state is done once per chunk: the
+    regressors and their normalisations, phi . theta*, the innovations and,
+    for a noise kind whose conditional mean is a constant, every eta and y.
+    The step calls ufuncs bound to local names, with `out` by position, on
+    the kernel's own (N, trials) buffers, with scalars held as 0-d arrays
+    and phi and the normalisation at full width: per call, a Python float or
+    a broadcast operand costs more than the arithmetic on a few hundred
+    trials.  Only the per-trial residual is broadcast over the N rows.
     """
     ts = cfg.true_model.theta_star
     gains, noise, regressor = cfg.gains, cfg.noise, cfg.regressor
-    gamma, beta, mu = gains.gamma, gains.beta, gains.mu
-    gamma_beta = gamma * beta
+    gamma_beta, beta, gamma, mu = (np.array(x) for x in (
+        gains.gamma * gains.beta, gains.beta, gains.gamma, gains.mu))
     n, width, size = ts.size, len(seeds), CHUNK_STEPS
-    theta0 = np.tile(gains.theta0[:, None], (1, width))  # full width: no broadcast per step
+    theta0 = np.tile(gains.theta0[:, None], (1, width))
     rngs = [np.random.default_rng(s) for s in seeds]
+    state_mean = noise.state_mean(n, width)  # None: a constant mean, added per chunk
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
 
     theta = np.empty((size + 1, n, width))
     vartheta = np.empty((size + 1, n, width))
@@ -88,72 +110,137 @@ def _lockstep(cfg, seeds, horizon, initial):
     u = np.empty((width, size))
     eta = np.empty((size, width))
     y = np.empty((size, width))
+    # phi transposed to (steps, trials, N) for phi . theta*; then, once that is
+    # taken, 1 + |phi|^2 repeated over the components for the step's division
+    phi_t = np.empty((size, width, n))
+    norms = phi_t.reshape(size, n, width)
+    phi_full = None  # a shared regressor's rows broadcast to full width
+    # V is taken after the step loop, when the uniforms and the normalisations
+    # are spent, and is read before the next chunk's draws: it goes in the
+    # uniforms' buffer, its scratch in the slab
+    V = u.reshape(size, width)
+    slab = phi_t.reshape(-1, width)
+    V_part = slab[:size]
+    sq = slab[size:] if n > 1 else np.empty((size, width))
     err = np.empty(width)
     a = np.empty((n, width))
-    a_rows = tuple(a)  # its component rows, for the per-step fold
     b = np.empty((n, width))
+    a_first, a_rest = a[0], tuple(a[2:])
+    a_second = a[1] if n > 1 else None
+    # b carries the leakage term mu * (theta_k - theta0) from one step to the
+    # next: the second gradient of step k-1 takes it at the same theta_k
+    multiply(mu, subtract(theta[0], theta0, b), b)
 
-    def gradient(x, p, norm, y_j):
-        """regularized_gradient(x, p, y_j), written into `a`."""
-        np.multiply(x, p, out=a)
-        _sum_rows(a_rows, out=err)
-        np.subtract(err, y_j, out=err)
-        np.multiply(p, err, out=a)
-        np.divide(a, norm, out=a)
-        np.subtract(x, theta0, out=b)
-        np.multiply(mu, b, out=b)
-        return np.add(a, b, out=a)
+    def sum_squares(acc, xs, x0s):
+        """acc = sum over i of (xs[i] - x0s[i])**2, folded left as _sum_squares."""
+        for i, (x, x0) in enumerate(zip(xs, x0s)):
+            d = acc if i == 0 else sq[:len(acc)]
+            subtract(x, x0, d)
+            multiply(d, d, d)
+            if i:
+                add(acc, d, acc)
+        return acc
 
     def v_rows(th, vt):
-        """V of (rows, N, trials) states, as (trials, rows).
+        """V of (rows, N, trials) states, as a (trials, rows) view of the V buffer.
 
         A huge but finite state overflows to V = inf, which the boundedness
-        check reports; it is not an error here.
+        check reports; it is not an error here.  A non-finite state gives a
+        non-finite V.
         """
-        with np.errstate(over="ignore"):
-            v = _sum_squares(vt - ts[:, None]) + _sum_squares(th - vt)
-            return (v / gamma).T
+        rows = len(th)
+        th, vt = th.transpose(1, 0, 2), vt.transpose(1, 0, 2)  # component slabs
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = add(sum_squares(V[:rows], vt, ts), sum_squares(V_part[:rows], th, vt), V[:rows])
+            return divide(v, gamma, v).T
 
     for k0 in range(0, horizon, size):
         m = min(size, horizon - k0)
         for row, rng in zip(u, rngs):
             rng.random(out=row[:m])
-        innov = np.ascontiguousarray(noise.innovation(u[:, :m]).T)
+        innov = noise.innovation(u[:, :m]).T
         phi = regressor.generate_batch(k0, k0 + m, seeds)
-        norms = 1.0 + _sum_squares(phi)
         # np.dot's rounding of phi . theta* differs from a fold of products
         # (and between a strided and a contiguous phi), so take it row-major
-        phi_ts = _rowdot(np.ascontiguousarray(phi.transpose(0, 2, 1)), ts)
+        if phi.shape[2] == width:
+            phi_t[:m] = phi.transpose(0, 2, 1)
+            _rowdot(phi_t[:m], ts, out=y[:m])
+        else:
+            y[:m] = _rowdot(np.ascontiguousarray(phi.transpose(0, 2, 1)), ts)
+        norms[:m] = (1.0 + _sum_squares(phi))[:, None, :]
+        if state_mean is None:
+            add(noise.conditional_mean(), innov, eta[:m])
+            add(y[:m], eta[:m], y[:m])
+        else:
+            eta[:m] = innov  # eta_j = mean_j + innovation_j, and y_j += eta_j, per step
+        p_rows = phi
+        if phi.shape[2] != width:
+            if phi_full is None:
+                phi_full = np.empty((size, n, width))
+            phi_full[:m] = phi
+            p_rows = phi_full
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(m):
-                th, vt, p, norm = theta[j], vartheta[j], phi[j], norms[j]
-                np.add(noise.conditional_mean(th, vt, axis=0), innov[j], out=eta[j])
-                np.add(phi_ts[j], eta[j], out=y[j])
-                g = gradient(th, p, norm, y[j])
-                np.multiply(gamma_beta, g, out=a)
-                np.subtract(th, a, out=a)                      # theta_bar
-                np.subtract(a, vt, out=b)
-                np.multiply(beta, b, out=b)
-                th_next = np.subtract(a, b, out=theta[j + 1])
-                g = gradient(th_next, p, norm, y[j])
-                np.multiply(gamma, g, out=a)
-                np.subtract(vt, a, out=vartheta[j + 1])
-        finite = (np.isfinite(theta[1:m + 1]).all(axis=(1, 2))
-                  & np.isfinite(vartheta[1:m + 1]).all(axis=(1, 2)))
-        if not finite.all():
-            raise NonFiniteError(k0 + int(np.argmin(finite)))
-        yield _Block(k0, theta[:m], vartheta[:m], v_rows(theta[:m], vartheta[:m]),
-                     eta[:m], y[:m], phi)
+                th, vt, p, norm, y_j = theta[j], vartheta[j], p_rows[j], norms[j], y[j]
+                if state_mean is not None:
+                    eta_j = add(state_mean(th, vt), eta[j], eta[j])
+                    add(y_j, eta_j, y_j)
+                # theta_bar = th - gamma*beta * regularized_gradient(th)
+                multiply(th, p, a)
+                if n == 1:
+                    subtract(a_first, y_j, err)
+                else:
+                    add(a_first, a_second, err)
+                    for row in a_rest:
+                        add(err, row, err)
+                    subtract(err, y_j, err)
+                multiply(p, err, a)
+                divide(a, norm, a)
+                add(a, b, a)
+                multiply(gamma_beta, a, a)
+                subtract(th, a, a)
+                # theta_next = theta_bar - beta * (theta_bar - vt)
+                subtract(a, vt, b)
+                multiply(beta, b, b)
+                th_next = subtract(a, b, theta[j + 1])
+                # vartheta_next = vt - gamma * regularized_gradient(theta_next)
+                multiply(th_next, p, a)
+                if n == 1:
+                    subtract(a_first, y_j, err)
+                else:
+                    add(a_first, a_second, err)
+                    for row in a_rest:
+                        add(err, row, err)
+                    subtract(err, y_j, err)
+                multiply(p, err, a)
+                divide(a, norm, a)
+                subtract(th_next, theta0, b)
+                multiply(mu, b, b)
+                add(a, b, a)
+                multiply(gamma, a, a)
+                subtract(vt, a, vartheta[j + 1])
+        V_rows = v_rows(theta[:m], vartheta[:m])
+        # V covers rows 0..m-1 and overflows for huge finite states too, so
+        # it only tells when to look for the first non-finite row 1..m
+        if not (np.isfinite(V_rows).all() and np.isfinite(theta[m]).all()
+                and np.isfinite(vartheta[m]).all()):
+            finite = (np.isfinite(theta[1:m + 1]).all(axis=(1, 2))
+                      & np.isfinite(vartheta[1:m + 1]).all(axis=(1, 2)))
+            if not finite.all():
+                raise NonFiniteError(k0 + int(np.argmin(finite)))
+        yield _Block(k0, theta[:m], vartheta[:m], V_rows, eta[:m], y[:m], phi)
         theta[0], vartheta[0] = theta[m], vartheta[m]
     yield _Block(horizon, theta[:1], vartheta[:1], v_rows(theta[:1], vartheta[:1]),
                  eta[:0], y[:0], np.empty((0, n, width)))
 
 
-def _rowdot(a, b):
+def _rowdot(a, b, out=None):
     """Dot products over the last axis, rounded as np.dot rounds one pair of
     vectors (a stack of 1xN by Nx1 products shares its inner loop), so the
     kernel reproduces a per-step `phi @ theta_star`."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    if out is not None:
+        out = out[..., None, None]
+    return np.matmul(a[..., None, :], b[..., :, None], out=out)[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +335,19 @@ def _ensemble_args(cfg, n_trials, horizon, initial):
     return [cfg.trial_seed(t) for t in range(n_trials)], horizon, init
 
 
-def ensemble_blocks(cfg, n_trials=None, horizon=None, initial=None):
+def ensemble_blocks(cfg, n_trials=None, horizon=None, initial=None, harvest=None):
     """V of a lockstep ensemble as consecutive (trials, steps) column blocks.
 
     Trial t uses seed cfg.trial_seed(t).  Feed the blocks, in order, to a
     BoundednessStream or RateStream to check the ensemble without holding
-    its full V matrix.
+    its full V matrix.  A Harvest passed as `harvest` takes trial 0's states
+    as the blocks go by.
     """
     seeds, horizon, init = _ensemble_args(cfg, n_trials, horizon, initial)
-    return (blk.V for blk in _lockstep(cfg, seeds, horizon, init))
+    for blk in _lockstep(cfg, seeds, horizon, init):
+        if harvest is not None:
+            harvest.add(blk)
+        yield blk.V
 
 
 def run_ensemble(cfg, n_trials=None, horizon=None, initial=None):
@@ -290,8 +381,43 @@ def state_on_sphere(v, theta_star, gamma, rng):
     return TunerState(theta=theta, vartheta=vartheta, step=0)
 
 
-def probe_states(cfg, consts, n_harvest=50, seed=0):
-    """Labelled probe states: V-spheres {0.1K, K, T, 10T} plus harvested ones."""
+class Harvest:
+    """Labelled states of trial 0 at the trace rows the decrement probe starts from.
+
+    The rows are n_harvest evenly spaced rows, 0 to `horizon`, of the
+    trajectory with seed cfg.trial_seed(0) from the config's initial state,
+    where horizon = max(n_harvest, min(cfg.horizon, 2000)).  `add` takes
+    them from the kernel blocks of any run whose trial 0 is that trajectory
+    and that reaches `horizon`, such as the checks' ensemble; `run` makes
+    the one-wide run itself.
+    """
+
+    def __init__(self, cfg, n_harvest=50):
+        self.cfg = cfg
+        self.horizon = max(n_harvest, min(cfg.horizon, 2000))
+        self.rows = np.linspace(0, self.horizon, n_harvest, dtype=int)
+        self.states = []
+
+    def add(self, blk):
+        for i in self.rows[(self.rows >= blk.k) & (self.rows < blk.k + len(blk.theta))]:
+            j = i - blk.k
+            self.states.append((f"traj[{i}]", TunerState(
+                theta=blk.theta[j, :, 0].copy(), vartheta=blk.vartheta[j, :, 0].copy(),
+                step=int(i))))
+
+    def run(self):
+        cfg = self.cfg
+        for blk in _lockstep(cfg, [cfg.trial_seed(0)], self.horizon, cfg.initial_state()):
+            self.add(blk)
+        return self
+
+
+def probe_states(cfg, consts, n_harvest=50, seed=0, harvest=None):
+    """Labelled probe states: V-spheres {0.1K, K, T, 10T} plus harvested ones.
+
+    The harvested states come from `harvest` if it is given, or else from a
+    one-wide run of Harvest(cfg, n_harvest).
+    """
     rng = np.random.default_rng([cfg.base_seed, seed, 0x9E37])
     ts = cfg.true_model.theta_star
     gamma = cfg.gains.gamma
@@ -301,14 +427,10 @@ def probe_states(cfg, consts, n_harvest=50, seed=0):
                          ("T", consts.T), ("10T", 10.0 * consts.T)):
             if v > 0:
                 probes.append((label, state_on_sphere(v, ts, gamma, rng)))
-    if n_harvest > 0:
-        horizon = max(n_harvest, min(cfg.horizon, 2000))
-        trace = run_trajectory(cfg, cfg.trial_seed(0), horizon=horizon)
-        idx = np.linspace(0, horizon, n_harvest, dtype=int)
-        for i in idx:
-            probes.append((f"traj[{i}]",
-                           TunerState(theta=trace.theta[i].copy(),
-                                      vartheta=trace.vartheta[i].copy(), step=int(i))))
+    if harvest is None and n_harvest > 0:
+        harvest = Harvest(cfg, n_harvest).run()
+    if harvest is not None:
+        probes += harvest.states
     return probes
 
 
@@ -369,16 +491,17 @@ def conditional_decrement_probe(state, phi, cfg, consts, M, rng, noise=None,
 
 
 def decrement_report(cfg, consts=None, M=None, z=DEFAULT_Z, noises=None,
-                     n_harvest=50, seed=0):
+                     n_harvest=50, seed=0, harvest=None):
     """Run the decrement probe over sphere and harvested states.
 
     `noises` defaults to the configured noise kind; pass several kinds to
-    sweep them all against the same (d_max, sigma_max) constants.
+    sweep them all against the same (d_max, sigma_max) constants.  A filled
+    Harvest passed as `harvest` saves the one-wide harvest run.
     """
     consts = cfg.constants() if consts is None else consts
     M = cfg.resamples if M is None else M
     noises = [cfg.noise] if noises is None else noises
-    states = probe_states(cfg, consts, n_harvest=n_harvest, seed=seed)
+    states = probe_states(cfg, consts, n_harvest=n_harvest, seed=seed, harvest=harvest)
     rng = np.random.default_rng([cfg.base_seed, seed, 0xDEC])
     phi = cfg.regressor.generate_batch(0, 1, [cfg.trial_seed(0)])[0, :, 0]
     probes = []
@@ -491,13 +614,17 @@ class RateReport:
 
 
 def _column_sums(a):
-    """Sums over axis 0 in row order.
+    """Sums over axis 0 in row order: ((a[0] + a[1]) + a[2]) + ...
 
     That is numpy's own order for a reduction over the rows of a C-ordered
-    matrix with two or more columns; add.reduce sums a single column
-    pairwise instead, which would make results depend on the block split.
+    matrix with two or more columns.  add.reduce sums a single column, or
+    along a contiguous axis, pairwise instead, which would make results
+    depend on the block split; accumulate keeps row order for any layout but
+    writes every partial sum.
     """
-    return np.add.accumulate(a, axis=0)[-1]
+    if a.shape[1] < 2 or not a.flags.c_contiguous:
+        return np.add.accumulate(a, axis=0)[-1]
+    return np.add.reduce(a, axis=0)
 
 
 class RateStream:
@@ -516,14 +643,16 @@ class RateStream:
         self.stderrs = []
 
     def add(self, V):
-        vhat = clipped_V(V, self.clip_radius)
+        # C order: the kernel's blocks are (trials, steps) views of
+        # (steps, trials) buffers, and _column_sums reduces C order fastest
+        vhat = np.ascontiguousarray(clipped_V(V, self.clip_radius))
         n, steps = vhat.shape
         if not self.means:
             self.vhat0 = float(np.max(vhat[:, 0]))
         mean = _column_sums(vhat) / n
         self.means.append(mean)
         if n > 1:
-            dev = vhat - mean
+            dev = np.subtract(vhat, mean, out=vhat)
             var = _column_sums(np.multiply(dev, dev, out=dev)) / (n - 1)
             self.stderrs.append(np.sqrt(var) / math.sqrt(n))
         else:

@@ -134,6 +134,23 @@ class TestVerifyCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        dict(horizon=300),
+        dict(horizon=300, regressor={"kind": "iid_bounded", "bound": 2.0},
+             noise={"kind": "state_dependent_bias", "d_amplitude": 0.1, "sd": 0.45}),
+        dict(horizon=30),  # shorter than the harvest run, which then runs alone
+    ])
+    def test_all_reports_the_decrement_check_alone(self, tmp_path, overrides):
+        # --check all harvests the probe states from trial 0 of its ensemble
+        cfg_path = write_config(tmp_path, small_dict(**overrides))
+        decrement = {}
+        for check in ("decrement", "all"):
+            out = tmp_path / check
+            main(["verify", cfg_path, "--check", check, "--out", str(out)])
+            payload = json.loads((out / f"verify_{check}.json").read_text())
+            decrement[check] = payload["checks"]["decrement"]
+        assert decrement["all"] == decrement["decrement"]
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         cfg_path = write_config(tmp_path, small_dict(horizon=300, ensemble=10))
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -143,6 +160,20 @@ class TestVerifyCommand:
         p2 = json.loads((tmp_path / "b" / "verify_all.json").read_text())
         p1.pop("generated_at"), p2.pop("generated_at")
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
+
+
+class TestInvalidAlpha:
+    @pytest.mark.parametrize("command", [
+        ["constants"], ["simulate", "--out", "o"], ["verify", "--check", "decrement", "--out", "o"],
+    ], ids=["constants", "simulate", "verify-decrement"])
+    def test_alpha_at_or_above_c1_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, small_dict(alpha=0.5))
+        assert main([command[0], cfg_path] + command[1:]) == 2
+        captured = capsys.readouterr()
+        assert "config field 'alpha'" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not os.path.exists(tmp_path / "o")
 
 
 REFERENCE_REPORTS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference")
@@ -176,6 +207,8 @@ class TestMalformedNumbers:
         ("noise.sd", dict(noise={"kind": "biased_gaussian", "bias": 0.1,
                                  "sd": float("inf")})),
         ("ensemble", dict(ensemble=True)),
+        ("regressor.levels", dict(regressor={"kind": "piecewise_constant", "bound": 2.0,
+                                             "dwell": 5, "levels": []})),
     ])
     def test_usage_error_names_field(self, tmp_path, capsys, field, overrides):
         cfg_path = write_config(tmp_path, small_dict(**overrides))

@@ -173,7 +173,7 @@ class TestNoise:
             vartheta = rng.standard_normal((n, trials))
             rows = noise.conditional_mean(np.ascontiguousarray(theta.T),
                                           np.ascontiguousarray(vartheta.T))
-            assert np.array_equal(noise.conditional_mean(theta, vartheta, axis=0), rows)
+            assert np.array_equal(noise.state_mean(n, trials)(theta, vartheta), rows)
 
 
 def observation_config(**overrides):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -54,8 +56,8 @@ def hot_step_loop(cfg, seed, horizon):
 def kernel_states(cfg, seeds, horizon):
     """theta, vartheta (trials, steps, N) and V (trials, steps) from the kernel."""
     # copy each block before the kernel reuses its buffers for the next chunk
-    blocks = [(b.theta.transpose(2, 0, 1).copy(), b.vartheta.transpose(2, 0, 1).copy(), b.V)
-              for b in verify._lockstep(cfg, seeds, horizon, cfg.initial_state())]
+    blocks = [(b.theta.transpose(2, 0, 1).copy(), b.vartheta.transpose(2, 0, 1).copy(),
+               b.V.copy()) for b in verify._lockstep(cfg, seeds, horizon, cfg.initial_state())]
     return [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
 
 
@@ -141,6 +143,25 @@ class TestLockstepKernel:
             assert np.array_equal(vartheta[t], ref_vartheta)
             assert np.array_equal(V[t], ref_V)
             assert np.array_equal(ens.V[t], ref_V)
+
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize("regressor", ["sinusoid", "iid_bounded"])
+    def test_one_component_matches_hot_step_loop_bitwise(self, noise, regressor, monkeypatch):
+        # N = 1 takes the kernel's one-row fold, and the one-row gap of the
+        # state-dependent mean
+        monkeypatch.setattr(verify, "CHUNK_STEPS", 7)
+        regressors = {"sinusoid": {"kind": "sinusoid", "amplitude": [1.3], "omega": 0.5,
+                                   "phase": [0.4], "phi_bound": 2.0},
+                      "iid_bounded": {"kind": "iid_bounded", "bound": 2.0}}
+        cfg = RunConfig.from_dict(reference_dict(
+            dimension=1, theta_star=[0.7], theta0=[-0.2], horizon=60, ensemble=3,
+            resamples=500, **{**NOISES[noise], "regressor": regressors[regressor]}))
+        seeds = [cfg.trial_seed(t) for t in range(3)]
+        theta, vartheta, V = kernel_states(cfg, seeds, cfg.horizon)
+        for t, seed in enumerate(seeds):
+            for got, want in zip((theta[t], vartheta[t], V[t]),
+                                 hot_step_loop(cfg, seed, cfg.horizon)):
+                assert np.array_equal(got, want)
 
     def test_three_dimensional_non_dyadic_theta_star(self, monkeypatch):
         monkeypatch.setattr(verify, "CHUNK_STEPS", 16)
@@ -228,6 +249,31 @@ class TestLockstepKernel:
         assert ens.value.step == one.value.step == 37
 
 
+    @pytest.mark.parametrize("chunk", [40, 37, 38, 18])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_observation_is_first_divergent_step(self, chunk, monkeypatch):
+        # a NaN regressor row at step 37 turns a moderate state non-finite in
+        # one step, with no overflow of V before it
+        class NanRow:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def generate_batch(self, k0, k1, seeds):
+                phi = self.inner.generate_batch(k0, k1, seeds).copy()
+                if k0 <= 37 < k1:
+                    phi[37 - k0] = np.nan
+                return phi
+
+        cfg = RunConfig.from_dict(reference_dict(horizon=100, ensemble=3, resamples=500))
+        cfg.regressor = NanRow(cfg.regressor)
+        monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
+        with pytest.raises(NonFiniteError) as ens:
+            verify.run_ensemble(cfg)
+        with pytest.raises(NonFiniteError) as one:
+            verify.run_trajectory(cfg, cfg.trial_seed(0))
+        assert ens.value.step == one.value.step == 37
+
+
 class TestProbeStates:
     def test_sphere_placement_exact(self, small_config):
         consts = small_config.constants()
@@ -246,6 +292,24 @@ class TestProbeStates:
         labels = [l for l, _ in probes]
         assert {"0.1K", "K", "T", "10T"}.issubset(labels)
         assert sum(l.startswith("traj") for l in labels) == 10
+
+
+class TestHarvest:
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(**REGRESSORS["iid_bounded"], **NOISES["state_dependent_bias"])])
+    def test_ensemble_trial_zero_is_the_one_wide_run(self, overrides):
+        # the ensemble runs past the 2000-row harvest horizon, over several chunks
+        cfg = RunConfig.from_dict(reference_dict(horizon=2300, ensemble=6, **overrides))
+        harvest = verify.Harvest(cfg)
+        for _ in verify.ensemble_blocks(cfg, harvest=harvest):
+            pass
+        alone = verify.Harvest(cfg).run()
+        assert harvest.horizon == 2000 and len(alone.states) == 50
+        assert [label for label, _ in harvest.states] == [label for label, _ in alone.states]
+        for (_, got), (_, want) in zip(harvest.states, alone.states):
+            assert got.step == want.step
+            assert np.array_equal(got.theta, want.theta)
+            assert np.array_equal(got.vartheta, want.vartheta)
 
 
 class TestDecrement:
@@ -311,6 +375,16 @@ class TestBoundedness:
 
 
 class TestRate:
+    @pytest.mark.parametrize("shape", [(200, 256), (57, 2), (3, 1), (1, 5)])
+    def test_column_sums_fold_rows_in_order(self, shape):
+        # spread magnitudes so that any other summation order rounds differently
+        a = np.random.default_rng(1).lognormal(sigma=4.0, size=shape)
+        want = functools.reduce(np.add, a)
+        if shape[0] >= 8:
+            assert not np.array_equal(np.sum(np.ascontiguousarray(a.T), axis=1), want)
+        for layout in (a, np.asfortranarray(a), np.ascontiguousarray(a.T).T):
+            assert np.array_equal(verify._column_sums(layout), want)
+
     def test_invalid_alpha(self, small_config):
         consts = small_config.constants()
         ens = verify.run_ensemble(small_config, n_trials=2, horizon=50)
