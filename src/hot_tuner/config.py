@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lyapunov, model as model_mod
-from .tuner import Gains, TunerState
+from .tuner import Gains, GainsError, TunerState
 
 
 class ConfigError(ValueError):
@@ -173,7 +172,6 @@ class RunConfig:
     resamples: int
     alpha: float  # None -> c1/2 at use time
     base_seed: int
-    mode: str
     c2_variant: str
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -196,9 +194,8 @@ class RunConfig:
         gamma, beta, mu = (_number(gspec, key, "gains.") for key in _GAINS_KEYS)
         try:
             gains = Gains(gamma=gamma, beta=beta, mu=mu, theta0=theta0, mode=mode)
-        except ValueError as exc:
-            raise ConfigError("gains.gamma" if "gamma" in str(exc) else "gains",
-                              str(exc)) from exc
+        except GainsError as exc:
+            raise ConfigError(f"gains.{exc.field}", str(exc)) from exc
 
         regressor = _build_regressor(_require(d, "regressor", dict, ""), dim)
         noise = _build_noise(_require(d, "noise", dict, ""))
@@ -220,9 +217,8 @@ class RunConfig:
         if resamples < 100:
             raise ConfigError("resamples", "must be >= 100")
         alpha = _number(d, "alpha", "", None)
-        if alpha is not None:
-            if alpha <= 0:
-                raise ConfigError("alpha", "must be positive")
+        if alpha is not None and alpha <= 0:
+            raise ConfigError("alpha", "must be positive")
         base_seed = check_seed(d.get("base_seed", 0))
         c2_variant = d.get("c2_variant", "theorem")
         if c2_variant not in ("theorem", "appendix"):
@@ -232,7 +228,7 @@ class RunConfig:
                    noise=noise, gains=gains, vartheta0=vartheta0,
                    d_max=d_max, sigma_max=sigma_max, horizon=horizon,
                    ensemble=ensemble, resamples=resamples, alpha=alpha,
-                   base_seed=base_seed, mode=mode, c2_variant=c2_variant, raw=dict(d))
+                   base_seed=base_seed, c2_variant=c2_variant, raw=dict(d))
 
     @property
     def dimension(self):

@@ -17,20 +17,18 @@ class InvalidAlphaError(ValueError):
 
 
 def lyapunov_value(state, theta_star, gamma):
+    """lyapunov_value_arrays of a TunerState, for a positive gamma."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    return lyapunov_value_arrays(np.asarray(state.theta), np.asarray(state.vartheta),
+                                 np.asarray(theta_star, dtype=float), gamma)
+
+
+def lyapunov_value_arrays(theta, vartheta, theta_star, gamma):
     """V = (1/gamma) ||vartheta - theta*||^2 + (1/gamma) ||theta - vartheta||^2.
 
     Broadcasts over leading axes of the state arrays.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    ts = np.asarray(theta_star, dtype=float)
-    a = np.asarray(state.vartheta) - ts
-    b = np.asarray(state.theta) - np.asarray(state.vartheta)
-    return (np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)) / gamma
-
-
-def lyapunov_value_arrays(theta, vartheta, theta_star, gamma):
-    """As lyapunov_value, on raw arrays."""
     a = vartheta - theta_star
     b = theta - vartheta
     return (np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)) / gamma
@@ -79,7 +77,7 @@ class LyapunovConstants:
     c2_variant: str
 
 
-def constants(gains, d_max, sigma_max, theta_star, theta0=None, c2_variant="theorem"):
+def constants(gains, d_max, sigma_max, theta_star, c2_variant="theorem"):
     """All decrement-bound constants for the given gains and noise bounds.
 
     c2_variant "theorem" uses the stated coefficient (19609/6144) d_max;
@@ -91,7 +89,7 @@ def constants(gains, d_max, sigma_max, theta_star, theta0=None, c2_variant="theo
     if c2_variant not in ("theorem", "appendix"):
         raise ValueError("c2_variant must be 'theorem' or 'appendix'")
     ts = np.asarray(theta_star, dtype=float)
-    t0 = gains.theta0 if theta0 is None else np.asarray(theta0, dtype=float)
+    t0 = gains.theta0
     gamma, beta, mu = gains.gamma, gains.beta, gains.mu
 
     c1 = (10.0 / 16.0) * mu * gamma * beta

@@ -11,7 +11,7 @@ sigma_max) hold analytically, not just empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
@@ -73,12 +73,12 @@ def _sum_squares(v):
 
 
 def _sum_rows(rows, out=None):
-    """rows[0] + rows[1] + ..., folded left as _sum_squares folds, over an
-    array's first axis or a sequence of arrays (a tuple of row views saves
-    the indexing per call)."""
+    """rows[0] + rows[1] + ..., folded left as _sum_squares folds, into `out`,
+    over an array's first axis or a sequence of arrays (a tuple of row views
+    saves the indexing per call).  A single row comes back as it is."""
     if len(rows) == 1:
-        return np.positive(rows[0], out=out)
-    out = np.add(rows[0], rows[1], out=out)
+        return rows[0]
+    out = np.add(rows[0], rows[1], out)
     for row in rows[2:]:
         out += row
     return out
@@ -396,7 +396,7 @@ class StateDependentBias:
         def mean(theta, vartheta):
             subtract(theta, vartheta, d)
             multiply(d, d, d)
-            sqrt(d_rows[0] if n == 1 else _sum_rows(d_rows, out=gap), gap)
+            sqrt(_sum_rows(d_rows, gap), gap)
             tanh(gap, gap)
             return multiply(amplitude, gap, gap)
         return mean

@@ -23,6 +23,14 @@ class NonFiniteError(FloatingPointError):
         super().__init__(msg + "; reduce gamma (see lyapunov.gamma_max)")
 
 
+class GainsError(ValueError):
+    """A gain outside its admissible range; `field` names the gain."""
+
+    def __init__(self, field, message):
+        self.field = field
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class Gains:
     """Tuner hyperparameters: step size gamma, mixing beta, leakage mu.
@@ -44,22 +52,21 @@ class Gains:
             raise ValueError("theta0 must be a finite 1-d vector")
         object.__setattr__(self, "theta0", t0)
         if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
+            raise GainsError("beta", "beta must lie in (0, 1)")
         if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+            raise GainsError("gamma", "gamma must be positive")
         if self.mode not in ("certified", "unrestricted"):
             raise ValueError("mode must be 'certified' or 'unrestricted'")
         if self.mode == "certified":
             if not 0.0 < self.mu < 1.0:
-                raise ValueError("certified mode requires 0 < mu < 1")
+                raise GainsError("mu", "certified mode requires 0 < mu < 1")
             from .lyapunov import gamma_max
             gmax = gamma_max(self.beta, self.mu)
             if self.gamma > gmax:
-                raise ValueError(
-                    f"gamma={self.gamma} exceeds gamma_max({self.beta}, {self.mu})={gmax}")
-        else:
-            if not 0.0 <= self.mu < 1.0:
-                raise ValueError("mu must lie in [0, 1)")
+                raise GainsError("gamma", f"gamma={self.gamma} exceeds "
+                                 f"gamma_max({self.beta}, {self.mu})={gmax}")
+        elif not 0.0 <= self.mu < 1.0:
+            raise GainsError("mu", "mu must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -30,16 +30,11 @@ of the checks' ensemble, which is bitwise the one-wide run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lyapunov import (
-    InvalidAlphaError,
-    clipped_V,
-    lyapunov_value_arrays,
-    theorem4_radius,
-)
+from .lyapunov import clipped_V, lyapunov_value_arrays, theorem4_radius
 from .model import _sum_rows, _sum_squares
 from .tuner import NonFiniteError, TunerState, _hot_update, gd_step
 
@@ -84,14 +79,14 @@ def _lockstep(cfg, seeds, horizon, initial):
     Yields _Blocks that cover trace rows 0..horizon in order; raises
     NonFiniteError naming the first step whose update is not finite.
 
-    Work that does not depend on the state is done once per chunk: the
-    regressors and their normalisations, phi . theta*, the innovations and,
-    for a noise kind whose conditional mean is a constant, every eta and y.
+    The state-free work is done per chunk, as the module docstring says.
+    Both regularized gradients take their normalised loss gradient from one
+    helper, `residual`, whose dot product is model._sum_rows over the N rows.
     The step calls ufuncs bound to local names, with `out` by position, on
     the kernel's own (N, trials) buffers, with scalars held as 0-d arrays
     and phi and the normalisation at full width: per call, a Python float or
     a broadcast operand costs more than the arithmetic on a few hundred
-    trials.  Only the per-trial residual is broadcast over the N rows.
+    trials.  Only the per-trial error x . phi - y is broadcast over the N rows.
     """
     ts = cfg.true_model.theta_star
     gains, noise, regressor = cfg.gains, cfg.noise, cfg.regressor
@@ -121,15 +116,21 @@ def _lockstep(cfg, seeds, horizon, initial):
     V = u.reshape(size, width)
     slab = phi_t.reshape(-1, width)
     V_part = slab[:size]
-    sq = slab[size:] if n > 1 else np.empty((size, width))
+    sq = slab[size:]
     err = np.empty(width)
     a = np.empty((n, width))
+    a_rows = tuple(a)
     b = np.empty((n, width))
-    a_first, a_rest = a[0], tuple(a[2:])
-    a_second = a[1] if n > 1 else None
     # b carries the leakage term mu * (theta_k - theta0) from one step to the
     # next: the second gradient of step k-1 takes it at the same theta_k
     multiply(mu, subtract(theta[0], theta0, b), b)
+
+    def residual(x, p, norm, y_j):
+        """a = p * (x . p - y_j) / norm, the normalised loss gradient at x."""
+        multiply(x, p, a)
+        subtract(_sum_rows(a_rows, err), y_j, err)
+        multiply(p, err, a)
+        return divide(a, norm, a)
 
     def sum_squares(acc, xs, x0s):
         """acc = sum over i of (xs[i] - x0s[i])**2, folded left as _sum_squares."""
@@ -186,17 +187,7 @@ def _lockstep(cfg, seeds, horizon, initial):
                     eta_j = add(state_mean(th, vt), eta[j], eta[j])
                     add(y_j, eta_j, y_j)
                 # theta_bar = th - gamma*beta * regularized_gradient(th)
-                multiply(th, p, a)
-                if n == 1:
-                    subtract(a_first, y_j, err)
-                else:
-                    add(a_first, a_second, err)
-                    for row in a_rest:
-                        add(err, row, err)
-                    subtract(err, y_j, err)
-                multiply(p, err, a)
-                divide(a, norm, a)
-                add(a, b, a)
+                add(residual(th, p, norm, y_j), b, a)
                 multiply(gamma_beta, a, a)
                 subtract(th, a, a)
                 # theta_next = theta_bar - beta * (theta_bar - vt)
@@ -204,16 +195,7 @@ def _lockstep(cfg, seeds, horizon, initial):
                 multiply(beta, b, b)
                 th_next = subtract(a, b, theta[j + 1])
                 # vartheta_next = vt - gamma * regularized_gradient(theta_next)
-                multiply(th_next, p, a)
-                if n == 1:
-                    subtract(a_first, y_j, err)
-                else:
-                    add(a_first, a_second, err)
-                    for row in a_rest:
-                        add(err, row, err)
-                    subtract(err, y_j, err)
-                multiply(p, err, a)
-                divide(a, norm, a)
+                residual(th_next, p, norm, y_j)
                 subtract(th_next, theta0, b)
                 multiply(mu, b, b)
                 add(a, b, a)
@@ -412,13 +394,13 @@ class Harvest:
         return self
 
 
-def probe_states(cfg, consts, n_harvest=50, seed=0, harvest=None):
+def probe_states(cfg, consts, n_harvest=50, harvest=None):
     """Labelled probe states: V-spheres {0.1K, K, T, 10T} plus harvested ones.
 
     The harvested states come from `harvest` if it is given, or else from a
     one-wide run of Harvest(cfg, n_harvest).
     """
-    rng = np.random.default_rng([cfg.base_seed, seed, 0x9E37])
+    rng = np.random.default_rng([cfg.base_seed, 0, 0x9E37])
     ts = cfg.true_model.theta_star
     gamma = cfg.gains.gamma
     probes = []
@@ -474,9 +456,7 @@ def conditional_decrement_probe(state, phi, cfg, consts, M, rng, noise=None,
     y = float(phi @ ts) + eta
     th, vt = _hot_update(state.theta, state.vartheta, phi, y, gains)
     v_next = lyapunov_value_arrays(th, vt, ts, gains.gamma)
-    v_k = float(lyapunov_value_arrays(np.asarray(state.theta, dtype=float),
-                                      np.asarray(state.vartheta, dtype=float),
-                                      ts, gains.gamma))
+    v_k = float(lyapunov_value_arrays(state.theta, state.vartheta, ts, gains.gamma))
     mean = float(np.mean(v_next))
     if M > 1 and np.ptp(v_next) > 0.0:
         stderr = float(np.std(v_next, ddof=1) / math.sqrt(M))
@@ -491,7 +471,7 @@ def conditional_decrement_probe(state, phi, cfg, consts, M, rng, noise=None,
 
 
 def decrement_report(cfg, consts=None, M=None, z=DEFAULT_Z, noises=None,
-                     n_harvest=50, seed=0, harvest=None):
+                     n_harvest=50, harvest=None):
     """Run the decrement probe over sphere and harvested states.
 
     `noises` defaults to the configured noise kind; pass several kinds to
@@ -501,8 +481,8 @@ def decrement_report(cfg, consts=None, M=None, z=DEFAULT_Z, noises=None,
     consts = cfg.constants() if consts is None else consts
     M = cfg.resamples if M is None else M
     noises = [cfg.noise] if noises is None else noises
-    states = probe_states(cfg, consts, n_harvest=n_harvest, seed=seed, harvest=harvest)
-    rng = np.random.default_rng([cfg.base_seed, seed, 0xDEC])
+    states = probe_states(cfg, consts, n_harvest=n_harvest, harvest=harvest)
+    rng = np.random.default_rng([cfg.base_seed, 0, 0xDEC])
     phi = cfg.regressor.generate_batch(0, 1, [cfg.trial_seed(0)])[0, :, 0]
     probes = []
     for noise in noises:
@@ -554,19 +534,15 @@ class BoundednessStream:
         self.margin = margin
         self.steps = 0
         self.n_above = 0
+        self.sup, self.last_below, self.last_above = -np.inf, -1, -1
 
     def add(self, V):
         above = V > self.T
-        sup = np.max(V, axis=1)
-        last_below = _last_true(~above, self.steps)
-        last_above = _last_true(above, self.steps)
         if self.steps == 0:
             self.v0 = float(np.max(V[:, 0]))
-        else:
-            sup = np.maximum(self.sup, sup)
-            last_below = np.maximum(self.last_below, last_below)
-            last_above = np.maximum(self.last_above, last_above)
-        self.sup, self.last_below, self.last_above = sup, last_below, last_above
+        self.sup = np.maximum(self.sup, np.max(V, axis=1))
+        self.last_below = np.maximum(self.last_below, _last_true(~above, self.steps))
+        self.last_above = np.maximum(self.last_above, _last_true(above, self.steps))
         self.n_above += int(np.count_nonzero(above))
         self.steps += V.shape[1]
 

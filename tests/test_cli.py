@@ -176,15 +176,25 @@ class TestInvalidAlpha:
         assert not os.path.exists(tmp_path / "o")
 
 
-REFERENCE_REPORTS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference")
+HERE = os.path.dirname(__file__)
+# the benchmark's two shrunk ops, and iid_bounded x state_dependent_bias at
+# N = 1, 3 and 8 (recorded at 27c19a1), to pin the kernel's other fold lengths
+GOLDEN_REPORTS = {
+    "verify-reference": os.path.join(HERE, "..", "perfbench", "reference",
+                                     "verify-reference.shrunk.json"),
+    "verify-long-random": os.path.join(HERE, "..", "perfbench", "reference",
+                                       "verify-long-random.shrunk.json"),
+    **{name: os.path.join(HERE, "golden", f"{name}.json")
+       for name in ("n1-iid-sdb", "n3-iid-sdb", "n8-iid-sdb")},
+}
 
 
 class TestGoldenReports:
-    @pytest.mark.parametrize("workload", ["verify-reference", "verify-long-random"])
+    @pytest.mark.parametrize("workload", list(GOLDEN_REPORTS))
     def test_shrunk_benchmark_report_is_exact(self, tmp_path, workload):
-        # the benchmark's shrunk ops, recorded before any optimisation; every
-        # number must come out bit for bit, not merely to a tolerance
-        with open(os.path.join(REFERENCE_REPORTS, f"{workload}.shrunk.json")) as fh:
+        # recorded before the kernel changes they guard; every number must
+        # come out bit for bit, not merely to a tolerance
+        with open(GOLDEN_REPORTS[workload]) as fh:
             golden = json.load(fh)
         assert (golden["config"]["horizon"], golden["config"]["ensemble"]) == (200, 4)
         cfg_path = write_config(tmp_path, golden["config"])
@@ -209,6 +219,10 @@ class TestMalformedNumbers:
         ("ensemble", dict(ensemble=True)),
         ("regressor.levels", dict(regressor={"kind": "piecewise_constant", "bound": 2.0,
                                              "dwell": 5, "levels": []})),
+        ("gains.beta", dict(gains={"gamma": 0.04, "beta": 1.5, "mu": 0.1})),
+        ("gains.mu", dict(gains={"gamma": 0.04, "beta": 0.5, "mu": 1.5})),
+        ("gains.mu", dict(mode="unrestricted", gains={"gamma": 0.04, "beta": 0.5, "mu": 1.0})),
+        ("gains.gamma", dict(gains={"gamma": 0.05, "beta": 0.5, "mu": 0.1})),  # > gamma_max
     ])
     def test_usage_error_names_field(self, tmp_path, capsys, field, overrides):
         cfg_path = write_config(tmp_path, small_dict(**overrides))

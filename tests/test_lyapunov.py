@@ -11,6 +11,7 @@ from hot_tuner.lyapunov import (
     constants,
     gamma_max,
     lyapunov_value,
+    lyapunov_value_arrays,
     psi,
     theorem4_radius,
     threshold_K,
@@ -61,6 +62,15 @@ class TestLyapunovValue:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             lyapunov_value(TunerState(theta=[0.0], vartheta=[0.0]), [0.0], 0.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_state_form_is_the_array_form(self, n):
+        rng = np.random.default_rng(n)
+        theta, vartheta = rng.normal(size=(2, 50, n))
+        ts = rng.normal(size=n)
+        v = lyapunov_value(TunerState(theta=theta, vartheta=vartheta), list(ts), 0.04)
+        assert v.shape == (50,)
+        assert np.array_equal(v, lyapunov_value_arrays(theta, vartheta, ts, 0.04))
 
 
 class TestGammaMax:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hot_tuner.model import (
     TrueModel,
     UniformBiased,
     Zero,
+    _sum_rows,
 )
 from hot_tuner import verify
 from hot_tuner.config import ConfigError, RunConfig
@@ -28,6 +31,24 @@ def row(src, k, seed):
 def draw(noise, rng, size=None, theta=None, vartheta=None):
     """Noise draws given the state: conditional mean plus innovation."""
     return noise.conditional_mean(theta, vartheta) + noise.innovation(rng.uniform(size=size))
+
+
+class TestSumRows:
+    def test_one_row_comes_back_as_itself(self):
+        rows = (np.arange(6.0).reshape(2, 3),)
+        out = np.empty((2, 3))
+        assert _sum_rows(rows, out) is rows[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 12])
+    def test_left_fold_into_out(self, n):
+        # magnitudes spread over 1e-3..1e3, so the order of the sum shows in the rounding
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(n, 4, 5)) * 10.0 ** rng.integers(-3, 4, size=(n, 4, 5))
+        expect = functools.reduce(np.add, rows)
+        for given in (rows, tuple(rows)):
+            out = np.empty((4, 5))
+            assert _sum_rows(given, out) is out
+            assert np.array_equal(out, expect)
 
 
 class TestRegressors:
