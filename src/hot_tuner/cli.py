@@ -1,7 +1,8 @@
 """`hot-tuner` command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numeric divergence.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error (an
+--out that cannot be created or written included), 3 numeric divergence,
+4 internal error (any other exception, reported on one line).
 
 `simulate` advances all its trials in one lockstep kernel pass and writes the
 CSVs afterwards, so a divergence in any trial exits 3 before any trace is
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NONFINITE = 3
+EXIT_INTERNAL = 4
 
 
 # No longer used by the CLI: simulate runs every trial in one lockstep pass.
@@ -61,16 +64,9 @@ def _write_json(path, payload):
 
 
 def _constants_payload(cfg, consts):
-    payload = {
-        "c1": consts.c1, "c2": consts.c2, "c3": consts.c3,
-        "c4": consts.c4, "c5": consts.c5, "c_hat": consts.c_hat,
-        "K": None if consts.degenerate else consts.K,
-        "T": None if consts.degenerate else consts.T,
-        "degenerate": consts.degenerate,
-        "c2_variant": consts.c2_variant,
-        "gamma_max": lyapunov.gamma_max(cfg.gains.beta, cfg.gains.mu)
-        if 0 < cfg.gains.mu < 1 else None,
-    }
+    payload = dataclasses.asdict(consts)  # a degenerate K and T are NaN, written as null
+    payload["gamma_max"] = (lyapunov.gamma_max(cfg.gains.beta, cfg.gains.mu)
+                            if 0 < cfg.gains.mu < 1 else None)
     if not consts.degenerate:
         alpha = cfg.effective_alpha(consts)
         payload["alpha"] = alpha
@@ -141,19 +137,6 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _decrement_payload(report):
-    return {
-        "z": report.z,
-        "resamples": report.resamples,
-        "passed": report.all_pass,
-        "probes": [{
-            "label": p.label, "noise_kind": p.noise_kind, "V_k": p.V_k,
-            "mean_V_next": p.mean_V_next, "stderr": p.stderr, "bound": p.bound,
-            "passed": p.passed, "strictly_decreasing": p.strictly_decreasing,
-        } for p in report.probes],
-    }
-
-
 def cmd_verify(args):
     cfg = _load_config(args)
     consts = cfg.constants()
@@ -168,13 +151,8 @@ def cmd_verify(args):
         streams["bound"] = verify.BoundednessStream(consts)
     if "rate" in checks:
         streams["rate"] = verify.RateStream(cfg.effective_alpha(consts), consts)
-    harvest = None
-    if "decrement" in checks and streams:
-        # trial 0 of the ensemble is the decrement probe's one-wide harvest
-        # run, row for row, when the ensemble runs at least as long
-        harvest = verify.Harvest(cfg)
-        if harvest.horizon > cfg.horizon:
-            harvest = None
+    # trial 0 of the ensemble is the decrement probe's one-wide harvest run
+    harvest = verify.Harvest(cfg) if "decrement" in checks else None
     if streams:
         for V in verify.ensemble_blocks(cfg, harvest=harvest):
             for stream in streams.values():
@@ -183,7 +161,7 @@ def cmd_verify(args):
     results = {}
     if "decrement" in checks:
         report = verify.decrement_report(cfg, consts, harvest=harvest)
-        results["decrement"] = _decrement_payload(report)
+        results["decrement"] = {**dataclasses.asdict(report), "passed": report.all_pass}
     if "bound" in streams:
         summary = streams["bound"].result()
         results["bound"] = {
@@ -226,8 +204,7 @@ def cmd_constants(args):
     cfg = load_config(args.config)
     consts = cfg.constants()
     payload = _constants_payload(cfg, consts)
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
-    print(text)
+    print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "constants.json"), payload)
@@ -279,6 +256,13 @@ def main(argv=None):
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
+    except OSError as exc:
+        # load_config raises ConfigError for the config, so this is from --out
+        print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

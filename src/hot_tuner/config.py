@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -56,6 +57,8 @@ def _check_vector(v, dim, name):
     if (not isinstance(v, list) or len(v) != dim
             or not all(_is_number(x) for x in v)):
         raise ConfigError(name, f"expected a finite numeric vector of length {dim}")
+    if not math.isfinite(sum(float(x) * float(x) for x in v)):
+        raise ConfigError(name, "its squared norm overflows a float")
     return np.asarray(v, dtype=float)
 
 
@@ -198,13 +201,17 @@ class RunConfig:
             raise ConfigError(f"gains.{exc.field}", str(exc)) from exc
 
         regressor = _build_regressor(_require(d, "regressor", dict, ""), dim)
-        noise = _build_noise(_require(d, "noise", dict, ""))
+        try:  # a huge parameter's ** raises OverflowError
+            noise = _build_noise(_require(d, "noise", dict, ""))
+            noise_d_max, noise_sigma_max = noise.d_max, noise.sigma_max
+        except OverflowError as exc:
+            raise ConfigError("noise", "the second moment overflows a float") from exc
 
-        d_max = _number(d, "d_max", "", noise.d_max)
-        sigma_max = _number(d, "sigma_max", "", noise.sigma_max)
-        if d_max < noise.d_max - 1e-12:
+        d_max = _number(d, "d_max", "", noise_d_max)
+        sigma_max = _number(d, "sigma_max", "", noise_sigma_max)
+        if d_max < noise_d_max - 1e-12:
             raise ConfigError("d_max", "smaller than the noise kind's analytic bound")
-        if sigma_max < noise.sigma_max - 1e-12:
+        if sigma_max < noise_sigma_max - 1e-12:
             raise ConfigError("sigma_max", "smaller than the noise kind's analytic bound")
 
         horizon = _number(d, "horizon", "", integer=True)
@@ -239,15 +246,19 @@ class RunConfig:
                           vartheta=self.vartheta0.copy(), step=0)
 
     def constants(self):
-        return lyapunov.constants(self.gains, self.d_max, self.sigma_max,
-                                  self.true_model.theta_star,
-                                  c2_variant=self.c2_variant)
+        """The decrement-bound constants; a ConfigError if they overflow a float."""
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return lyapunov.constants(self.gains, self.d_max, self.sigma_max,
+                                          self.true_model.theta_star, self.c2_variant)
+        except ArithmeticError as exc:  # an overflow, or c1 so small that c1**2 is 0
+            raise ConfigError("(constants)", "they overflow a float for these gains, "
+                              "theta_star, theta0, d_max and sigma_max") from exc
 
-    def effective_alpha(self, consts=None):
-        """alpha from the config, defaulting to c1/2."""
+    def effective_alpha(self, consts):
+        """alpha from the config, defaulting to c1/2 of the given constants."""
         if self.alpha is not None:
             return self.alpha
-        consts = consts or self.constants()
         if consts.degenerate:
             raise ConfigError("alpha", "no default alpha for degenerate constants")
         return consts.c1 / 2.0

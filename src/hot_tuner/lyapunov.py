@@ -78,7 +78,8 @@ class LyapunovConstants:
 
 
 def constants(gains, d_max, sigma_max, theta_star, c2_variant="theorem"):
-    """All decrement-bound constants for the given gains and noise bounds.
+    """All decrement-bound constants for the given gains and noise bounds;
+    OverflowError if one is not a finite float (K and T excepted when degenerate).
 
     c2_variant "theorem" uses the stated coefficient (19609/6144) d_max;
     "appendix" uses (19609/1536) d_max sqrt(gamma), which the two agree on
@@ -119,6 +120,9 @@ def constants(gains, d_max, sigma_max, theta_star, c2_variant="theorem"):
     else:
         K = T = float("nan")
         degenerate = True
+    # c1 is finite, c_hat = c3 + c4 + c5 >= 0, and T is finite only if K is
+    if not math.isfinite(c2 + c_hat + (0.0 if degenerate else T)):
+        raise OverflowError("the decrement-bound constants overflow a float")
 
     return LyapunovConstants(
         c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c_hat=c_hat, K=K, T=T,
@@ -146,5 +150,8 @@ def theorem4_radius(alpha, consts):
         raise DegenerateConstantsError("radius undefined for degenerate constants")
     if not 0.0 < alpha < consts.c1:
         raise InvalidAlphaError(f"alpha must lie in (0, c1={consts.c1}); got {alpha}")
-    first = consts.c2 ** 2 / (alpha - consts.c1) ** 2
-    return max(first, consts.c_hat / alpha)
+    gap = (alpha - consts.c1) ** 2  # 0.0 if it underflows
+    radius = max(consts.c2 ** 2 / gap, consts.c_hat / alpha) if gap else math.inf
+    if not math.isfinite(radius):
+        raise InvalidAlphaError(f"alpha={alpha} is so near 0 or c1 that the radius overflows")
+    return radius

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 
 class ConfigurationError(ValueError):
@@ -301,14 +301,16 @@ class BiasedGaussianTruncated(_ConstantMean):
     truncation: float = 3.0
 
     def __post_init__(self):
-        if self.sd < 0 or self.truncation <= 0:
+        t = self.truncation
+        if self.sd < 0 or t <= 0:
             raise ConfigurationError("sd must be >= 0 and truncation > 0")
-        var_factor = stats.truncnorm.var(-self.truncation, self.truncation)
-        object.__setattr__(self, "_trunc_var", float(var_factor) * self.sd ** 2)
-        lo = special.ndtr(-self.truncation)
-        hi = special.ndtr(self.truncation)
+        lo = special.ndtr(-t)
         object.__setattr__(self, "_cdf_lo", float(lo))
-        object.__setattr__(self, "_cdf_span", float(hi - lo))
+        object.__setattr__(self, "_cdf_span", float(special.ndtr(t) - lo))
+        # a standard normal truncated to [-t, t] has variance 1 - 2 t pdf(t) / _cdf_span
+        pdf = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+        var = 1.0 - 2.0 * t * (pdf / self._cdf_span)
+        object.__setattr__(self, "_trunc_var", var * self.sd ** 2)
 
     @property
     def d_max(self):
@@ -375,13 +377,12 @@ class StateDependentBias:
     def sigma_max(self):
         return math.sqrt(self.d_amplitude ** 2 + self.sd ** 2)
 
-    def conditional_mean(self, theta=None, vartheta=None):
-        if theta is None or vartheta is None:
-            raise ValueError("state-dependent noise needs the current (theta, vartheta)")
-        d = np.asarray(theta) - np.asarray(vartheta)
-        sq = d * d
-        gap = np.sqrt(_sum_rows(np.moveaxis(sq, -1, 0)))
-        return self.d_amplitude * np.tanh(gap)
+    def conditional_mean(self, theta, vartheta):
+        """state_mean at states whose last axis holds the N components."""
+        theta, vartheta = np.broadcast_arrays(theta, vartheta)
+        n, lead = theta.shape[-1], theta.shape[:-1]
+        theta, vartheta = (np.moveaxis(x, -1, 0).reshape(n, -1) for x in (theta, vartheta))
+        return self.state_mean(n, theta.shape[1])(theta, vartheta).reshape(lead)
 
     def state_mean(self, n, width):
         """conditional_mean of (n, width) component-major states, as a function

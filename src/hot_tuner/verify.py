@@ -38,7 +38,9 @@ from .lyapunov import clipped_V, lyapunov_value_arrays, theorem4_radius
 from .model import _sum_rows, _sum_squares
 from .tuner import NonFiniteError, TunerState, _hot_update, gd_step
 
-DEFAULT_Z = 4.0
+Z = 4.0  # standard errors of slack in the decrement and rate tests
+BOUND_MARGIN = 5.0  # the boundedness threshold, in units of max(V0, T)
+N_HARVEST = 50  # trajectory states the decrement probe starts from
 
 # Steps per kernel chunk.  At 200 trials the chunk buffers take a few MB.
 CHUNK_STEPS = 256
@@ -366,18 +368,17 @@ def state_on_sphere(v, theta_star, gamma, rng):
 class Harvest:
     """Labelled states of trial 0 at the trace rows the decrement probe starts from.
 
-    The rows are n_harvest evenly spaced rows, 0 to `horizon`, of the
+    The rows are N_HARVEST evenly spaced rows, 0 to `horizon`, of the
     trajectory with seed cfg.trial_seed(0) from the config's initial state,
-    where horizon = max(n_harvest, min(cfg.horizon, 2000)).  `add` takes
-    them from the kernel blocks of any run whose trial 0 is that trajectory
-    and that reaches `horizon`, such as the checks' ensemble; `run` makes
-    the one-wide run itself.
+    where horizon = max(N_HARVEST, min(cfg.horizon, 2000)).  `add` takes
+    them from the kernel blocks of any run whose trial 0 is that trajectory,
+    such as the checks' ensemble; `run` makes the one-wide run itself.
     """
 
-    def __init__(self, cfg, n_harvest=50):
+    def __init__(self, cfg):
         self.cfg = cfg
-        self.horizon = max(n_harvest, min(cfg.horizon, 2000))
-        self.rows = np.linspace(0, self.horizon, n_harvest, dtype=int)
+        self.horizon = max(N_HARVEST, min(cfg.horizon, 2000))
+        self.rows = np.linspace(0, self.horizon, N_HARVEST, dtype=int)
         self.states = []
 
     def add(self, blk):
@@ -394,11 +395,11 @@ class Harvest:
         return self
 
 
-def probe_states(cfg, consts, n_harvest=50, harvest=None):
+def probe_states(cfg, consts, harvest=None):
     """Labelled probe states: V-spheres {0.1K, K, T, 10T} plus harvested ones.
 
-    The harvested states come from `harvest` if it is given, or else from a
-    one-wide run of Harvest(cfg, n_harvest).
+    The harvested states come from `harvest` if the run that fed it reached
+    every harvest row, or else from a one-wide run of Harvest(cfg).
     """
     rng = np.random.default_rng([cfg.base_seed, 0, 0x9E37])
     ts = cfg.true_model.theta_star
@@ -409,11 +410,9 @@ def probe_states(cfg, consts, n_harvest=50, harvest=None):
                          ("T", consts.T), ("10T", 10.0 * consts.T)):
             if v > 0:
                 probes.append((label, state_on_sphere(v, ts, gamma, rng)))
-    if harvest is None and n_harvest > 0:
-        harvest = Harvest(cfg, n_harvest).run()
-    if harvest is not None:
-        probes += harvest.states
-    return probes
+    if harvest is None or len(harvest.states) < len(harvest.rows):
+        harvest = Harvest(cfg).run()
+    return probes + harvest.states
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +442,7 @@ class DecrementReport:
         return all(p.passed for p in self.probes)
 
 
-def conditional_decrement_probe(state, phi, cfg, consts, M, rng, noise=None,
-                                z=DEFAULT_Z, label=""):
+def conditional_decrement_probe(state, phi, cfg, consts, M, rng, noise=None, label=""):
     """Empirical E[V_{k+1} | F_k] against V_k - c1 V_k + c2 sqrt(V_k) + c_hat."""
     if M < 100:
         raise ValueError("need at least 100 resamples")
@@ -466,30 +464,29 @@ def conditional_decrement_probe(state, phi, cfg, consts, M, rng, noise=None,
     return DecrementProbe(
         label=label, noise_kind=type(noise).__name__, V_k=v_k,
         mean_V_next=mean, stderr=stderr, bound=bound,
-        passed=mean <= bound + z * stderr,
-        strictly_decreasing=(mean - v_k) < z * stderr)
+        passed=mean <= bound + Z * stderr,
+        strictly_decreasing=(mean - v_k) < Z * stderr)
 
 
-def decrement_report(cfg, consts=None, M=None, z=DEFAULT_Z, noises=None,
-                     n_harvest=50, harvest=None):
+def decrement_report(cfg, consts=None, M=None, noises=None, harvest=None):
     """Run the decrement probe over sphere and harvested states.
 
     `noises` defaults to the configured noise kind; pass several kinds to
-    sweep them all against the same (d_max, sigma_max) constants.  A filled
-    Harvest passed as `harvest` saves the one-wide harvest run.
+    sweep them all against the same (d_max, sigma_max) constants.  A
+    Harvest fed every harvest row saves the one-wide harvest run.
     """
     consts = cfg.constants() if consts is None else consts
     M = cfg.resamples if M is None else M
     noises = [cfg.noise] if noises is None else noises
-    states = probe_states(cfg, consts, n_harvest=n_harvest, harvest=harvest)
+    states = probe_states(cfg, consts, harvest)
     rng = np.random.default_rng([cfg.base_seed, 0, 0xDEC])
     phi = cfg.regressor.generate_batch(0, 1, [cfg.trial_seed(0)])[0, :, 0]
     probes = []
     for noise in noises:
         for label, state in states:
             probes.append(conditional_decrement_probe(
-                state, phi, cfg, consts, M, rng, noise=noise, z=z, label=label))
-    return DecrementReport(probes=probes, z=z, resamples=M)
+                state, phi, cfg, consts, M, rng, noise=noise, label=label))
+    return DecrementReport(probes=probes, z=Z, resamples=M)
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +524,10 @@ class BoundednessStream:
     split.  Memory is O(trials).
     """
 
-    def __init__(self, consts, margin=5.0):
+    def __init__(self, consts):
         if consts.degenerate:
             raise ValueError("boundedness check needs non-degenerate constants")
         self.T = consts.T
-        self.margin = margin
         self.steps = 0
         self.n_above = 0
         self.sup, self.last_below, self.last_above = -np.inf, -1, -1
@@ -547,7 +543,7 @@ class BoundednessStream:
         self.steps += V.shape[1]
 
     def result(self):
-        threshold = max(self.v0, self.T) * self.margin
+        threshold = max(self.v0, self.T) * BOUND_MARGIN
         # the last excursion above T must be followed by a return to {V <= T}
         reenter = (self.last_above < 0) | (self.last_below > self.last_above)
         return BoundednessSummary(
@@ -557,15 +553,15 @@ class BoundednessStream:
             last_entry_time=self.last_below,
             all_finite=bool(np.all(np.isfinite(self.sup))),
             all_within_threshold=bool(np.all(self.sup <= threshold)),
-            all_reenter=bool(np.all(reenter)), margin=self.margin)
+            all_reenter=bool(np.all(reenter)), margin=BOUND_MARGIN)
 
 
-def boundedness_check(V, consts, margin=5.0):
+def boundedness_check(V, consts):
     """Theorem-3 proxy on a (trials, steps) V matrix: finite sup V, sup below
-    max(V0, T)*margin, re-entry."""
+    max(V0, T) * BOUND_MARGIN, re-entry."""
     if V.size == 0:
         raise ValueError("empty ensemble")
-    stream = BoundednessStream(consts, margin)
+    stream = BoundednessStream(consts)
     stream.add(V)
     return stream.result()
 
@@ -611,10 +607,9 @@ class RateStream:
     np.mean/np.std(ddof=1) compute them; memory is O(trials * block + horizon).
     """
 
-    def __init__(self, alpha, consts, z=DEFAULT_Z):
+    def __init__(self, alpha, consts):
         self.clip_radius = theorem4_radius(alpha, consts)  # raises InvalidAlphaError
         self.alpha = alpha
-        self.z = z
         self.means = []
         self.stderrs = []
 
@@ -638,17 +633,17 @@ class RateStream:
         mean = np.concatenate(self.means)
         stderr = np.concatenate(self.stderrs)
         envelope = (1.0 - self.alpha) ** np.arange(mean.size) * self.vhat0
-        ok = mean <= envelope + self.z * stderr
+        ok = mean <= envelope + Z * stderr
         return RateReport(alpha=self.alpha, clip_radius=self.clip_radius,
                           mean_Vhat=mean, stderr_Vhat=stderr, envelope=envelope,
-                          pass_per_step=ok, z=self.z)
+                          pass_per_step=ok, z=Z)
 
 
-def rate_check(V, alpha, consts, z=DEFAULT_Z):
+def rate_check(V, alpha, consts):
     """Ensemble mean of V-hat (clipped at the Theorem-4 radius) over a
     (trials, steps) V matrix against the supermartingale envelope
     (1-alpha)^k * Vhat_0."""
-    stream = RateStream(alpha, consts, z)
+    stream = RateStream(alpha, consts)
     stream.add(V)
     return stream.result()
 

@@ -55,8 +55,7 @@ def decrement(cfg, consts):
     for noise in noise_kinds():
         assert noise.d_max <= cfg.d_max + 1e-12
         assert noise.sigma_max <= cfg.sigma_max + 1e-12
-    return verify.decrement_report(cfg, consts, M=10_000, z=Z,
-                                   noises=noise_kinds(), n_harvest=50)
+    return verify.decrement_report(cfg, consts, M=10_000, noises=noise_kinds())
 
 
 def test_criterion_1_decrement_bound(decrement):
@@ -73,7 +72,7 @@ def test_criterion_2_strict_decrease_outside_D(decrement, consts):
 
 def test_criterion_3_boundedness(cfg, consts):
     ens = verify.run_ensemble(cfg, n_trials=200, horizon=50_000)
-    summary = verify.boundedness_check(ens.V, consts, margin=5.0)
+    summary = verify.boundedness_check(ens.V, consts)
     _report("3 boundedness (200 trials, horizon 5e4)", summary.passed)
 
 
@@ -84,7 +83,7 @@ def test_criterion_4_exponential_rate(cfg, consts):
                                   cfg.gains.gamma,
                                   np.random.default_rng(cfg.base_seed))
     ens = verify.run_ensemble(cfg, n_trials=200, horizon=5000, initial=init)
-    report = verify.rate_check(ens.V, alpha, consts, z=Z)
+    report = verify.rate_check(ens.V, alpha, consts)
     _report("4 exponential rate envelope", report.passed)
 
 

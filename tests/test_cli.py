@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from hot_tuner import __version__
+import hot_tuner
+from hot_tuner import __version__, lyapunov
 from hot_tuner.cli import _jsonable, _write_trace_csv, main
 from hot_tuner.config import load_config
 from hot_tuner import verify
@@ -223,6 +226,19 @@ class TestMalformedNumbers:
         ("gains.mu", dict(gains={"gamma": 0.04, "beta": 0.5, "mu": 1.5})),
         ("gains.mu", dict(mode="unrestricted", gains={"gamma": 0.04, "beta": 0.5, "mu": 1.0})),
         ("gains.gamma", dict(gains={"gamma": 0.05, "beta": 0.5, "mu": 0.1})),  # > gamma_max
+        # finite inputs whose derived bounds or constants overflow a float
+        ("noise", dict(noise={"kind": "uniform_biased", "center": 0.0, "halfwidth": 1e200})),
+        ("noise", dict(noise={"kind": "biased_gaussian", "bias": 0.0, "sd": 1e200})),
+        ("regressor.amplitude", dict(regressor={"kind": "sinusoid", "amplitude": [1e200, 1e200],
+                                      "omega": 0.5})),
+        ("theta_star", dict(theta_star=[1e300, 0.0])),
+        ("(constants)", dict(d_max=1e300)),
+        ("(constants)", dict(theta_star=[1e154, 0.0])),  # c3 alone overflows
+        ("(constants)", dict(theta_star=[1.3e154, 0.0], theta0=[-1.3e154, 0.0])),
+        ("(constants)", dict(gains={"gamma": 1e-300, "beta": 0.5, "mu": 0.1})),  # c1**2 == 0
+        ("alpha", dict(gains={"gamma": 1e-148, "beta": 0.5, "mu": 0.1}, noise={"kind": "zero"},
+                       d_max=0.0, sigma_max=0.0,
+                       alpha=(10.0 / 16.0) * 0.1 * 1e-148 * 0.5 * (1.0 - 1e-13))),
     ])
     def test_usage_error_names_field(self, tmp_path, capsys, field, overrides):
         cfg_path = write_config(tmp_path, small_dict(**overrides))
@@ -290,6 +306,35 @@ class TestConstantsCommand:
         out = str(tmp_path / "c")
         assert main(["constants", cfg_path, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "constants.json"))
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", [
+        ["constants"], ["simulate"], ["verify", "--check", "decrement"],
+    ], ids=["constants", "simulate", "verify-decrement"])
+    def test_out_that_cannot_be_created_exits_2(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, small_dict())
+        existing = tmp_path / "a-file"
+        existing.write_text("")
+        assert main([command[0], cfg_path, *command[1:], "--out", str(existing)]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {existing}" in err and "Traceback" not in err
+
+    def test_unexpected_exception_exits_4_on_one_line(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("first line\nsecond line")
+        monkeypatch.setattr(lyapunov, "constants", broken)
+        assert main(["constants", write_config(tmp_path, small_dict())]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal error: RuntimeError") and err.count("\n") == 1
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        src = os.path.dirname(os.path.dirname(hot_tuner.__file__))
+        code = "import sys, hot_tuner.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True).stdout
+        assert out == "False\n"
 
 
 class TestThreadCap:

@@ -162,6 +162,25 @@ class TestNoise:
         stderr = x.std(ddof=1) / np.sqrt(x.size)
         assert abs(x.mean() + 0.2) <= 5 * stderr
 
+    def test_truncated_variance_is_scipys(self):
+        from scipy import stats  # the reference; the package itself does not import it
+        unit = BiasedGaussianTruncated(bias=0.0, sd=1.0)
+        assert unit._trunc_var == stats.truncnorm.var(-3.0, 3.0)
+        for t in np.linspace(0.1, 40.0, 400):
+            got = BiasedGaussianTruncated(bias=0.0, sd=1.0, truncation=float(t))._trunc_var
+            assert got == pytest.approx(stats.truncnorm.var(-t, t), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+    def test_state_dependent_mean_folds_left(self, n):
+        noise = StateDependentBias(d_amplitude=0.3, sd=0.1)
+        rng = np.random.default_rng(n)
+        theta = 10.0 * rng.standard_normal((200, n))
+        vartheta = rng.standard_normal((200, n))
+        d = theta - vartheta
+        expect = 0.3 * np.tanh(np.sqrt(functools.reduce(np.add, (d * d).T)))
+        assert np.array_equal(noise.conditional_mean(theta, vartheta), expect)
+        assert noise.conditional_mean(theta[7], vartheta[7]) == expect[7]
+
     def test_state_dependent_bias_tracks_state(self):
         noise = StateDependentBias(d_amplitude=0.1, sd=0.45)
         near = TunerState(theta=[1.0], vartheta=[1.0])

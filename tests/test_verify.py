@@ -288,10 +288,10 @@ class TestProbeStates:
 
     def test_labels_cover_spheres_and_harvest(self, small_config):
         consts = small_config.constants()
-        probes = verify.probe_states(small_config, consts, n_harvest=10)
+        probes = verify.probe_states(small_config, consts)
         labels = [l for l, _ in probes]
         assert {"0.1K", "K", "T", "10T"}.issubset(labels)
-        assert sum(l.startswith("traj") for l in labels) == 10
+        assert sum(l.startswith("traj") for l in labels) == verify.N_HARVEST
 
 
 class TestHarvest:
@@ -346,7 +346,7 @@ class TestDecrement:
         cfg = small_config
         noises = [Zero(), cfg.noise, UniformBiased(center=-0.08, halfwidth=0.3),
                   StateDependentBias(d_amplitude=0.1, sd=0.45)]
-        report = verify.decrement_report(cfg, M=500, noises=noises, n_harvest=5)
+        report = verify.decrement_report(cfg, M=500, noises=noises)
         kinds = {p.noise_kind for p in report.probes}
         assert len(kinds) == 4
         assert report.all_pass
