@@ -204,10 +204,10 @@ def cmd_constants(args):
     cfg = load_config(args.config)
     consts = cfg.constants()
     payload = _constants_payload(cfg, consts)
-    print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
-    if args.out:
+    if args.out:  # written first: a failed --out leaves stdout empty
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "constants.json"), payload)
+    print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
     return EXIT_OK
 
 

@@ -2,8 +2,8 @@
 
 All operations broadcast over leading axes: theta may be (N,), (trials, N) or
 (M, N) against a shared phi.  hot_step is the reference definition of the
-update, which the lockstep kernel in `verify` reproduces bitwise for fewer
-than 8 components; _hot_update also drives the frozen-state resampling probes.
+update; the one step that verify's lockstep kernel and decrement probes run
+reproduces it bitwise for fewer than 8 components.
 """
 from __future__ import annotations
 
@@ -107,24 +107,18 @@ def regularized_gradient(theta, phi, y, gains):
     return g + gains.mu * (np.asarray(theta) - gains.theta0)
 
 
-def _hot_update(theta, vartheta, phi, y, gains):
-    """One tuner update on raw arrays; returns (theta_next, vartheta_next).
+def hot_step(state, phi, y, gains):
+    """Advance the tuner one observation; raises NonFiniteError on blow-up.
 
     Both gradients use the same (phi_k, y_{k+1}); the second is evaluated at
     theta_{k+1}, not at the intermediate point.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        g1 = regularized_gradient(theta, phi, y, gains)
-        theta_bar = theta - gains.gamma * gains.beta * g1
-        theta_next = theta_bar - gains.beta * (theta_bar - vartheta)
+        g1 = regularized_gradient(state.theta, phi, y, gains)
+        theta_bar = state.theta - gains.gamma * gains.beta * g1
+        theta_next = theta_bar - gains.beta * (theta_bar - state.vartheta)
         g2 = regularized_gradient(theta_next, phi, y, gains)
-        vartheta_next = vartheta - gains.gamma * g2
-    return theta_next, vartheta_next
-
-
-def hot_step(state, phi, y, gains):
-    """Advance the tuner one observation; raises NonFiniteError on blow-up."""
-    theta_next, vartheta_next = _hot_update(state.theta, state.vartheta, phi, y, gains)
+        vartheta_next = state.vartheta - gains.gamma * g2
     if not (np.all(np.isfinite(theta_next)) and np.all(np.isfinite(vartheta_next))):
         raise NonFiniteError(state.step)
     return TunerState(theta=theta_next, vartheta=vartheta_next, step=state.step + 1)

@@ -1,31 +1,22 @@
 """Trajectory runners and the stochastic stability checks.
 
-Conditional expectations are estimated by frozen-state resampling: freeze
-(theta_k, vartheta_k, phi_k), draw many independent noise samples conditioned
-on that history, advance one step per sample, and average.
+Every HOT update here is a step of _hot_stepper on component-major
+(N, width) buffers, whose sums over the N components fold left.  Every
+multi-step run -- traces, ensembles, simulate and the HOT half of
+compare_baseline -- goes through one lockstep kernel that advances every
+trial CHUNK_STEPS steps at a time, laid out (steps, N, trials).  Per chunk
+it does the work that does not depend on the state: every trial's
+innovations and regressors from its own seed, phi . theta*, the
+normalisations, V, the finite check, and every eta and y if the
+conditional mean is a constant.  Per step it makes only the update's ufunc
+calls, and a state-dependent mean's.
 
-Every multi-step HOT run -- traces, ensembles, the simulate command and the
-HOT half of compare_baseline -- goes through one lockstep kernel that
-advances every trial CHUNK_STEPS steps at a time.  Per chunk it draws each
-trial's innovations from that trial's own generator and builds every trial's
-regressors in one call, so a trial's streams do not depend on the chunk size
-or on the ensemble width.  A chunk's states, regressors, normalisations and V
-are laid out component-major, (steps, N, trials): every sum over the N
-components is a left fold of N contiguous (steps, trials) slabs rather than a
-reduction along a short or strided axis.
-
-Per chunk the kernel does all the work that does not depend on the state:
-innovations, regressor rows, phi . theta*, the normalisations, a shared
-regressor broadcast to full width, V and the finite check, and for a noise
-kind whose conditional mean is a constant, every eta and y.  Per step it
-makes only the update's ufunc calls (and a state-dependent mean's), on
-(N, trials) buffers it owns.
-
-The boundedness and rate checks are running reductions fed chunk by chunk,
-so `verify` never holds the (trials, horizon) V matrix: its memory is
-O(trials * CHUNK_STEPS + horizon).  `verify --check all` makes one kernel
-pass: a Harvest takes the decrement probe's trajectory states from trial 0
-of the checks' ensemble, which is bitwise the one-wide run.
+The decrement check estimates E[V_{k+1} | F_k] by frozen-state resampling:
+M noise draws given the history, as the columns of (N, M) buffers that one
+kernel step advances.  The boundedness and rate checks are running
+reductions fed chunk by chunk: memory is O(trials * CHUNK_STEPS + horizon).
+`verify --check all` makes one kernel pass, from whose trial 0 a Harvest
+takes the decrement probe's trajectory states.
 """
 from __future__ import annotations
 
@@ -36,7 +27,7 @@ import numpy as np
 
 from .lyapunov import clipped_V, lyapunov_value_arrays, theorem4_radius
 from .model import _sum_rows, _sum_squares
-from .tuner import NonFiniteError, TunerState, _hot_update, gd_step
+from .tuner import NonFiniteError, TunerState, gd_step
 
 Z = 4.0  # standard errors of slack in the decrement and rate tests
 BOUND_MARGIN = 5.0  # the boundedness threshold, in units of max(V0, T)
@@ -68,40 +59,73 @@ class _Block:
     phi: np.ndarray       # (observations, N, trials), trials == 1 if shared
 
 
+def _hot_stepper(gains, n, width):
+    """(carry, step) for the HOT update of (n, width) component-major states.
+
+    step(th, vt, p, norm, y_j, th_out, vt_out) writes the update into
+    (th_out, vt_out), which may be (th, vt); norm is 1 + |p|^2 per row, and
+    carry(theta) seeds the leakage term mu * (theta - theta0) that each step
+    hands to the next.  It is hot_step's arithmetic with every sum over the
+    N rows folded left, numpy's order for fewer than 8 contiguous terms.
+    Scalars are 0-d arrays and p and norm come at full width: per call, a
+    Python float or a broadcast operand costs more than the arithmetic on a
+    few hundred columns.  Call it under np.errstate(over="ignore", invalid="ignore").
+    """
+    gamma_beta, beta, gamma, mu = (np.array(x) for x in (
+        gains.gamma * gains.beta, gains.beta, gains.gamma, gains.mu))
+    theta0 = np.tile(gains.theta0[:, None], (1, width))
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    err = np.empty(width)
+    a, b = np.empty((2, n, width))  # b: the leakage carry
+    a_rows = tuple(a)
+
+    def carry(theta):
+        multiply(mu, subtract(theta, theta0, b), b)
+
+    def residual(x, p, norm, y_j):
+        """a = p * (x . p - y_j) / norm, the normalised loss gradient at x."""
+        multiply(x, p, a)
+        subtract(_sum_rows(a_rows, err), y_j, err)
+        multiply(p, err, a)
+        return divide(a, norm, a)
+
+    def step(th, vt, p, norm, y_j, th_out, vt_out):
+        # theta_bar = th - gamma*beta * regularized_gradient(th)
+        add(residual(th, p, norm, y_j), b, a)
+        multiply(gamma_beta, a, a)
+        subtract(th, a, a)
+        # theta_next = theta_bar - beta * (theta_bar - vt)
+        subtract(a, vt, b)
+        multiply(beta, b, b)
+        th_next = subtract(a, b, th_out)
+        # vartheta_next = vt - gamma * regularized_gradient(theta_next)
+        residual(th_next, p, norm, y_j)
+        subtract(th_next, theta0, b)
+        multiply(mu, b, b)
+        add(a, b, a)
+        multiply(gamma, a, a)
+        subtract(vt, a, vt_out)
+
+    return carry, step
+
+
 def _lockstep(cfg, seeds, horizon, initial):
     """Advance one trial per seed through `horizon` observations in lockstep.
 
     The trial with seed s draws its innovations from default_rng(s) and its
-    regressors with seed s.  Each step repeats _hot_update's arithmetic on
-    (N, trials) arrays, so a per-trial dot product is a sum of N rows.  Apart
-    from phi . theta*, which rounds as np.dot does, every sum over the N
-    components folds left to right: that is the order numpy sums fewer than
-    8 contiguous terms in, so for N < 8 the kernel is bitwise a hot_step
-    loop, and at any N a trial's values do not depend on the ensemble width.
-    Yields _Blocks that cover trace rows 0..horizon in order; raises
-    NonFiniteError naming the first step whose update is not finite.
-
-    The state-free work is done per chunk, as the module docstring says.
-    Both regularized gradients take their normalised loss gradient from one
-    helper, `residual`, whose dot product is model._sum_rows over the N rows.
-    The step calls ufuncs bound to local names, with `out` by position, on
-    the kernel's own (N, trials) buffers, with scalars held as 0-d arrays
-    and phi and the normalisation at full width: per call, a Python float or
-    a broadcast operand costs more than the arithmetic on a few hundred
-    trials.  Only the per-trial error x . phi - y is broadcast over the N rows.
+    regressors with seed s; phi . theta* rounds as np.dot does, so for N < 8
+    the kernel is bitwise a hot_step loop.  Yields _Blocks that cover trace
+    rows 0..horizon in order; raises NonFiniteError naming the first step
+    whose update is not finite.
     """
-    ts = cfg.true_model.theta_star
-    gains, noise, regressor = cfg.gains, cfg.noise, cfg.regressor
-    gamma_beta, beta, gamma, mu = (np.array(x) for x in (
-        gains.gamma * gains.beta, gains.beta, gains.gamma, gains.mu))
+    ts, noise, regressor = cfg.true_model.theta_star, cfg.noise, cfg.regressor
+    gamma = np.array(cfg.gains.gamma)
     n, width, size = ts.size, len(seeds), CHUNK_STEPS
-    theta0 = np.tile(gains.theta0[:, None], (1, width))
     rngs = [np.random.default_rng(s) for s in seeds]
     state_mean = noise.state_mean(n, width)  # None: a constant mean, added per chunk
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
 
-    theta = np.empty((size + 1, n, width))
-    vartheta = np.empty((size + 1, n, width))
+    theta, vartheta = np.empty((2, size + 1, n, width))
     theta[0] = np.asarray(initial.theta, dtype=float)[:, None]
     vartheta[0] = np.asarray(initial.vartheta, dtype=float)[:, None]
     u = np.empty((width, size))
@@ -119,20 +143,8 @@ def _lockstep(cfg, seeds, horizon, initial):
     slab = phi_t.reshape(-1, width)
     V_part = slab[:size]
     sq = slab[size:]
-    err = np.empty(width)
-    a = np.empty((n, width))
-    a_rows = tuple(a)
-    b = np.empty((n, width))
-    # b carries the leakage term mu * (theta_k - theta0) from one step to the
-    # next: the second gradient of step k-1 takes it at the same theta_k
-    multiply(mu, subtract(theta[0], theta0, b), b)
-
-    def residual(x, p, norm, y_j):
-        """a = p * (x . p - y_j) / norm, the normalised loss gradient at x."""
-        multiply(x, p, a)
-        subtract(_sum_rows(a_rows, err), y_j, err)
-        multiply(p, err, a)
-        return divide(a, norm, a)
+    carry, step = _hot_stepper(cfg.gains, n, width)
+    carry(theta[0])
 
     def sum_squares(acc, xs, x0s):
         """acc = sum over i of (xs[i] - x0s[i])**2, folded left as _sum_squares."""
@@ -145,12 +157,9 @@ def _lockstep(cfg, seeds, horizon, initial):
         return acc
 
     def v_rows(th, vt):
-        """V of (rows, N, trials) states, as a (trials, rows) view of the V buffer.
-
-        A huge but finite state overflows to V = inf, which the boundedness
-        check reports; it is not an error here.  A non-finite state gives a
-        non-finite V.
-        """
+        """V of (rows, N, trials) states, as a (trials, rows) view of the V
+        buffer.  A huge finite state overflows to V = inf, which the
+        boundedness check reports; a non-finite state gives a non-finite V."""
         rows = len(th)
         th, vt = th.transpose(1, 0, 2), vt.transpose(1, 0, 2)  # component slabs
         with np.errstate(over="ignore", invalid="ignore"):
@@ -184,25 +193,10 @@ def _lockstep(cfg, seeds, horizon, initial):
             p_rows = phi_full
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(m):
-                th, vt, p, norm, y_j = theta[j], vartheta[j], p_rows[j], norms[j], y[j]
+                th, vt, y_j = theta[j], vartheta[j], y[j]
                 if state_mean is not None:
-                    eta_j = add(state_mean(th, vt), eta[j], eta[j])
-                    add(y_j, eta_j, y_j)
-                # theta_bar = th - gamma*beta * regularized_gradient(th)
-                add(residual(th, p, norm, y_j), b, a)
-                multiply(gamma_beta, a, a)
-                subtract(th, a, a)
-                # theta_next = theta_bar - beta * (theta_bar - vt)
-                subtract(a, vt, b)
-                multiply(beta, b, b)
-                th_next = subtract(a, b, theta[j + 1])
-                # vartheta_next = vt - gamma * regularized_gradient(theta_next)
-                residual(th_next, p, norm, y_j)
-                subtract(th_next, theta0, b)
-                multiply(mu, b, b)
-                add(a, b, a)
-                multiply(gamma, a, a)
-                subtract(vt, a, vartheta[j + 1])
+                    add(y_j, add(state_mean(th, vt), eta[j], eta[j]), y_j)
+                step(th, vt, p_rows[j], norms[j], y_j, theta[j + 1], vartheta[j + 1])
         V_rows = v_rows(theta[:m], vartheta[:m])
         # V covers rows 0..m-1 and overflows for huge finite states too, so
         # it only tells when to look for the first non-finite row 1..m
@@ -442,30 +436,45 @@ class DecrementReport:
         return all(p.passed for p in self.probes)
 
 
-def conditional_decrement_probe(state, phi, cfg, consts, M, rng, noise=None, label=""):
-    """Empirical E[V_{k+1} | F_k] against V_k - c1 V_k + c2 sqrt(V_k) + c_hat."""
+def _prober(cfg, consts, phi, M):
+    """probe(state, rng, noise, label): the decrement probe at regressor phi,
+    whose M resamples each take the kernel's step from the frozen state as a
+    column of (N, M) buffers that the probes of one report share."""
     if M < 100:
         raise ValueError("need at least 100 resamples")
-    noise = cfg.noise if noise is None else noise
-    ts = cfg.true_model.theta_star
-    gains = cfg.gains
-    mean_eta = noise.conditional_mean(state.theta, state.vartheta)
-    eta = mean_eta + noise.innovation(rng.uniform(size=M))
-    y = float(phi @ ts) + eta
-    th, vt = _hot_update(state.theta, state.vartheta, phi, y, gains)
-    v_next = lyapunov_value_arrays(th, vt, ts, gains.gamma)
-    v_k = float(lyapunov_value_arrays(state.theta, state.vartheta, ts, gains.gamma))
-    mean = float(np.mean(v_next))
-    if M > 1 and np.ptp(v_next) > 0.0:
-        stderr = float(np.std(v_next, ddof=1) / math.sqrt(M))
-    else:
-        stderr = 0.0  # degenerate resampling (e.g. zero noise)
-    bound = v_k - consts.c1 * v_k + consts.c2 * math.sqrt(v_k) + consts.c_hat
-    return DecrementProbe(
-        label=label, noise_kind=type(noise).__name__, V_k=v_k,
-        mean_V_next=mean, stderr=stderr, bound=bound,
-        passed=mean <= bound + Z * stderr,
-        strictly_decreasing=(mean - v_k) < Z * stderr)
+    ts, gamma = cfg.true_model.theta_star, cfg.gains.gamma
+    y = float(phi @ ts)
+    p = np.tile(phi[:, None], (1, M))
+    norm = np.full_like(p, 1.0 + _sum_squares(phi[None])[0])
+    th, vt = np.empty((2,) + p.shape)
+    carry, step = _hot_stepper(cfg.gains, ts.size, M)
+
+    def probe(state, rng, noise, label):
+        noise = cfg.noise if noise is None else noise
+        mean_eta = noise.conditional_mean(state.theta, state.vartheta)
+        eta = mean_eta + noise.innovation(rng.uniform(size=M))
+        th[...], vt[...] = state.theta[:, None], state.vartheta[:, None]
+        carry(th)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step(th, vt, p, norm, y + eta, th, vt)
+        # (M, N) views of component-major buffers: V's sums fold left over the N slabs
+        v_next = lyapunov_value_arrays(th.T, vt.T, ts, gamma)
+        v_k = float(lyapunov_value_arrays(state.theta, state.vartheta, ts, gamma))
+        mean = float(np.mean(v_next))
+        # degenerate resampling (e.g. zero noise) has no spread to estimate
+        stderr = float(np.std(v_next, ddof=1) / math.sqrt(M)) if np.ptp(v_next) > 0.0 else 0.0
+        bound = v_k - consts.c1 * v_k + consts.c2 * math.sqrt(v_k) + consts.c_hat
+        return DecrementProbe(
+            label=label, noise_kind=type(noise).__name__, V_k=v_k,
+            mean_V_next=mean, stderr=stderr, bound=bound,
+            passed=mean <= bound + Z * stderr,
+            strictly_decreasing=(mean - v_k) < Z * stderr)
+    return probe
+
+
+def conditional_decrement_probe(state, phi, cfg, consts, M, rng, noise=None, label=""):
+    """Empirical E[V_{k+1} | F_k] against V_k - c1 V_k + c2 sqrt(V_k) + c_hat."""
+    return _prober(cfg, consts, phi, M)(state, rng, noise, label)
 
 
 def decrement_report(cfg, consts=None, M=None, noises=None, harvest=None):
@@ -481,11 +490,8 @@ def decrement_report(cfg, consts=None, M=None, noises=None, harvest=None):
     states = probe_states(cfg, consts, harvest)
     rng = np.random.default_rng([cfg.base_seed, 0, 0xDEC])
     phi = cfg.regressor.generate_batch(0, 1, [cfg.trial_seed(0)])[0, :, 0]
-    probes = []
-    for noise in noises:
-        for label, state in states:
-            probes.append(conditional_decrement_probe(
-                state, phi, cfg, consts, M, rng, noise=noise, label=label))
+    probe = _prober(cfg, consts, phi, M)
+    probes = [probe(state, rng, noise, label) for noise in noises for label, state in states]
     return DecrementReport(probes=probes, z=Z, resamples=M)
 
 

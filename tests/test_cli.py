@@ -320,6 +320,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"--out {existing}" in err and "Traceback" not in err
 
+    def test_constants_out_that_cannot_be_created_prints_nothing(self, tmp_path, capsys):
+        # the payload goes to stdout only once --out holds it
+        existing = tmp_path / "a-file"
+        existing.write_text("")
+        cfg_path = write_config(tmp_path, small_dict())
+        assert main(["constants", cfg_path, "--out", str(existing)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_unexpected_exception_exits_4_on_one_line(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("first line\nsecond line")

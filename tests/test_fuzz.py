@@ -1,4 +1,5 @@
-"""Fuzzed configs: every malformed input is a ConfigError and exit 2, never a crash."""
+"""Fuzzed configs: every malformed input is a ConfigError and exit 2, never a crash,
+and `verify` on a mutated config exits 0-3, never 4."""
 import contextlib
 import copy
 import functools
@@ -78,4 +79,21 @@ def test_constants_command_exits_0_or_2(mutations):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(["constants", path])
     assert rc in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(MUTATIONS)
+def test_verify_command_never_exits_4(mutations):
+    # small enough that the whole check runs: 3 trials x 60 steps, 100 resamples
+    d = mutate(reference_dict(), mutations)
+    d.update(horizon=60, ensemble=3, resamples=100)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(d, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["verify", path, "--check", "all", "--out", os.path.join(tmp, "out")])
+    assert rc in (0, 1, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()

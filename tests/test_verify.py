@@ -342,6 +342,35 @@ class TestDecrement:
                 cfg.initial_state(), np.zeros(2), cfg, cfg.constants(), 10,
                 np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+    def test_probe_resamples_take_the_kernel_step(self, n, monkeypatch):
+        # noise-free, every resample of every probe in a report (which share
+        # their buffers) is the kernel's first step from the frozen state,
+        # bit for bit at any N (np.sum's pairwise order from 8 terms on
+        # would round differently)
+        rng = np.random.default_rng(n)
+        cfg = RunConfig.from_dict(reference_dict(
+            dimension=n, theta_star=list(rng.uniform(-1.0, 1.0, n)),
+            theta0=list(rng.uniform(-0.3, 0.3, n)), horizon=60, ensemble=3,
+            resamples=100, **REGRESSORS["iid_bounded"], **NOISES["zero"]))
+        consts = cfg.constants()
+        captured = []
+
+        def capture(theta, vartheta, theta_star, gamma):
+            captured.append((theta.copy(), vartheta.copy()))
+            return lyapunov_value_arrays(theta, vartheta, theta_star, gamma)
+
+        monkeypatch.setattr(verify, "lyapunov_value_arrays", capture)
+        verify.decrement_report(cfg, consts)
+        states = verify.probe_states(cfg, consts)
+        assert len(captured) == 2 * len(states)
+        # each probe takes V_{k+1} of the resamples, then V_k of the state
+        for (label, state), (th, vt) in zip(states, captured[::2]):
+            trace = verify.run_trajectory(cfg, cfg.trial_seed(0), horizon=1, initial=state)
+            assert th.shape == vt.shape == (100, n)
+            assert np.array_equal(th, np.tile(trace.theta[1], (100, 1))), label
+            assert np.array_equal(vt, np.tile(trace.vartheta[1], (100, 1))), label
+
     def test_report_all_kinds(self, small_config):
         cfg = small_config
         noises = [Zero(), cfg.noise, UniformBiased(center=-0.08, halfwidth=0.3),
