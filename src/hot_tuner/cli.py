@@ -45,21 +45,21 @@ def _thread_count():
 
 
 def _jsonable(obj):
-    """Plain JSON values; NaN anywhere, in arrays and numpy scalars too, becomes null."""
+    """Plain JSON values; NaN and +-inf anywhere, numpy scalars and arrays too, become null."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return _jsonable(obj.tolist())
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and math.isnan(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2, allow_nan=True)
+        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -108,6 +108,8 @@ def cmd_simulate(args):
     traces = verify.run_trajectories(cfg, [cfg.trial_seed(t) for t in range(trials)])
     for t, trace in enumerate(traces):
         _write_trace_csv(os.path.join(args.out, f"trace_{t}.csv"), trace)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge finite state: inf
+        errors = [float(np.linalg.norm(t.theta[-1] - cfg.true_model.theta_star)) for t in traces]
 
     summary = {
         "version": __version__,
@@ -117,9 +119,7 @@ def cmd_simulate(args):
         "trials": trials,
         "constants": constants,
         "sup_V_per_trial": [float(np.max(t.V)) for t in traces],
-        "terminal_error_per_trial": [
-            float(np.linalg.norm(t.theta[-1] - cfg.true_model.theta_star))
-            for t in traces],
+        "terminal_error_per_trial": errors,
     }
     _write_json(os.path.join(args.out, "summary.json"), summary)
 

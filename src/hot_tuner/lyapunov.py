@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _sum_squares
+
 
 class DegenerateConstantsError(ValueError):
     """c1 = 0 (mu * gamma * beta = 0): the thresholds K and T are undefined."""
@@ -27,11 +29,14 @@ def lyapunov_value(state, theta_star, gamma):
 def lyapunov_value_arrays(theta, vartheta, theta_star, gamma):
     """V = (1/gamma) ||vartheta - theta*||^2 + (1/gamma) ||theta - vartheta||^2.
 
-    Broadcasts over leading axes of the state arrays.
+    Broadcasts over leading axes, the N components last; each norm folds
+    left over them (model._sum_squares) at every N.  The lockstep kernel,
+    the decrement probe and the library all compute V here.
     """
-    a = vartheta - theta_star
-    b = theta - vartheta
-    return (np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)) / gamma
+    v = _sum_squares(vartheta, theta_star)
+    v += _sum_squares(theta, vartheta)
+    v /= gamma
+    return v
 
 
 def gamma_max(beta, mu):

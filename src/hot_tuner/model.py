@@ -59,16 +59,23 @@ def _hash_uniform(words, ks, dim):
     return np.multiply(z, 1.0 / (1 << 53), out=t.view(np.float64))
 
 
-def _sum_squares(v):
-    """Sum over axis 1 of v * v, a left fold over the slabs v[:, i].
-
-    For fewer than 8 components that is the order np.sum takes along a
-    contiguous axis (from 8 on, np.sum adds pairwise), and unlike np.sum's
-    order it does not depend on the sizes of the other axes.
+def _sum_squares(x, y=None):
+    """Sum over the last axis of (x - y)**2, or of x**2 if y is None, folded
+    left over the slabs x[..., i], each a fresh slab squared and added in
+    place: the one component fold behind V, the normalisations and the ball
+    clip.  Below 8 components that is np.sum's order along a contiguous axis
+    (from 8 on np.sum adds pairwise), and it depends on no array's layout.
     """
-    acc = v[:, 0] * v[:, 0]
-    for i in range(1, v.shape[1]):
-        acc += v[:, i] * v[:, i]
+    def term(i):
+        if y is None:
+            return x[..., i] * x[..., i]
+        d = x[..., i] - y[..., i]
+        d *= d
+        return d
+
+    acc = term(0)
+    for i in range(1, x.shape[-1]):
+        acc += term(i)
     return acc
 
 
@@ -87,7 +94,7 @@ def _sum_rows(rows, out=None):
 def _clip_to_ball(v, bound):
     """Rescale in place the vectors v[k, :, s] of a component-major
     (rows, N, seeds) array so that their 2-norm does not exceed bound."""
-    norms = np.sqrt(_sum_squares(v))  # = np.linalg.norm for N < 8
+    norms = np.sqrt(_sum_squares(v.transpose(0, 2, 1)))  # = np.linalg.norm for N < 8
     inside = norms <= bound
     # scale = where(norms > bound, bound / max(norms, 1e-300), 1), in place
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,10 +1,11 @@
 """Trajectory runners and the stochastic stability checks.
 
 Every HOT update here is a step of _hot_stepper on component-major
-(N, width) buffers, whose sums over the N components fold left.  Every
-multi-step run -- traces, ensembles, simulate and the HOT half of
-compare_baseline -- goes through one lockstep kernel that advances every
-trial CHUNK_STEPS steps at a time, laid out (steps, N, trials).  Per chunk
+(N, width) buffers, whose sums over the N components fold left, and every V
+is lyapunov_value_arrays, whose norms fold left too.  Every multi-step run
+-- traces, ensembles, simulate and the HOT half of compare_baseline -- goes
+through one lockstep kernel that advances every trial CHUNK_STEPS steps at
+a time, laid out (steps, N, trials).  Per chunk
 it does the work that does not depend on the state: every trial's
 innovations and regressors from its own seed, phi . theta*, the
 normalisations, V, the finite check, and every eta and y if the
@@ -119,11 +120,10 @@ def _lockstep(cfg, seeds, horizon, initial):
     whose update is not finite.
     """
     ts, noise, regressor = cfg.true_model.theta_star, cfg.noise, cfg.regressor
-    gamma = np.array(cfg.gains.gamma)
     n, width, size = ts.size, len(seeds), CHUNK_STEPS
     rngs = [np.random.default_rng(s) for s in seeds]
     state_mean = noise.state_mean(n, width)  # None: a constant mean, added per chunk
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    add = np.add
 
     theta, vartheta = np.empty((2, size + 1, n, width))
     theta[0] = np.asarray(initial.theta, dtype=float)[:, None]
@@ -136,35 +136,15 @@ def _lockstep(cfg, seeds, horizon, initial):
     phi_t = np.empty((size, width, n))
     norms = phi_t.reshape(size, n, width)
     phi_full = None  # a shared regressor's rows broadcast to full width
-    # V is taken after the step loop, when the uniforms and the normalisations
-    # are spent, and is read before the next chunk's draws: it goes in the
-    # uniforms' buffer, its scratch in the slab
-    V = u.reshape(size, width)
-    slab = phi_t.reshape(-1, width)
-    V_part = slab[:size]
-    sq = slab[size:]
     carry, step = _hot_stepper(cfg.gains, n, width)
     carry(theta[0])
 
-    def sum_squares(acc, xs, x0s):
-        """acc = sum over i of (xs[i] - x0s[i])**2, folded left as _sum_squares."""
-        for i, (x, x0) in enumerate(zip(xs, x0s)):
-            d = acc if i == 0 else sq[:len(acc)]
-            subtract(x, x0, d)
-            multiply(d, d, d)
-            if i:
-                add(acc, d, acc)
-        return acc
-
     def v_rows(th, vt):
-        """V of (rows, N, trials) states, as a (trials, rows) view of the V
-        buffer.  A huge finite state overflows to V = inf, which the
-        boundedness check reports; a non-finite state gives a non-finite V."""
-        rows = len(th)
-        th, vt = th.transpose(1, 0, 2), vt.transpose(1, 0, 2)  # component slabs
+        """V of (rows, N, trials) states as (trials, rows).  A huge finite state
+        overflows to V = inf, which the boundedness check reports."""
         with np.errstate(over="ignore", invalid="ignore"):
-            v = add(sum_squares(V[:rows], vt, ts), sum_squares(V_part[:rows], th, vt), V[:rows])
-            return divide(v, gamma, v).T
+            return lyapunov_value_arrays(th.transpose(0, 2, 1), vt.transpose(0, 2, 1),
+                                         ts, cfg.gains.gamma).T
 
     for k0 in range(0, horizon, size):
         m = min(size, horizon - k0)
@@ -179,7 +159,7 @@ def _lockstep(cfg, seeds, horizon, initial):
             _rowdot(phi_t[:m], ts, out=y[:m])
         else:
             y[:m] = _rowdot(np.ascontiguousarray(phi.transpose(0, 2, 1)), ts)
-        norms[:m] = (1.0 + _sum_squares(phi))[:, None, :]
+        norms[:m] = (1.0 + _sum_squares(phi.transpose(0, 2, 1)))[:, None, :]
         if state_mean is None:
             add(noise.conditional_mean(), innov, eta[:m])
             add(y[:m], eta[:m], y[:m])
@@ -445,7 +425,7 @@ def _prober(cfg, consts, phi, M):
     ts, gamma = cfg.true_model.theta_star, cfg.gains.gamma
     y = float(phi @ ts)
     p = np.tile(phi[:, None], (1, M))
-    norm = np.full_like(p, 1.0 + _sum_squares(phi[None])[0])
+    norm = np.full_like(p, 1.0 + _sum_squares(phi))
     th, vt = np.empty((2,) + p.shape)
     carry, step = _hot_stepper(cfg.gains, ts.size, M)
 
@@ -455,14 +435,15 @@ def _prober(cfg, consts, phi, M):
         eta = mean_eta + noise.innovation(rng.uniform(size=M))
         th[...], vt[...] = state.theta[:, None], state.vartheta[:, None]
         carry(th)
+        # a huge finite state overflows V to inf, and its spread to NaN
         with np.errstate(over="ignore", invalid="ignore"):
             step(th, vt, p, norm, y + eta, th, vt)
-        # (M, N) views of component-major buffers: V's sums fold left over the N slabs
-        v_next = lyapunov_value_arrays(th.T, vt.T, ts, gamma)
-        v_k = float(lyapunov_value_arrays(state.theta, state.vartheta, ts, gamma))
-        mean = float(np.mean(v_next))
-        # degenerate resampling (e.g. zero noise) has no spread to estimate
-        stderr = float(np.std(v_next, ddof=1) / math.sqrt(M)) if np.ptp(v_next) > 0.0 else 0.0
+            # (M, N) views of component-major buffers: V's sums fold left over the N slabs
+            v_next = lyapunov_value_arrays(th.T, vt.T, ts, gamma)
+            v_k = float(lyapunov_value_arrays(state.theta, state.vartheta, ts, gamma))
+            mean = float(np.mean(v_next))
+            # degenerate resampling (e.g. zero noise) has no spread to estimate
+            stderr = float(np.std(v_next, ddof=1) / math.sqrt(M)) if np.ptp(v_next) > 0.0 else 0.0
         bound = v_k - consts.c1 * v_k + consts.c2 * math.sqrt(v_k) + consts.c_hat
         return DecrementProbe(
             label=label, noise_kind=type(noise).__name__, V_k=v_k,
@@ -629,8 +610,9 @@ class RateStream:
         mean = _column_sums(vhat) / n
         self.means.append(mean)
         if n > 1:
-            dev = np.subtract(vhat, mean, out=vhat)
-            var = _column_sums(np.multiply(dev, dev, out=dev)) / (n - 1)
+            with np.errstate(over="ignore", invalid="ignore"):  # V = inf: inf - inf
+                dev = np.subtract(vhat, mean, out=vhat)
+                var = _column_sums(np.multiply(dev, dev, out=dev)) / (n - 1)
             self.stderrs.append(np.sqrt(var) / math.sqrt(n))
         else:
             self.stderrs.append(np.zeros(steps))

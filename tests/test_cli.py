@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -269,13 +270,41 @@ class TestUnknownKeys:
         assert "config field 'noise.kind': unknown kind 'laplace'" in capsys.readouterr().err
 
 
+def strict_json(path):
+    """The JSON file at path; NaN and Infinity tokens raise ValueError."""
+    def reject(token):
+        raise ValueError(f"{path}: non-JSON constant {token}")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
+
+
 class TestJson:
     def test_nan_becomes_null_inside_arrays_too(self):
-        payload = {"scalar": float("nan"), "array": np.array([1.5, np.nan]),
-                   "nested": [np.array([[np.nan], [2.0]])], "n": np.float64(np.nan)}
+        payload = {"scalar": float("nan"), "array": np.array([1.5, np.nan, np.inf]),
+                   "nested": [np.array([[np.nan], [2.0], [-np.inf]])], "n": np.float64(np.nan),
+                   "inf": float("inf"), "neg": np.float64(-np.inf)}
         assert json.dumps(_jsonable(payload), allow_nan=False, sort_keys=True) == (
-            '{"array": [1.5, null], "n": null, "nested": [[[null], [2.0]]], '
-            '"scalar": null}')
+            '{"array": [1.5, null, null], "inf": null, "n": null, "neg": null, '
+            '"nested": [[[null], [2.0], [null]]], "scalar": null}')
+
+    def test_finite_run_whose_V_overflows_writes_strict_json(self, tmp_path):
+        # the state stays finite while V overflows to inf: the checks fail,
+        # simulate succeeds, and neither warns nor writes Infinity
+        cfg_path = write_config(tmp_path, reference_dict(
+            mode="unrestricted", gains={"gamma": 10.0, "beta": 0.5, "mu": 0.5},
+            noise={"kind": "zero"}, d_max=0.0, sigma_max=0.0, horizon=465, ensemble=3,
+            resamples=100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", cfg_path, "--check", "all",
+                         "--out", str(tmp_path / "v")]) == 1
+            assert main(["simulate", cfg_path, "--trials", "2",
+                         "--out", str(tmp_path / "s")]) == 0
+        report = strict_json(tmp_path / "v" / "verify_all.json")
+        assert report["checks"]["bound"]["max_sup_V"] is None
+        assert not report["passed"]
+        summary = strict_json(tmp_path / "s" / "summary.json")
+        assert summary["sup_V_per_trial"] == [None, None]
 
 
 class TestConstantsCommand:

@@ -1,5 +1,6 @@
-"""Fuzzed configs: every malformed input is a ConfigError and exit 2, never a crash,
-and `verify` on a mutated config exits 0-3, never 4."""
+"""Fuzzed configs: every malformed input is a ConfigError and exit 2, never a crash;
+`verify` and `simulate` on a mutated config never exit 4, and every JSON they
+write is strict (no NaN or Infinity tokens)."""
 import contextlib
 import copy
 import functools
@@ -82,18 +83,42 @@ def test_constants_command_exits_0_or_2(mutations):
     assert "Traceback" not in err.getvalue()
 
 
-@settings(max_examples=60, deadline=None)
-@given(MUTATIONS)
-def test_verify_command_never_exits_4(mutations):
-    # small enough that the whole check runs: 3 trials x 60 steps, 100 resamples
+def reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def run_on_mutated(mutations, *argv):
+    """(exit code, stderr) of a command on a mutated reference config at 60
+    steps, 3 trials and 100 resamples; every JSON it writes must parse strictly."""
     d = mutate(reference_dict(), mutations)
     d.update(horizon=60, ensemble=3, resamples=100)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(d, fh)
+        out = os.path.join(tmp, "out")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(["verify", path, "--check", "all", "--out", os.path.join(tmp, "out")])
-    assert rc in (0, 1, 2, 3), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+            rc = main([argv[0], path, *argv[1:], "--out", out])
+        for name in os.listdir(out) if os.path.isdir(out) else ():
+            if name.endswith(".json"):
+                with open(os.path.join(out, name), encoding="utf-8") as fh:
+                    json.load(fh, parse_constant=reject_constant)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(MUTATIONS)
+def test_verify_command_never_exits_4(mutations):
+    # small enough that the whole check runs
+    rc, err = run_on_mutated(mutations, "verify", "--check", "all")
+    assert rc in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(MUTATIONS)
+def test_simulate_command_never_exits_4(mutations):
+    rc, err = run_on_mutated(mutations, "simulate", "--trials", "2", "--emit-plot-data")
+    assert rc in (0, 2, 3), err
+    assert "Traceback" not in err

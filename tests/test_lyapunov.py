@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -71,6 +72,13 @@ class TestLyapunovValue:
         v = lyapunov_value(TunerState(theta=theta, vartheta=vartheta), list(ts), 0.04)
         assert v.shape == (50,)
         assert np.array_equal(v, lyapunov_value_arrays(theta, vartheta, ts, 0.04))
+        # each norm folds left over the components at every N (np.sum adds
+        # pairwise from 8 terms on, which rounds differently at N = 12)
+        def fold(d):
+            return functools.reduce(lambda acc, i: acc + d[:, i] * d[:, i], range(1, n),
+                                    d[:, 0] * d[:, 0])
+
+        assert np.array_equal(v, (fold(vartheta - ts) + fold(theta - vartheta)) / 0.04)
 
 
 class TestGammaMax:

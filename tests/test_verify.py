@@ -357,19 +357,26 @@ class TestDecrement:
         captured = []
 
         def capture(theta, vartheta, theta_star, gamma):
-            captured.append((theta.copy(), vartheta.copy()))
+            if theta.shape == (100, n):  # the resamples' V_{k+1}, not the kernel's V
+                captured.append((theta.copy(), vartheta.copy()))
             return lyapunov_value_arrays(theta, vartheta, theta_star, gamma)
 
         monkeypatch.setattr(verify, "lyapunov_value_arrays", capture)
-        verify.decrement_report(cfg, consts)
+        report = verify.decrement_report(cfg, consts)
         states = verify.probe_states(cfg, consts)
-        assert len(captured) == 2 * len(states)
-        # each probe takes V_{k+1} of the resamples, then V_k of the state
-        for (label, state), (th, vt) in zip(states, captured[::2]):
+        assert len(captured) == len(states)
+        for (label, state), (th, vt) in zip(states, captured):
             trace = verify.run_trajectory(cfg, cfg.trial_seed(0), horizon=1, initial=state)
-            assert th.shape == vt.shape == (100, n)
             assert np.array_equal(th, np.tile(trace.theta[1], (100, 1))), label
             assert np.array_equal(vt, np.tile(trace.vartheta[1], (100, 1))), label
+        # a harvested probe's V_k is the V the kernel recorded for its state
+        harvest = verify.Harvest(cfg)
+        V = verify.run_trajectory(cfg, cfg.trial_seed(0), horizon=harvest.horizon).V
+        harvested = [p for p in report.probes if p.label.startswith("traj[")]
+        assert len(harvested) == len(harvest.rows)
+        for probe, row in zip(harvested, harvest.rows):
+            assert probe.label == f"traj[{row}]"
+            assert probe.V_k == V[row], probe.label
 
     def test_report_all_kinds(self, small_config):
         cfg = small_config
