@@ -2,7 +2,7 @@
 
 Library layout:
     model    -- ground truth, regressor generators, bounded-moment noise
-    tuner    -- the two-state high-order tuner and the gradient-descent baseline
+    tuner    -- the two-state high-order tuner update
     lyapunov -- candidate Lyapunov function, decrement-bound constants, thresholds
     verify   -- trajectory / ensemble runners and the stochastic stability checks
     config   -- JSON run configuration
@@ -22,7 +22,7 @@ from .model import (
     UniformBiased,
     StateDependentBias,
 )
-from .tuner import Gains, TunerState, NonFiniteError, hot_step, gd_step
+from .tuner import Gains, TunerState, NonFiniteError, hot_step
 from .lyapunov import (
     LyapunovConstants,
     DegenerateConstantsError,
@@ -33,7 +33,6 @@ from .lyapunov import (
     threshold_K,
     threshold_T,
     clipped_V,
-    psi,
     theorem4_radius,
 )
 from .config import RunConfig, ConfigError

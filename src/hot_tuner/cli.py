@@ -103,6 +103,8 @@ def cmd_simulate(args):
         raise ConfigError("trials", "must be >= 1")
     consts = cfg.constants()
     constants = _constants_payload(cfg, consts)
+    if consts.degenerate and args.emit_plot_data:  # the rate envelope needs c1 > 0
+        raise ConfigError("gains", "degenerate constants (mu*gamma*beta = 0)")
     os.makedirs(args.out, exist_ok=True)
 
     traces = verify.run_trajectories(cfg, [cfg.trial_seed(t) for t in range(trials)])

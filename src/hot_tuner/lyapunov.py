@@ -66,7 +66,8 @@ class LyapunovConstants:
     """Decrement-bound constants and the thresholds derived from them.
 
     K bounds the compact set the state is attracted to; T is the support
-    boundary of the decrease certificate psi.  degenerate=True marks the
+    boundary of the decrease certificate psi(v) = c1 v - c2 sqrt(v) - c_hat - K,
+    which is positive exactly for v > T.  degenerate=True marks the
     mu*gamma*beta = 0 corner where K and T do not exist (they are NaN).
     """
 
@@ -137,16 +138,6 @@ def constants(gains, d_max, sigma_max, theta_star, c2_variant="theorem"):
 def clipped_V(v, K):
     """V-hat: max(v - K, 0)."""
     return np.maximum(np.asarray(v, dtype=float) - K, 0.0)
-
-
-def psi(v, consts):
-    """Decrease certificate: c1 v - c2 sqrt(v) - c_hat - K for v > T, else 0."""
-    if consts.degenerate:
-        raise DegenerateConstantsError("psi is undefined for degenerate constants")
-    v = np.asarray(v, dtype=float)
-    upper = consts.c1 * v - consts.c2 * np.sqrt(v) - consts.c_hat - consts.K
-    out = np.where(v > consts.T, upper, 0.0)
-    return out[()] if out.ndim == 0 else out
 
 
 def theorem4_radius(alpha, consts):

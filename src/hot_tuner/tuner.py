@@ -1,4 +1,4 @@
-"""Two-state high-order tuner update and the gradient-descent baseline.
+"""Two-state high-order tuner update.
 
 All operations broadcast over leading axes: theta may be (N,), (trials, N) or
 (M, N) against a shared phi.  hot_step is the reference definition of the
@@ -122,15 +122,3 @@ def hot_step(state, phi, y, gains):
     if not (np.all(np.isfinite(theta_next)) and np.all(np.isfinite(vartheta_next))):
         raise NonFiniteError(state.step)
     return TunerState(theta=theta_next, vartheta=vartheta_next, step=state.step + 1)
-
-
-def gd_step(theta, phi, y, gamma, normalized=False):
-    """Baseline gradient recursion; optionally normalized by N_k for fairness."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = loss_gradient(theta, phi, y)
-        if normalized:
-            g = g / np.expand_dims(normalization(phi), -1)
-        out = np.asarray(theta, dtype=float) - gamma * g
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError()
-    return out

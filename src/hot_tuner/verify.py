@@ -3,14 +3,13 @@
 Every HOT update here is a step of _hot_stepper on component-major
 (N, width) buffers, whose sums over the N components fold left, and every V
 is lyapunov_value_arrays, whose norms fold left too.  Every multi-step run
--- traces, ensembles, simulate and the HOT half of compare_baseline -- goes
-through one lockstep kernel that advances every trial CHUNK_STEPS steps at
-a time, laid out (steps, N, trials).  Per chunk
-it does the work that does not depend on the state: every trial's
-innovations and regressors from its own seed, phi . theta*, the
-normalisations, V, the finite check, and every eta and y if the
-conditional mean is a constant.  Per step it makes only the update's ufunc
-calls, and a state-dependent mean's.
+-- traces, ensembles and simulate -- goes through one lockstep kernel that
+advances every trial CHUNK_STEPS steps at a time, laid out
+(steps, N, trials).  Per chunk it does the work that does not depend on the
+state: every trial's innovations and regressors from its own seed,
+phi . theta*, the normalisations, V, the finite check, and every eta and y
+if the conditional mean is a constant.  Per step it makes only the
+update's ufunc calls, and a state-dependent mean's.
 
 The decrement check estimates E[V_{k+1} | F_k] by frozen-state resampling:
 M noise draws given the history, as the columns of (N, M) buffers that one
@@ -28,7 +27,7 @@ import numpy as np
 
 from .lyapunov import clipped_V, lyapunov_value_arrays, theorem4_radius
 from .model import _sum_rows, _sum_squares
-from .tuner import NonFiniteError, TunerState, gd_step
+from .tuner import NonFiniteError, TunerState
 
 Z = 4.0  # standard errors of slack in the decrement and rate tests
 BOUND_MARGIN = 5.0  # the boundedness threshold, in units of max(V0, T)
@@ -47,8 +46,9 @@ class _Block:
     """Trace rows k, k+1, ... of every trial, from one kernel chunk.
 
     Row j holds the state before observation k+j.  The last block holds the
-    final state alone and no observation.  The state, V and observation
-    arrays are views of kernel buffers that the next chunk overwrites.
+    final state alone and no observation.  The state and observation arrays
+    are views of kernel buffers that the next chunk overwrites; V is a fresh
+    array per block.
     """
 
     k: int
@@ -224,8 +224,6 @@ class TrajectoryTrace:
     phi_norm: np.ndarray
     phi: np.ndarray
     y: np.ndarray
-    seed: int
-    config: object
 
 
 def run_trajectories(cfg, seeds, horizon=None, initial=None):
@@ -262,8 +260,8 @@ def run_trajectories(cfg, seeds, horizon=None, initial=None):
     Vhat = clipped_V(V, consts.K) if not consts.degenerate else np.full_like(V, np.nan)
     return [TrajectoryTrace(k=np.arange(horizon + 1), theta=theta[t], vartheta=vartheta[t],
                             V=V[t], Vhat=Vhat[t], e_y=e_y[t], eta=eta[t],
-                            phi_norm=phi_norm[t], phi=phi[t], y=y[t], seed=seed, config=cfg)
-            for t, seed in enumerate(seeds)]
+                            phi_norm=phi_norm[t], phi=phi[t], y=y[t])
+            for t in range(len(seeds))]
 
 
 def run_trajectory(cfg, seed, horizon=None, initial=None):
@@ -442,8 +440,9 @@ def _prober(cfg, consts, phi, M):
             v_next = lyapunov_value_arrays(th.T, vt.T, ts, gamma)
             v_k = float(lyapunov_value_arrays(state.theta, state.vartheta, ts, gamma))
             mean = float(np.mean(v_next))
-            # degenerate resampling (e.g. zero noise) has no spread to estimate
-            stderr = float(np.std(v_next, ddof=1) / math.sqrt(M)) if np.ptp(v_next) > 0.0 else 0.0
+            # degenerate resampling (e.g. zero noise) has no spread to estimate;
+            # an overflowed V has a NaN spread, and a NaN stderr
+            stderr = 0.0 if np.ptp(v_next) == 0.0 else float(np.std(v_next, ddof=1) / math.sqrt(M))
         bound = v_k - consts.c1 * v_k + consts.c2 * math.sqrt(v_k) + consts.c_hat
         return DecrementProbe(
             label=label, noise_kind=type(noise).__name__, V_k=v_k,
@@ -451,11 +450,6 @@ def _prober(cfg, consts, phi, M):
             passed=mean <= bound + Z * stderr,
             strictly_decreasing=(mean - v_k) < Z * stderr)
     return probe
-
-
-def conditional_decrement_probe(state, phi, cfg, consts, M, rng, noise=None, label=""):
-    """Empirical E[V_{k+1} | F_k] against V_k - c1 V_k + c2 sqrt(V_k) + c_hat."""
-    return _prober(cfg, consts, phi, M)(state, rng, noise, label)
 
 
 def decrement_report(cfg, consts=None, M=None, noises=None, harvest=None):
@@ -634,57 +628,3 @@ def rate_check(V, alpha, consts):
     stream = RateStream(alpha, consts)
     stream.add(V)
     return stream.result()
-
-
-# ---------------------------------------------------------------------------
-# baseline comparison
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BaselineRun:
-    terminal_error: float
-    error_trace: np.ndarray
-    loss_trace: np.ndarray
-    diverged_at: int  # -1 if finite throughout
-
-
-@dataclass
-class BaselineComparison:
-    seeds: list
-    hot: list
-    gd: list
-    normalized_gd: bool
-
-
-def _baseline_run(theta, trace, diverged_at=-1):
-    """Errors ||theta_k - theta*|| and losses (theta_k . phi_k - y_k)^2 / 2 of
-    an estimate path read against a trace's observations; NaN rows stay NaN."""
-    d = theta - trace.config.true_model.theta_star
-    err = np.sqrt(_rowdot(d, d))
-    e = _rowdot(theta[:-1], trace.phi) - trace.y
-    return BaselineRun(terminal_error=float(err[np.isfinite(err)][-1]),
-                       error_trace=err, loss_trace=0.5 * e**2, diverged_at=diverged_at)
-
-
-def compare_baseline(cfg, seeds, normalized_gd=False, horizon=None):
-    """HOT vs the plain gradient recursion on identical (phi, y) streams.
-
-    The HOT half is run_trajectories' traces, so a HOT divergence raises
-    NonFiniteError; the gradient recursion then reads each trace's phi and y,
-    and its divergence is recorded in diverged_at.
-    """
-    hot_runs, gd_runs = [], []
-    for trace in run_trajectories(cfg, seeds, horizon):
-        hot_runs.append(_baseline_run(trace.theta, trace))
-        gd = np.full_like(trace.theta, np.nan)
-        gd[0] = cfg.gains.theta0
-        gd_div = -1
-        for k, (phi, y) in enumerate(zip(trace.phi, trace.y)):
-            try:
-                gd[k + 1] = gd_step(gd[k], phi, y, cfg.gains.gamma, normalized=normalized_gd)
-            except NonFiniteError:
-                gd_div = k
-                break
-        gd_runs.append(_baseline_run(gd, trace, gd_div))
-    return BaselineComparison(seeds=list(seeds), hot=hot_runs, gd=gd_runs,
-                              normalized_gd=normalized_gd)

@@ -103,6 +103,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "step" in err and "gamma" in err
 
+    @pytest.mark.parametrize("alpha", [None, 0.001], ids=["alpha-absent", "alpha-0.001"])
+    def test_plot_data_with_degenerate_constants_names_gains(self, tmp_path, capsys, alpha):
+        # mu = 0 leaves no rate envelope: a usage error before --out is made
+        d = small_dict(mode="unrestricted", gains={"gamma": 0.04, "beta": 0.5, "mu": 0.0})
+        if alpha is not None:
+            d["alpha"] = alpha
+        out = tmp_path / "out"
+        assert main(["simulate", write_config(tmp_path, d), "--out", str(out),
+                     "--emit-plot-data"]) == 2
+        assert "gains" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_emit_plot_data(self, tmp_path):
         cfg_path = write_config(tmp_path, small_dict())
         out = str(tmp_path / "out")
@@ -303,6 +315,9 @@ class TestJson:
         report = strict_json(tmp_path / "v" / "verify_all.json")
         assert report["checks"]["bound"]["max_sup_V"] is None
         assert not report["passed"]
+        overflowed = [p for p in report["checks"]["decrement"]["probes"]
+                      if p["mean_V_next"] is None]
+        assert overflowed and all(p["stderr"] is None for p in overflowed)
         summary = strict_json(tmp_path / "s" / "summary.json")
         assert summary["sup_V_per_trial"] == [None, None]
 

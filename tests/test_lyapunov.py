@@ -13,7 +13,6 @@ from hot_tuner.lyapunov import (
     gamma_max,
     lyapunov_value,
     lyapunov_value_arrays,
-    psi,
     theorem4_radius,
     threshold_K,
     threshold_T,
@@ -207,24 +206,11 @@ class TestClippedAndPsi:
                                  c_hat=c_hat, K=K, T=T, degenerate=False,
                                  c2_variant="theorem")
 
-    def test_psi_branches(self):
-        c = self._consts(1.0, 1.0, 0.0)  # K = 1, T ~ 2.618
-        assert psi(1.0, c) == 0.0
-        assert psi(c.T * 0.999, c) == 0.0
-        assert psi(4.0, c) == pytest.approx(4.0 - 2.0 - 0.0 - 1.0)
-
-    def test_psi_continuous_at_T(self):
+    def test_T_is_a_root_of_the_decrease_certificate(self):
+        # psi(v) = c1 v - c2 sqrt(v) - c_hat - K vanishes at v = T
         c = self._consts(0.3, 0.7, 1.3)
         val = c.c1 * c.T - c.c2 * math.sqrt(c.T) - c.c_hat - c.K
         assert abs(val) <= 1e-9 * max(1.0, c.c1 * c.T)
-        # zero set is exactly {v <= T} up to that tolerance
-        assert psi(c.T * (1 + 1e-6), c) > 0
-
-    def test_psi_degenerate_raises(self):
-        g = Gains(gamma=0.04, beta=0.5, mu=0.0, theta0=[0.0], mode="unrestricted")
-        c = constants(g, 0.1, 0.5, [1.0])
-        with pytest.raises(DegenerateConstantsError):
-            psi(1.0, c)
 
 
 class TestTheorem4Radius:

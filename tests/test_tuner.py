@@ -8,7 +8,6 @@ from hot_tuner.tuner import (
     Gains,
     NonFiniteError,
     TunerState,
-    gd_step,
     hot_step,
     loss_gradient,
     normalization,
@@ -145,18 +144,3 @@ class TestHotStep:
         with pytest.raises(NonFiniteError) as exc:
             hot_step(hot_step(s, np.array([1.0]), 0.0, g), np.array([1.0]), 0.0, g)
         assert exc.value.step is not None
-
-
-class TestGdStep:
-    def test_truth_is_fixed_point(self):
-        theta_star = np.array([0.5, -0.25])
-        phi = np.array([1.0, 4.0])
-        out = gd_step(theta_star, phi, float(np.sum(theta_star * phi)), 0.5)
-        assert np.array_equal(out, theta_star)
-
-    def test_plain_step(self):
-        assert gd_step([0.0], [1.0], 1.0, 0.5) == pytest.approx([0.5])
-
-    def test_normalized_step(self):
-        # N = 5; -0.5 * (-4) / 5 = 0.4
-        assert gd_step([0.0], [2.0], 2.0, 0.5, normalized=True) == pytest.approx([0.4])

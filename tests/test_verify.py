@@ -6,7 +6,7 @@ import pytest
 from hot_tuner.config import RunConfig
 from hot_tuner.lyapunov import InvalidAlphaError, lyapunov_value_arrays, theorem4_radius
 from hot_tuner.model import StateDependentBias, UniformBiased, Zero
-from hot_tuner.tuner import NonFiniteError, TunerState, gd_step, hot_step
+from hot_tuner.tuner import NonFiniteError, TunerState, hot_step
 from hot_tuner import verify
 
 from conftest import reference_dict, rows
@@ -124,6 +124,53 @@ class TestRunTrajectory:
             for name in ("theta", "vartheta", "V", "y"):
                 assert np.array_equal(getattr(one, name), getattr(wide, name))
             assert np.array_equal(one.V, ens.V[t])
+
+    @pytest.mark.parametrize("noise", ["biased_gaussian", "state_dependent_bias"])
+    def test_observations_match_hot_step_loop(self, noise):
+        cfg = RunConfig.from_dict(reference_dict(
+            horizon=300, ensemble=2, resamples=500,
+            **NOISES[noise], **REGRESSORS["iid_bounded"]))
+        seeds = [cfg.trial_seed(t) for t in range(2)]
+        for trace, seed in zip(verify.run_trajectories(cfg, seeds), seeds):
+            theta, _, phi, y = hot_step_run(cfg, seed, cfg.horizon)
+            assert np.array_equal(trace.theta, theta)
+            assert np.array_equal(trace.phi, phi)
+            assert np.array_equal(trace.y, y)
+            assert np.array_equal(trace.e_y[:-1],
+                                  [float(th @ p) - y_k for th, p, y_k in zip(theta, phi, y)])
+            assert np.isnan(trace.e_y[-1])
+
+    def test_zero_noise_converges(self):
+        d = reference_dict(horizon=3000, ensemble=1, resamples=500,
+                           noise={"kind": "zero"}, d_max=0.0, sigma_max=0.0,
+                           gains={"gamma": 0.04, "beta": 0.5, "mu": 0.001})
+        cfg = RunConfig.from_dict(d)
+        trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
+        assert np.linalg.norm(trace.theta[-1] - cfg.true_model.theta_star) < 0.1
+
+    def test_stays_finite_where_plain_gradient_diverges(self):
+        # gamma * ||phi||^2 > 2 destabilizes the plain gradient recursion
+        d = reference_dict(
+            horizon=200, ensemble=1, resamples=500,
+            noise={"kind": "zero"}, d_max=0.0, sigma_max=0.0,
+            dimension=1, theta_star=[1.0], theta0=[0.0], vartheta0=None,
+            regressor={"kind": "constant", "value": [12.0]},
+            gains={"gamma": 0.04, "beta": 0.5, "mu": 0.1})
+        cfg = RunConfig.from_dict(d)
+        trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
+        assert np.isfinite(np.linalg.norm(trace.theta[-1] - cfg.true_model.theta_star))
+
+    @pytest.mark.filterwarnings("ignore:gamma > 1/16")
+    @pytest.mark.parametrize("noise", ["uniform_biased", "state_dependent_bias"])
+    def test_divergence_names_its_step(self, noise):
+        # the leakage mu * gamma = 50 blows the state up
+        cfg = RunConfig.from_dict(reference_dict(
+            horizon=2000, ensemble=1, resamples=500, mode="unrestricted",
+            gains={"gamma": 100.0, "beta": 0.5, "mu": 0.5},
+            regressor={"kind": "constant", "value": [0.01, 0.01]}, **NOISES[noise]))
+        with pytest.raises(NonFiniteError) as exc:
+            verify.run_trajectory(cfg, cfg.trial_seed(0))
+        assert exc.value.step == 198
 
 
 class TestLockstepKernel:
@@ -319,8 +366,7 @@ class TestDecrement:
         rng = np.random.default_rng(1)
         state = cfg.initial_state()
         phi = rows(cfg.regressor, 0, 1, cfg.trial_seed(0))[0]
-        probe = verify.conditional_decrement_probe(state, phi, cfg, consts,
-                                                   500, rng)
+        probe = verify._prober(cfg, consts, phi, 500)(state, rng, None, "")
         assert probe.stderr == 0.0
         assert probe.passed
 
@@ -330,17 +376,16 @@ class TestDecrement:
         state = TunerState(theta=cfg.true_model.theta_star.copy(),
                            vartheta=cfg.true_model.theta_star.copy())
         phi = rows(cfg.regressor, 0, 1, cfg.trial_seed(0))[0]
-        probe = verify.conditional_decrement_probe(
-            state, phi, cfg, consts, 10_000, np.random.default_rng(2))
+        probe = verify._prober(cfg, consts, phi, 10_000)(
+            state, np.random.default_rng(2), None, "")
         assert probe.V_k == 0.0
         assert probe.mean_V_next <= consts.c_hat + 4 * probe.stderr
 
     def test_requires_enough_resamples(self, small_config):
         cfg = small_config
         with pytest.raises(ValueError):
-            verify.conditional_decrement_probe(
-                cfg.initial_state(), np.zeros(2), cfg, cfg.constants(), 10,
-                np.random.default_rng(0))
+            verify._prober(cfg, cfg.constants(), np.zeros(2), 10)(
+                cfg.initial_state(), np.random.default_rng(0), None, "")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
     def test_probe_resamples_take_the_kernel_step(self, n, monkeypatch):
@@ -447,84 +492,3 @@ class TestRate:
         ens = verify.run_ensemble(cfg, n_trials=16, horizon=500, initial=init)
         report = verify.rate_check(ens.V, alpha, consts)
         assert report.passed
-
-
-class TestCompareBaseline:
-    def test_zero_noise_both_converge(self):
-        d = reference_dict(horizon=3000, ensemble=1, resamples=500,
-                           noise={"kind": "zero"}, d_max=0.0, sigma_max=0.0,
-                           gains={"gamma": 0.04, "beta": 0.5, "mu": 0.001})
-        cfg = RunConfig.from_dict(d)
-        cmp = verify.compare_baseline(cfg, [cfg.trial_seed(0)])
-        assert cmp.hot[0].terminal_error < 0.1
-        assert cmp.gd[0].terminal_error < 0.1
-        assert cmp.hot[0].diverged_at == -1 and cmp.gd[0].diverged_at == -1
-
-    def test_unnormalized_gd_diverges_hot_survives(self):
-        # gamma * ||phi||^2 > 2 destabilizes the plain recursion
-        d = reference_dict(
-            horizon=200, ensemble=1, resamples=500,
-            noise={"kind": "zero"}, d_max=0.0, sigma_max=0.0,
-            dimension=1, theta_star=[1.0], theta0=[0.0], vartheta0=None,
-            regressor={"kind": "constant", "value": [12.0]},
-            gains={"gamma": 0.04, "beta": 0.5, "mu": 0.1})
-        cfg = RunConfig.from_dict(d)
-        cmp = verify.compare_baseline(cfg, [cfg.trial_seed(0)])
-        assert cmp.gd[0].diverged_at >= 0 or cmp.gd[0].terminal_error > 1e6
-        assert cmp.hot[0].diverged_at == -1
-        assert np.isfinite(cmp.hot[0].terminal_error)
-
-    def test_identical_seeds_reproduce(self, small_config):
-        a = verify.compare_baseline(small_config, [small_config.trial_seed(0)],
-                                    horizon=100)
-        b = verify.compare_baseline(small_config, [small_config.trial_seed(0)],
-                                    horizon=100)
-        assert np.array_equal(a.hot[0].error_trace, b.hot[0].error_trace)
-        assert np.array_equal(a.gd[0].error_trace, b.gd[0].error_trace)
-
-    @pytest.mark.parametrize("noise", ["biased_gaussian", "state_dependent_bias"])
-    def test_hot_half_matches_hot_step_loop(self, noise):
-        cfg = RunConfig.from_dict(reference_dict(
-            horizon=300, ensemble=2, resamples=500,
-            **NOISES[noise], **REGRESSORS["iid_bounded"]))
-        seeds = [cfg.trial_seed(t) for t in range(2)]
-        ts = cfg.true_model.theta_star
-        cmp = verify.compare_baseline(cfg, seeds)
-        for run, seed in zip(cmp.hot, seeds):
-            theta, _, phi, y = hot_step_run(cfg, seed, cfg.horizon)
-            assert np.array_equal(run.error_trace,
-                                  [float(np.linalg.norm(th - ts)) for th in theta])
-            # numpy squares with one correctly rounded product; a float ** 2 may differ
-            loss = [0.5 * (float(th @ p) - y_k) ** 2 for th, p, y_k in zip(theta, phi, y)]
-            np.testing.assert_allclose(run.loss_trace, loss, rtol=1e-15, atol=0)
-            assert run.diverged_at == -1
-
-    @pytest.mark.parametrize("normalized", [False, True])
-    @pytest.mark.parametrize("noise", ["biased_gaussian", "state_dependent_bias"])
-    def test_gd_half_matches_plain_gd_step_loop(self, noise, normalized):
-        cfg = RunConfig.from_dict(reference_dict(
-            horizon=300, ensemble=1, resamples=500,
-            **NOISES[noise], **REGRESSORS["iid_bounded"]))
-        seed = cfg.trial_seed(0)
-        ts = cfg.true_model.theta_star
-        _, _, phi, y = hot_step_run(cfg, seed, cfg.horizon)
-        theta = cfg.gains.theta0
-        errors = [float(np.linalg.norm(theta - ts))]
-        for p, y_k in zip(phi, y):
-            theta = gd_step(theta, p, y_k, cfg.gains.gamma, normalized=normalized)
-            errors.append(float(np.linalg.norm(theta - ts)))
-        cmp = verify.compare_baseline(cfg, [seed], normalized_gd=normalized)
-        assert np.array_equal(cmp.gd[0].error_trace, errors)
-        assert cmp.gd[0].diverged_at == -1
-
-    @pytest.mark.filterwarnings("ignore:gamma > 1/16")
-    @pytest.mark.parametrize("noise", ["uniform_biased", "state_dependent_bias"])
-    def test_hot_divergence_raises(self, noise):
-        # the plain recursion stays finite here; HOT's leakage mu * gamma = 50 does not
-        cfg = RunConfig.from_dict(reference_dict(
-            horizon=2000, ensemble=1, resamples=500, mode="unrestricted",
-            gains={"gamma": 100.0, "beta": 0.5, "mu": 0.5},
-            regressor={"kind": "constant", "value": [0.01, 0.01]}, **NOISES[noise]))
-        with pytest.raises(NonFiniteError) as exc:
-            verify.compare_baseline(cfg, [cfg.trial_seed(0)])
-        assert exc.value.step == 198
