@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error (an
 --out that cannot be created or written included), 3 numeric divergence,
-4 internal error (any other exception, reported on one line).
+4 internal error (any other exception, reported on one line).  A warning is
+printed as one `warning: ...` line on stderr and leaves the exit code as it is.
 
 `simulate` advances all its trials in one lockstep kernel pass and writes the
 CSVs afterwards, so a divergence in any trial exits 3 before any trace is
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -143,10 +145,10 @@ def cmd_verify(args):
     cfg = _load_config(args)
     consts = cfg.constants()
     constants = _constants_payload(cfg, consts)
-    os.makedirs(args.out, exist_ok=True)
     checks = ("decrement", "bound", "rate") if args.check == "all" else (args.check,)
     if consts.degenerate and ("bound" in checks or "rate" in checks):
         raise ConfigError("gains", "degenerate constants (mu*gamma*beta = 0)")
+    os.makedirs(args.out, exist_ok=True)
 
     streams = {}
     if "bound" in checks:
@@ -243,11 +245,18 @@ def build_parser():
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one `warning: ...` line on stderr, without its source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # restores showwarning on the way out
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except lyapunov.InvalidAlphaError as exc:
         # every command reads the config's alpha for the Theorem-4 radius
         print(f"error: {ConfigError('alpha', str(exc))}", file=sys.stderr)

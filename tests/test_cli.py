@@ -380,13 +380,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: internal error: RuntimeError") and err.count("\n") == 1
 
-    def test_cli_import_leaves_scipy_stats_out(self):
+    @pytest.mark.parametrize("check", ["bound", "rate", "all"])
+    def test_degenerate_constants_exit_2_and_create_no_out(self, tmp_path, capsys, check):
+        cfg_path = write_config(tmp_path, small_dict(
+            mode="unrestricted", gains={"gamma": 0.04, "beta": 0.5, "mu": 0.0}))
+        out = tmp_path / "out"
+        assert main(["verify", cfg_path, "--check", check, "--out", str(out)]) == 2
+        assert "degenerate constants" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["constants"], ["verify", "--check", "decrement"],
+    ], ids=["constants", "verify-decrement"])
+    def test_gamma_above_one_sixteenth_warns_on_one_line(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, small_dict(
+            mode="unrestricted", gains={"gamma": 0.1, "beta": 0.5, "mu": 0.1}))
+        assert main([command[0], cfg_path, *command[1:], "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: gamma > 1/16: ") and err.count("\n") == 1
+
+    @staticmethod
+    def _python(code, *args):
         src = os.path.dirname(os.path.dirname(hot_tuner.__file__))
-        code = "import sys, hot_tuner.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             env={**os.environ, "PYTHONPATH": src},
-                             capture_output=True, text=True).stdout
-        assert out == "False\n"
+        return subprocess.run([sys.executable, "-c", code, *args], check=True,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True).stdout.splitlines()
+
+    def test_cli_import_leaves_scipy_stats_out(self, tmp_path):
+        # nor scipy.special, through a whole verify, when the noise is not biased_gaussian
+        cfg_path = write_config(tmp_path, small_dict(
+            horizon=200, ensemble=4, regressor={"kind": "iid_bounded", "bound": 2.0},
+            noise={"kind": "state_dependent_bias", "d_amplitude": 0.1, "sd": 0.45}))
+        code = ("import sys, hot_tuner.cli\n"
+                "def loaded(): return [m for m in ('scipy.stats', 'scipy.special') if m in sys.modules]\n"
+                "print(loaded())\n"
+                "rc = hot_tuner.cli.main(['verify', sys.argv[1], '--check', 'all', '--out', sys.argv[2]])\n"
+                "print(rc, loaded())")
+        out = self._python(code, cfg_path, str(tmp_path / "out"))
+        assert (out[0], out[-1]) == ("[]", "0 []")
+
+    def test_biased_gaussian_config_loads_scipy_special(self, tmp_path):
+        code = ("import sys\n"
+                "from hot_tuner.config import load_config\n"
+                "print('scipy.special' in sys.modules)\n"
+                "load_config(sys.argv[1])\n"
+                "print('scipy.special' in sys.modules)")
+        assert self._python(code, write_config(tmp_path, small_dict())) == ["False", "True"]
 
 
 class TestThreadCap:

@@ -170,6 +170,17 @@ class TestNoise:
             got = BiasedGaussianTruncated(bias=0.0, sd=1.0, truncation=float(t))._trunc_var
             assert got == pytest.approx(stats.truncnorm.var(-t, t), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("t", [0.5, 3.0, 8.0])
+    def test_truncated_cdf_and_innovation_are_scipy_specials(self, t):
+        from scipy import special
+        noise = BiasedGaussianTruncated(bias=0.1, sd=0.48, truncation=t)
+        lo = special.ndtr(-t)
+        span = special.ndtr(t) - lo
+        assert noise._cdf_lo == lo and noise._cdf_span == span
+        u = np.concatenate(([0.0, 0.5, np.nextafter(1.0, 0.0)],
+                            np.random.default_rng(5).random(1000)))
+        assert np.array_equal(noise.innovation(u), 0.48 * special.ndtri(lo + u * span))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
     def test_state_dependent_mean_folds_left(self, n):
         noise = StateDependentBias(d_amplitude=0.3, sd=0.1)
