@@ -1,7 +1,7 @@
 """Noise-robust high-order tuner for linear regression.
 
 Library layout:
-    model    -- ground truth, regressor generators, bounded-moment noise
+    model    -- regressor generators, bounded-moment noise
     tuner    -- the two-state high-order tuner update
     lyapunov -- candidate Lyapunov function, decrement-bound constants, thresholds
     verify   -- trajectory / ensemble runners and the stochastic stability checks
@@ -12,7 +12,6 @@ Library layout:
 __version__ = "0.1.0"
 
 from .model import (
-    TrueModel,
     Constant,
     Sinusoid,
     IidBounded,

@@ -113,7 +113,7 @@ def cmd_simulate(args):
     for t, trace in enumerate(traces):
         _write_trace_csv(os.path.join(args.out, f"trace_{t}.csv"), trace)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge finite state: inf
-        errors = [float(np.linalg.norm(t.theta[-1] - cfg.true_model.theta_star)) for t in traces]
+        errors = [float(np.linalg.norm(t.theta[-1] - cfg.theta_star)) for t in traces]
 
     summary = {
         "version": __version__,

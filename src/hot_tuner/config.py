@@ -1,6 +1,7 @@
 """JSON run configuration shared by the verification harness and the CLI."""
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -9,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lyapunov, model as model_mod
-from .tuner import Gains, GainsError, TunerState
+from .tuner import Gains, TunerState
+from .verify import N_HARVEST
 
 
 class ConfigError(ValueError):
@@ -24,7 +26,7 @@ def _require(d, key, types, where):
     if key not in d:
         raise ConfigError(f"{where}{key}", "missing")
     v = d[key]
-    if types is not None and not isinstance(v, types):
+    if not isinstance(v, types):
         raise ConfigError(f"{where}{key}", f"expected {types}, got {type(v).__name__}")
     return v
 
@@ -105,65 +107,68 @@ def check_seed(value):
     return value
 
 
+@contextlib.contextmanager
+def _section(name):
+    """Re-raise a model.ConfigurationError as a ConfigError naming section.key."""
+    try:
+        yield
+    except model_mod.ConfigurationError as exc:
+        raise ConfigError(f"{name}.{exc.field}", str(exc)) from exc
+
+
 def _build_regressor(spec, dim):
     kind = _kind(spec, _REGRESSOR_KEYS, "regressor.")
-    try:
-        if kind == "constant":
-            return model_mod.Constant(
-                value=_vector(spec, "value", dim, "regressor."),
-                phi_bound=_number(spec, "phi_bound", "regressor.", None))
-        if kind == "sinusoid":
-            return model_mod.Sinusoid(
-                amplitude=_vector(spec, "amplitude", dim, "regressor."),
-                omega=_number(spec, "omega", "regressor."),
-                phase=_vector(spec, "phase", dim, "regressor.") if "phase" in spec else None,
-                phi_bound=_number(spec, "phi_bound", "regressor.", None))
-        if kind == "iid_bounded":
-            return model_mod.IidBounded(
-                bound=_number(spec, "bound", "regressor."), dimension=dim)
-        if kind == "piecewise_constant":
-            levels = None
-            if spec.get("levels") is not None:
-                levels = tuple(_check_vector(v, dim, "regressor.levels")
-                               for v in _require(spec, "levels", list, "regressor."))
-                if not levels:
-                    raise ConfigError("regressor.levels", "must hold at least one level")
-            return model_mod.PiecewiseConstant(
-                bound=_number(spec, "bound", "regressor."),
-                dimension=dim,
-                dwell=_number(spec, "dwell", "regressor.", integer=True),
-                levels=levels)
-    except model_mod.ConfigurationError as exc:
-        raise ConfigError("regressor", str(exc)) from exc
+    if kind == "constant":
+        return model_mod.Constant(
+            value=_vector(spec, "value", dim, "regressor."),
+            phi_bound=_number(spec, "phi_bound", "regressor.", None))
+    if kind == "sinusoid":
+        return model_mod.Sinusoid(
+            amplitude=_vector(spec, "amplitude", dim, "regressor."),
+            omega=_number(spec, "omega", "regressor."),
+            phase=_vector(spec, "phase", dim, "regressor.") if "phase" in spec else None,
+            phi_bound=_number(spec, "phi_bound", "regressor.", None))
+    if kind == "iid_bounded":
+        return model_mod.IidBounded(
+            bound=_number(spec, "bound", "regressor."), dimension=dim)
+    if kind == "piecewise_constant":
+        levels = None
+        if spec.get("levels") is not None:
+            levels = tuple(_check_vector(v, dim, "regressor.levels")
+                           for v in _require(spec, "levels", list, "regressor."))
+            if not levels:
+                raise ConfigError("regressor.levels", "must hold at least one level")
+        return model_mod.PiecewiseConstant(
+            bound=_number(spec, "bound", "regressor."),
+            dimension=dim,
+            dwell=_number(spec, "dwell", "regressor.", integer=True),
+            levels=levels)
 
 
 def _build_noise(spec):
     kind = _kind(spec, _NOISE_KEYS, "noise.")
-    try:
-        if kind == "zero":
-            return model_mod.Zero()
-        if kind == "biased_gaussian":
-            return model_mod.BiasedGaussianTruncated(
-                bias=_number(spec, "bias", "noise."),
-                sd=_number(spec, "sd", "noise."),
-                truncation=_number(spec, "truncation", "noise.", 3.0))
-        if kind == "uniform_biased":
-            return model_mod.UniformBiased(
-                center=_number(spec, "center", "noise."),
-                halfwidth=_number(spec, "halfwidth", "noise."))
-        if kind == "state_dependent_bias":
-            return model_mod.StateDependentBias(
-                d_amplitude=_number(spec, "d_amplitude", "noise."),
-                sd=_number(spec, "sd", "noise."))
-    except model_mod.ConfigurationError as exc:
-        raise ConfigError("noise", str(exc)) from exc
+    if kind == "zero":
+        return model_mod.Zero()
+    if kind == "biased_gaussian":
+        return model_mod.BiasedGaussianTruncated(
+            bias=_number(spec, "bias", "noise."),
+            sd=_number(spec, "sd", "noise."),
+            truncation=_number(spec, "truncation", "noise.", 3.0))
+    if kind == "uniform_biased":
+        return model_mod.UniformBiased(
+            center=_number(spec, "center", "noise."),
+            halfwidth=_number(spec, "halfwidth", "noise."))
+    if kind == "state_dependent_bias":
+        return model_mod.StateDependentBias(
+            d_amplitude=_number(spec, "d_amplitude", "noise."),
+            sd=_number(spec, "sd", "noise."))
 
 
 @dataclass
 class RunConfig:
     """Everything needed to reproduce a run bit-exactly."""
 
-    true_model: model_mod.TrueModel
+    theta_star: np.ndarray
     regressor: object
     noise: object
     gains: Gains
@@ -195,14 +200,14 @@ class RunConfig:
         gspec = _require(d, "gains", dict, "")
         _check_keys(gspec, _GAINS_KEYS, "gains.")
         gamma, beta, mu = (_number(gspec, key, "gains.") for key in _GAINS_KEYS)
-        try:
+        with _section("gains"):
             gains = Gains(gamma=gamma, beta=beta, mu=mu, theta0=theta0, mode=mode)
-        except GainsError as exc:
-            raise ConfigError(f"gains.{exc.field}", str(exc)) from exc
 
-        regressor = _build_regressor(_require(d, "regressor", dict, ""), dim)
+        with _section("regressor"):
+            regressor = _build_regressor(_require(d, "regressor", dict, ""), dim)
         try:  # a huge parameter's ** raises OverflowError
-            noise = _build_noise(_require(d, "noise", dict, ""))
+            with _section("noise"):
+                noise = _build_noise(_require(d, "noise", dict, ""))
             noise_d_max, noise_sigma_max = noise.d_max, noise.sigma_max
         except OverflowError as exc:
             raise ConfigError("noise", "the second moment overflows a float") from exc
@@ -217,6 +222,12 @@ class RunConfig:
         horizon = _number(d, "horizon", "", integer=True)
         if horizon < 1:
             raise ConfigError("horizon", "must be >= 1")
+        if isinstance(regressor, model_mod.Sinusoid):
+            # the last step drawn: the horizon's, or the decrement probe harvest's
+            k = max(horizon, N_HARVEST) - 1
+            if not all(math.isfinite(regressor.omega * k + p) for p in regressor.phase.tolist()):
+                raise ConfigError("regressor.omega",
+                                  f"omega * k + phase overflows a float at step k = {k}")
         ensemble = _number(d, "ensemble", "", 1, integer=True)
         if ensemble < 1:
             raise ConfigError("ensemble", "must be >= 1")
@@ -231,7 +242,7 @@ class RunConfig:
         if c2_variant not in ("theorem", "appendix"):
             raise ConfigError("c2_variant", "must be 'theorem' or 'appendix'")
 
-        return cls(true_model=model_mod.TrueModel(theta_star), regressor=regressor,
+        return cls(theta_star=theta_star, regressor=regressor,
                    noise=noise, gains=gains, vartheta0=vartheta0,
                    d_max=d_max, sigma_max=sigma_max, horizon=horizon,
                    ensemble=ensemble, resamples=resamples, alpha=alpha,
@@ -239,7 +250,7 @@ class RunConfig:
 
     @property
     def dimension(self):
-        return self.true_model.dimension
+        return self.theta_star.size
 
     def initial_state(self):
         return TunerState(theta=self.gains.theta0.copy(),
@@ -250,7 +261,7 @@ class RunConfig:
         try:
             with np.errstate(over="raise", invalid="raise"):
                 return lyapunov.constants(self.gains, self.d_max, self.sigma_max,
-                                          self.true_model.theta_star, self.c2_variant)
+                                          self.theta_star, self.c2_variant)
         except ArithmeticError as exc:  # an overflow, or c1 so small that c1**2 is 0
             raise ConfigError("(constants)", "they overflow a float for these gains, "
                               "theta_star, theta0, d_max and sigma_max") from exc

@@ -1,4 +1,4 @@
-"""Ground-truth linear regression model, regressor generators, noise processes.
+"""Regressor generators and noise processes of the linear regression model.
 
 Regressor generation is a pure function of (kind, params, seed, k) so that
 trajectories are reproducible and trivially parallelizable.  A batch for a
@@ -17,7 +17,11 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Inconsistent model / regressor / noise specification."""
+    """A parameter out of its range; `field` names its key within its section."""
+
+    def __init__(self, field, message):
+        self.field = field
+        super().__init__(message)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +107,16 @@ def _clip_to_ball(v, bound):
     return v
 
 
+def _check_ball(bound, dim):
+    """Reject a negative bound, or one whose squared norm over dim components
+    overflows a float: the clip would scale every hashed row by bound/inf = 0."""
+    if bound < 0:
+        raise ConfigurationError("bound", "bound must be nonnegative")
+    if not math.isfinite(bound * bound * dim):
+        raise ConfigurationError("bound", f"its squared norm over {dim} components "
+                                 "overflows a float")
+
+
 def _uniform_rows(words, ks, dim, bound):
     """Hashed rows uniform in [-bound, bound]^dim clipped to the bound-ball,
     component-major as _hash_uniform lays them out."""
@@ -111,29 +125,6 @@ def _uniform_rows(words, ks, dim, bound):
     v -= 1.0
     v *= bound
     return _clip_to_ball(v, bound)
-
-
-# ---------------------------------------------------------------------------
-# ground truth
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrueModel:
-    """The unknown parameter vector generating the observations."""
-
-    theta_star: np.ndarray
-
-    def __post_init__(self):
-        ts = np.asarray(self.theta_star, dtype=float)
-        if ts.ndim != 1 or ts.size < 1:
-            raise ConfigurationError("theta_star must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(ts)):
-            raise ConfigurationError("theta_star entries must be finite")
-        object.__setattr__(self, "theta_star", ts)
-
-    @property
-    def dimension(self):
-        return self.theta_star.size
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +141,11 @@ class Constant:
     def __post_init__(self):
         v = np.asarray(self.value, dtype=float)
         if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise ConfigurationError("constant regressor value must be a finite vector")
+            raise ConfigurationError("value", "constant regressor value must be a finite vector")
         object.__setattr__(self, "value", v)
         b = float(np.linalg.norm(v)) if self.phi_bound is None else float(self.phi_bound)
         if b < np.linalg.norm(v) - 1e-12:
-            raise ConfigurationError("phi_bound smaller than the constant value norm")
+            raise ConfigurationError("phi_bound", "phi_bound smaller than the constant value norm")
         object.__setattr__(self, "phi_bound", b)
 
     @property
@@ -177,15 +168,15 @@ class Sinusoid:
     def __post_init__(self):
         amp = np.atleast_1d(np.asarray(self.amplitude, dtype=float))
         if np.any(amp < 0) or not np.all(np.isfinite(amp)):
-            raise ConfigurationError("sinusoid amplitude must be finite and nonnegative")
+            raise ConfigurationError("amplitude", "amplitude must be finite and nonnegative")
         ph = np.zeros_like(amp) if self.phase is None else np.asarray(self.phase, dtype=float)
         if ph.shape != amp.shape:
-            raise ConfigurationError("sinusoid phase must match amplitude shape")
+            raise ConfigurationError("phase", "sinusoid phase must match amplitude shape")
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "phase", ph)
         b = float(np.linalg.norm(amp)) if self.phi_bound is None else float(self.phi_bound)
         if b < np.linalg.norm(amp) - 1e-12:
-            raise ConfigurationError("phi_bound smaller than the amplitude norm")
+            raise ConfigurationError("phi_bound", "phi_bound smaller than the amplitude norm")
         object.__setattr__(self, "phi_bound", b)
 
     @property
@@ -205,10 +196,9 @@ class IidBounded:
     dimension: int
 
     def __post_init__(self):
-        if self.bound < 0:
-            raise ConfigurationError("iid regressor bound must be nonnegative")
         if self.dimension < 1:
-            raise ConfigurationError("dimension must be >= 1")
+            raise ConfigurationError("dimension", "dimension must be >= 1")
+        _check_ball(self.bound, self.dimension)
 
     @property
     def phi_bound(self):
@@ -232,17 +222,17 @@ class PiecewiseConstant:
     levels: tuple = None
 
     def __post_init__(self):
-        if self.dwell < 1:
-            raise ConfigurationError("dwell must be >= 1")
-        if self.bound < 0:
-            raise ConfigurationError("bound must be nonnegative")
+        # np.arange(k0, k1) // dwell needs a dwell that fits an int64
+        if not 1 <= self.dwell < 2 ** 63:
+            raise ConfigurationError("dwell", "dwell must lie in [1, 2**63)")
+        _check_ball(self.bound, self.dimension)
         if self.levels is not None:
             lv = tuple(np.asarray(l, dtype=float) for l in self.levels)
             for l in lv:
                 if l.size != self.dimension:
-                    raise ConfigurationError("level dimension mismatch")
+                    raise ConfigurationError("levels", "level dimension mismatch")
                 if np.linalg.norm(l) > self.bound + 1e-12:
-                    raise ConfigurationError("level norm exceeds bound")
+                    raise ConfigurationError("levels", "level norm exceeds bound")
             object.__setattr__(self, "levels", lv)
 
     @property
@@ -310,8 +300,10 @@ class BiasedGaussianTruncated(_ConstantMean):
 
     def __post_init__(self):
         t = self.truncation
-        if self.sd < 0 or t <= 0:
-            raise ConfigurationError("sd must be >= 0 and truncation > 0")
+        if self.sd < 0:
+            raise ConfigurationError("sd", "sd must be >= 0")
+        if t <= 0:
+            raise ConfigurationError("truncation", "truncation must be > 0")
         from scipy import special
         lo = special.ndtr(-t)
         object.__setattr__(self, "_cdf_lo", float(lo))
@@ -346,7 +338,7 @@ class UniformBiased(_ConstantMean):
 
     def __post_init__(self):
         if self.halfwidth < 0:
-            raise ConfigurationError("halfwidth must be nonnegative")
+            raise ConfigurationError("halfwidth", "halfwidth must be nonnegative")
 
     @property
     def d_max(self):
@@ -376,8 +368,9 @@ class StateDependentBias:
     sd: float
 
     def __post_init__(self):
-        if self.d_amplitude < 0 or self.sd < 0:
-            raise ConfigurationError("d_amplitude and sd must be nonnegative")
+        for key in ("d_amplitude", "sd"):
+            if getattr(self, key) < 0:
+                raise ConfigurationError(key, f"{key} must be nonnegative")
 
     @property
     def d_max(self):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import ConfigurationError
+
 
 class NonFiniteError(FloatingPointError):
     """An update produced NaN/inf, typically because gamma is too large."""
@@ -21,14 +23,6 @@ class NonFiniteError(FloatingPointError):
         if step is not None:
             msg += f" at step {step}"
         super().__init__(msg + "; reduce gamma (see lyapunov.gamma_max)")
-
-
-class GainsError(ValueError):
-    """A gain outside its admissible range; `field` names the gain."""
-
-    def __init__(self, field, message):
-        self.field = field
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -49,24 +43,24 @@ class Gains:
     def __post_init__(self):
         t0 = np.asarray(self.theta0, dtype=float)
         if t0.ndim != 1 or not np.all(np.isfinite(t0)):
-            raise ValueError("theta0 must be a finite 1-d vector")
+            raise ConfigurationError("theta0", "theta0 must be a finite 1-d vector")
         object.__setattr__(self, "theta0", t0)
         if not 0.0 < self.beta < 1.0:
-            raise GainsError("beta", "beta must lie in (0, 1)")
+            raise ConfigurationError("beta", "beta must lie in (0, 1)")
         if self.gamma <= 0.0:
-            raise GainsError("gamma", "gamma must be positive")
+            raise ConfigurationError("gamma", "gamma must be positive")
         if self.mode not in ("certified", "unrestricted"):
-            raise ValueError("mode must be 'certified' or 'unrestricted'")
+            raise ConfigurationError("mode", "mode must be 'certified' or 'unrestricted'")
         if self.mode == "certified":
             if not 0.0 < self.mu < 1.0:
-                raise GainsError("mu", "certified mode requires 0 < mu < 1")
+                raise ConfigurationError("mu", "certified mode requires 0 < mu < 1")
             from .lyapunov import gamma_max
             gmax = gamma_max(self.beta, self.mu)
             if self.gamma > gmax:
-                raise GainsError("gamma", f"gamma={self.gamma} exceeds "
-                                 f"gamma_max({self.beta}, {self.mu})={gmax}")
+                raise ConfigurationError("gamma", f"gamma={self.gamma} exceeds "
+                                         f"gamma_max({self.beta}, {self.mu})={gmax}")
         elif not 0.0 <= self.mu < 1.0:
-            raise GainsError("mu", "mu must lie in [0, 1)")
+            raise ConfigurationError("mu", "mu must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

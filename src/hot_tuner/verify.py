@@ -119,7 +119,7 @@ def _lockstep(cfg, seeds, horizon, initial):
     rows 0..horizon in order; raises NonFiniteError naming the first step
     whose update is not finite.
     """
-    ts, noise, regressor = cfg.true_model.theta_star, cfg.noise, cfg.regressor
+    ts, noise, regressor = cfg.theta_star, cfg.noise, cfg.regressor
     n, width, size = ts.size, len(seeds), CHUNK_STEPS
     rngs = [np.random.default_rng(s) for s in seeds]
     state_mean = noise.state_mean(n, width)  # None: a constant mean, added per chunk
@@ -278,7 +278,6 @@ class EnsembleResult:
     """Per-trial Lyapunov paths from a lockstep ensemble run."""
 
     V: np.ndarray          # (trials, horizon+1)
-    seeds: list
     horizon: int
 
 
@@ -316,7 +315,7 @@ def run_ensemble(cfg, n_trials=None, horizon=None, initial=None):
     V = np.empty((len(seeds), horizon + 1))
     for blk in _lockstep(cfg, seeds, horizon, init):
         V[:, blk.k:blk.k + blk.V.shape[1]] = blk.V
-    return EnsembleResult(V=V, seeds=seeds, horizon=horizon)
+    return EnsembleResult(V=V, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +373,7 @@ def probe_states(cfg, consts, harvest=None):
     every harvest row, or else from a one-wide run of Harvest(cfg).
     """
     rng = np.random.default_rng([cfg.base_seed, 0, 0x9E37])
-    ts = cfg.true_model.theta_star
+    ts = cfg.theta_star
     gamma = cfg.gains.gamma
     probes = []
     if not consts.degenerate:
@@ -420,7 +419,7 @@ def _prober(cfg, consts, phi, M):
     column of (N, M) buffers that the probes of one report share."""
     if M < 100:
         raise ValueError("need at least 100 resamples")
-    ts, gamma = cfg.true_model.theta_star, cfg.gains.gamma
+    ts, gamma = cfg.theta_star, cfg.gains.gamma
     y = float(phi @ ts)
     p = np.tile(phi[:, None], (1, M))
     norm = np.full_like(p, 1.0 + _sum_squares(phi))

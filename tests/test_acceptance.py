@@ -79,7 +79,7 @@ def test_criterion_3_boundedness(cfg, consts):
 def test_criterion_4_exponential_rate(cfg, consts):
     alpha = consts.c1 / 2.0
     K4 = theorem4_radius(alpha, consts)
-    init = verify.state_on_sphere(10.0 * K4, cfg.true_model.theta_star,
+    init = verify.state_on_sphere(10.0 * K4, cfg.theta_star,
                                   cfg.gains.gamma,
                                   np.random.default_rng(cfg.base_seed))
     ens = verify.run_ensemble(cfg, n_trials=200, horizon=5000, initial=init)

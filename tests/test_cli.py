@@ -252,11 +252,54 @@ class TestMalformedNumbers:
         ("alpha", dict(gains={"gamma": 1e-148, "beta": 0.5, "mu": 0.1}, noise={"kind": "zero"},
                        d_max=0.0, sigma_max=0.0,
                        alpha=(10.0 / 16.0) * 0.1 * 1e-148 * 0.5 * (1.0 - 1e-13))),
+        ("dimension", dict(dimension=0)),
+        # a range check of a regressor or noise kind names its own key
+        ("regressor.phi_bound", dict(regressor={"kind": "constant", "value": [3.0, 4.0],
+                                                "phi_bound": 1.0})),
+        ("regressor.phi_bound", dict(regressor={"kind": "sinusoid", "amplitude": [1.0, 1.0],
+                                                "omega": 0.5, "phi_bound": 1.0})),
+        ("regressor.amplitude", dict(regressor={"kind": "sinusoid", "amplitude": [-1.0, 1.0],
+                                                "omega": 0.5})),
+        ("regressor.bound", dict(regressor={"kind": "iid_bounded", "bound": -1.0})),
+        ("regressor.bound", dict(regressor={"kind": "piecewise_constant", "bound": -1.0,
+                                            "dwell": 5})),
+        ("regressor.dwell", dict(regressor={"kind": "piecewise_constant", "bound": 2.0,
+                                            "dwell": 0})),
+        ("regressor.levels", dict(regressor={"kind": "piecewise_constant", "bound": 1.0,
+                                             "dwell": 5, "levels": [[3.0, 4.0]]})),
+        ("noise.sd", dict(noise={"kind": "biased_gaussian", "bias": 0.1, "sd": -0.1})),
+        ("noise.sd", dict(noise={"kind": "state_dependent_bias", "d_amplitude": 0.1,
+                                 "sd": -0.1})),
+        ("noise.truncation", dict(noise={"kind": "biased_gaussian", "bias": 0.1, "sd": 0.48,
+                                         "truncation": 0.0})),
+        ("noise.halfwidth", dict(noise={"kind": "uniform_biased", "center": 0.1,
+                                        "halfwidth": -1.0})),
+        ("noise.d_amplitude", dict(noise={"kind": "state_dependent_bias", "d_amplitude": -0.1,
+                                          "sd": 0.45})),
+        # a bound whose squared norm overflows would clip every hashed row to 0
+        ("regressor.bound", dict(regressor={"kind": "iid_bounded", "bound": 1e200})),
+        ("regressor.bound", dict(regressor={"kind": "piecewise_constant", "bound": 1e200,
+                                            "dwell": 5})),
+        # a dwell past int64 cannot divide the step numbers
+        ("regressor.dwell", dict(regressor={"kind": "piecewise_constant", "bound": 2.0,
+                                            "dwell": 2 ** 63})),
+        # omega * k overflows within the decrement probe's harvest, past the horizon
+        ("regressor.omega", dict(horizon=2, regressor={"kind": "sinusoid",
+                                                       "amplitude": [1.0, 1.0], "omega": 1e308})),
     ])
     def test_usage_error_names_field(self, tmp_path, capsys, field, overrides):
         cfg_path = write_config(tmp_path, small_dict(**overrides))
         assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+
+    def test_huge_omega_that_fits_still_runs(self, tmp_path):
+        # at 1e300, omega * k stays finite over every step drawn, and the checks run
+        cfg_path = write_config(tmp_path, small_dict(
+            regressor={"kind": "sinusoid", "amplitude": [1.0, 1.0], "omega": 1e300}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", cfg_path, "--check", "all",
+                         "--out", str(tmp_path / "o")]) in (0, 1)
 
 
 class TestUnknownKeys:

@@ -11,7 +11,6 @@ from hot_tuner.model import (
     PiecewiseConstant,
     Sinusoid,
     StateDependentBias,
-    TrueModel,
     UniformBiased,
     Zero,
     _sum_rows,
@@ -252,7 +251,7 @@ class TestObservation:
                                         "halfwidth": 0.0}, d_max=0.5, sigma_max=0.5)
         trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
         assert trace.y == pytest.approx(0.5)
-        assert np.array_equal(trace.y, trace.phi @ cfg.true_model.theta_star + trace.eta[:-1])
+        assert np.array_equal(trace.y, trace.phi @ cfg.theta_star + trace.eta[:-1])
 
     def test_constant_stream(self):
         cfg = observation_config(dimension=1, theta_star=[0.7], theta0=[0.0],
@@ -270,9 +269,3 @@ class TestObservation:
             with pytest.raises(ConfigError) as exc:
                 observation_config(regressor=regressor)
             assert exc.value.field == name
-
-    def test_invalid_true_model(self):
-        with pytest.raises(ConfigurationError):
-            TrueModel(theta_star=[])
-        with pytest.raises(ConfigurationError):
-            TrueModel(theta_star=[np.inf])

@@ -33,7 +33,7 @@ def hot_step_run(cfg, seed, horizon):
     rng = np.random.default_rng(seed)
     innov = cfg.noise.innovation(rng.uniform(size=horizon))
     phi_all = rows(cfg.regressor, 0, horizon, seed)
-    ts = cfg.true_model.theta_star
+    ts = cfg.theta_star
     state = cfg.initial_state()
     theta, vartheta, ys = [state.theta], [state.vartheta], []
     for k in range(horizon):
@@ -49,7 +49,7 @@ def hot_step_run(cfg, seed, horizon):
 def hot_step_loop(cfg, seed, horizon):
     """theta, vartheta and V of one trial from a plain hot_step loop."""
     theta, vartheta, _, _ = hot_step_run(cfg, seed, horizon)
-    ts = cfg.true_model.theta_star
+    ts = cfg.theta_star
     return theta, vartheta, lyapunov_value_arrays(theta, vartheta, ts, cfg.gains.gamma)
 
 
@@ -78,7 +78,7 @@ class TestRunTrajectory:
     def test_stored_V_recomputes_bitwise(self, small_config):
         trace = verify.run_trajectory(small_config, small_config.trial_seed(2))
         v = lyapunov_value_arrays(trace.theta, trace.vartheta,
-                                  small_config.true_model.theta_star,
+                                  small_config.theta_star,
                                   small_config.gains.gamma)
         assert np.array_equal(v, trace.V)
 
@@ -146,7 +146,7 @@ class TestRunTrajectory:
                            gains={"gamma": 0.04, "beta": 0.5, "mu": 0.001})
         cfg = RunConfig.from_dict(d)
         trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
-        assert np.linalg.norm(trace.theta[-1] - cfg.true_model.theta_star) < 0.1
+        assert np.linalg.norm(trace.theta[-1] - cfg.theta_star) < 0.1
 
     def test_stays_finite_where_plain_gradient_diverges(self):
         # gamma * ||phi||^2 > 2 destabilizes the plain gradient recursion
@@ -158,7 +158,7 @@ class TestRunTrajectory:
             gains={"gamma": 0.04, "beta": 0.5, "mu": 0.1})
         cfg = RunConfig.from_dict(d)
         trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
-        assert np.isfinite(np.linalg.norm(trace.theta[-1] - cfg.true_model.theta_star))
+        assert np.isfinite(np.linalg.norm(trace.theta[-1] - cfg.theta_star))
 
     @pytest.mark.filterwarnings("ignore:gamma > 1/16")
     @pytest.mark.parametrize("noise", ["uniform_biased", "state_dependent_bias"])
@@ -254,7 +254,7 @@ class TestLockstepKernel:
         consts = cfg.constants()
         alpha = consts.c1 / 2.0
         # start above T so that trials leave and re-enter {V <= T}
-        init = verify.state_on_sphere(1.02 * consts.T, cfg.true_model.theta_star,
+        init = verify.state_on_sphere(1.02 * consts.T, cfg.theta_star,
                                       cfg.gains.gamma, np.random.default_rng(4))
         ens = verify.run_ensemble(cfg, initial=init)
         whole_bound = verify.boundedness_check(ens.V, consts)
@@ -326,10 +326,10 @@ class TestProbeStates:
         consts = small_config.constants()
         rng = np.random.default_rng(0)
         for v in (0.5, consts.K, 10 * consts.T):
-            s = verify.state_on_sphere(v, small_config.true_model.theta_star,
+            s = verify.state_on_sphere(v, small_config.theta_star,
                                        small_config.gains.gamma, rng)
             got = float(lyapunov_value_arrays(
-                s.theta, s.vartheta, small_config.true_model.theta_star,
+                s.theta, s.vartheta, small_config.theta_star,
                 small_config.gains.gamma))
             assert got == pytest.approx(v, rel=1e-12)
 
@@ -373,8 +373,8 @@ class TestDecrement:
     def test_minimum_state_bounded_by_chat(self, small_config):
         cfg = small_config
         consts = cfg.constants()
-        state = TunerState(theta=cfg.true_model.theta_star.copy(),
-                           vartheta=cfg.true_model.theta_star.copy())
+        state = TunerState(theta=cfg.theta_star.copy(),
+                           vartheta=cfg.theta_star.copy())
         phi = rows(cfg.regressor, 0, 1, cfg.trial_seed(0))[0]
         probe = verify._prober(cfg, consts, phi, 10_000)(
             state, np.random.default_rng(2), None, "")
@@ -487,7 +487,7 @@ class TestRate:
         consts = cfg.constants()
         alpha = consts.c1 / 2.0
         K4 = theorem4_radius(alpha, consts)
-        init = verify.state_on_sphere(10 * K4, cfg.true_model.theta_star,
+        init = verify.state_on_sphere(10 * K4, cfg.theta_star,
                                       cfg.gains.gamma, np.random.default_rng(5))
         ens = verify.run_ensemble(cfg, n_trials=16, horizon=500, initial=init)
         report = verify.rate_check(ens.V, alpha, consts)
