@@ -205,12 +205,9 @@ class RunConfig:
 
         with _section("regressor"):
             regressor = _build_regressor(_require(d, "regressor", dict, ""), dim)
-        try:  # a huge parameter's ** raises OverflowError
-            with _section("noise"):
-                noise = _build_noise(_require(d, "noise", dict, ""))
-            noise_d_max, noise_sigma_max = noise.d_max, noise.sigma_max
-        except OverflowError as exc:
-            raise ConfigError("noise", "the second moment overflows a float") from exc
+        with _section("noise"):
+            noise = _build_noise(_require(d, "noise", dict, ""))
+        noise_d_max, noise_sigma_max = noise.d_max, noise.sigma_max
 
         d_max = _number(d, "d_max", "", noise_d_max)
         sigma_max = _number(d, "sigma_max", "", noise_sigma_max)

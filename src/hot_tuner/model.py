@@ -263,6 +263,14 @@ class PiecewiseConstant:
 # the kernel adds to a whole chunk of innovations at once.
 
 
+def _check_squares(noise, keys):
+    """Reject a parameter whose square, and so sigma_max, overflows a float."""
+    for key in keys:
+        value = getattr(noise, key)
+        if not math.isfinite(value * value):
+            raise ConfigurationError(key, f"{key} squared overflows a float")
+
+
 class _ConstantMean:
     """A kind whose conditional mean does not depend on the state."""
 
@@ -304,6 +312,7 @@ class BiasedGaussianTruncated(_ConstantMean):
             raise ConfigurationError("sd", "sd must be >= 0")
         if t <= 0:
             raise ConfigurationError("truncation", "truncation must be > 0")
+        _check_squares(self, ("bias", "sd"))
         from scipy import special
         lo = special.ndtr(-t)
         object.__setattr__(self, "_cdf_lo", float(lo))
@@ -339,6 +348,7 @@ class UniformBiased(_ConstantMean):
     def __post_init__(self):
         if self.halfwidth < 0:
             raise ConfigurationError("halfwidth", "halfwidth must be nonnegative")
+        _check_squares(self, ("center", "halfwidth"))
 
     @property
     def d_max(self):
@@ -371,6 +381,7 @@ class StateDependentBias:
         for key in ("d_amplitude", "sd"):
             if getattr(self, key) < 0:
                 raise ConfigurationError(key, f"{key} must be nonnegative")
+        _check_squares(self, ("d_amplitude", "sd"))
 
     @property
     def d_max(self):
@@ -381,11 +392,9 @@ class StateDependentBias:
         return math.sqrt(self.d_amplitude ** 2 + self.sd ** 2)
 
     def conditional_mean(self, theta, vartheta):
-        """state_mean at states whose last axis holds the N components."""
-        theta, vartheta = np.broadcast_arrays(theta, vartheta)
-        n, lead = theta.shape[-1], theta.shape[:-1]
-        theta, vartheta = (np.moveaxis(x, -1, 0).reshape(n, -1) for x in (theta, vartheta))
-        return self.state_mean(n, theta.shape[1])(theta, vartheta).reshape(lead)
+        """state_mean at states whose last axis holds the N components, whose
+        squares it folds left as state_mean does."""
+        return self.d_amplitude * np.tanh(np.sqrt(_sum_squares(theta, vartheta)))
 
     def state_mean(self, n, width):
         """conditional_mean of (n, width) component-major states, as a function

@@ -11,8 +11,10 @@ phi . theta*, the normalisations, V, the finite check, and every eta and y
 if the conditional mean is a constant.  Per step it makes only the
 update's ufunc calls, and a state-dependent mean's.
 
-The decrement check estimates E[V_{k+1} | F_k] by frozen-state resampling:
-M noise draws given the history, as the columns of (N, M) buffers that one
+Every run takes its horizon, trial count, resample count and noise kind
+from the RunConfig, which checks their ranges.  The decrement check
+estimates E[V_{k+1} | F_k] by frozen-state resampling: M = cfg.resamples
+noise draws given the history, as the columns of (N, M) buffers that one
 kernel step advances.  The boundedness and rate checks are running
 reductions fed chunk by chunk: memory is O(trials * CHUNK_STEPS + horizon).
 `verify --check all` makes one kernel pass, from whose trial 0 a Harvest
@@ -226,13 +228,13 @@ class TrajectoryTrace:
     y: np.ndarray
 
 
-def run_trajectories(cfg, seeds, horizon=None, initial=None):
+def run_trajectories(cfg, seeds, initial=None):
     """One TrajectoryTrace per seed, from one lockstep kernel pass.
 
     Deterministic given (cfg, seed): a trial's trace does not depend on the
     other seeds, so row t of run_ensemble matches seed cfg.trial_seed(t).
     """
-    horizon = cfg.horizon if horizon is None else horizon
+    horizon = cfg.horizon
     state = cfg.initial_state() if initial is None else initial
     consts = cfg.constants()
     shape = (len(seeds), horizon + 1, cfg.dimension)
@@ -257,16 +259,16 @@ def run_trajectories(cfg, seeds, horizon=None, initial=None):
     phi_norm = np.full(shape[:2], np.nan)
     e_y[:, :horizon] = _rowdot(theta[:, :horizon], phi) - y
     phi_norm[:, :horizon] = np.sqrt(_rowdot(phi, phi))
-    Vhat = clipped_V(V, consts.K) if not consts.degenerate else np.full_like(V, np.nan)
+    Vhat = clipped_V(V, consts.K)  # all NaN for degenerate constants, whose K is NaN
     return [TrajectoryTrace(k=np.arange(horizon + 1), theta=theta[t], vartheta=vartheta[t],
                             V=V[t], Vhat=Vhat[t], e_y=e_y[t], eta=eta[t],
                             phi_norm=phi_norm[t], phi=phi[t], y=y[t])
             for t in range(len(seeds))]
 
 
-def run_trajectory(cfg, seed, horizon=None, initial=None):
-    """Run one trial for `horizon` steps: run_trajectories for one seed."""
-    return run_trajectories(cfg, [seed], horizon, initial)[0]
+def run_trajectory(cfg, seed, initial=None):
+    """Run one trial: run_trajectories for one seed."""
+    return run_trajectories(cfg, [seed], initial)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,41 +283,30 @@ class EnsembleResult:
     horizon: int
 
 
-def _ensemble_args(cfg, n_trials, horizon, initial):
-    n_trials = cfg.ensemble if n_trials is None else n_trials
-    if n_trials < 1:
-        raise ValueError("ensemble must contain at least one trial")
-    horizon = cfg.horizon if horizon is None else horizon
-    init = cfg.initial_state() if initial is None else initial
-    return [cfg.trial_seed(t) for t in range(n_trials)], horizon, init
-
-
-def ensemble_blocks(cfg, n_trials=None, horizon=None, initial=None, harvest=None):
+def ensemble_blocks(cfg, initial=None, harvest=None):
     """V of a lockstep ensemble as consecutive (trials, steps) column blocks.
 
-    Trial t uses seed cfg.trial_seed(t).  Feed the blocks, in order, to a
+    Trial t < cfg.ensemble uses seed cfg.trial_seed(t).  Feed the blocks, in order, to a
     BoundednessStream or RateStream to check the ensemble without holding
     its full V matrix.  A Harvest passed as `harvest` takes trial 0's states
     as the blocks go by.
     """
-    seeds, horizon, init = _ensemble_args(cfg, n_trials, horizon, initial)
-    for blk in _lockstep(cfg, seeds, horizon, init):
+    seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
+    init = cfg.initial_state() if initial is None else initial
+    for blk in _lockstep(cfg, seeds, cfg.horizon, init):
         if harvest is not None:
             harvest.add(blk)
         yield blk.V
 
 
-def run_ensemble(cfg, n_trials=None, horizon=None, initial=None):
-    """Evolve n_trials independent trajectories in lockstep, recording V only.
+def run_ensemble(cfg, initial=None):
+    """The ensemble_blocks run as one (trials, horizon+1) V matrix.
 
     Per-trial regressor and noise streams match run_trajectory(cfg,
     cfg.trial_seed(t)) exactly.
     """
-    seeds, horizon, init = _ensemble_args(cfg, n_trials, horizon, initial)
-    V = np.empty((len(seeds), horizon + 1))
-    for blk in _lockstep(cfg, seeds, horizon, init):
-        V[:, blk.k:blk.k + blk.V.shape[1]] = blk.V
-    return EnsembleResult(V=V, horizon=horizon)
+    return EnsembleResult(V=np.concatenate(list(ensemble_blocks(cfg, initial)), axis=1),
+                          horizon=cfg.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +367,11 @@ def probe_states(cfg, consts, harvest=None):
     ts = cfg.theta_star
     gamma = cfg.gains.gamma
     probes = []
-    if not consts.degenerate:
-        for label, v in (("0.1K", 0.1 * consts.K), ("K", consts.K),
-                         ("T", consts.T), ("10T", 10.0 * consts.T)):
-            if v > 0:
-                probes.append((label, state_on_sphere(v, ts, gamma, rng)))
+    # degenerate constants have NaN K and T, and so no spheres
+    for label, v in (("0.1K", 0.1 * consts.K), ("K", consts.K),
+                     ("T", consts.T), ("10T", 10.0 * consts.T)):
+        if v > 0:
+            probes.append((label, state_on_sphere(v, ts, gamma, rng)))
     if harvest is None or len(harvest.states) < len(harvest.rows):
         harvest = Harvest(cfg).run()
     return probes + harvest.states
@@ -413,21 +404,19 @@ class DecrementReport:
         return all(p.passed for p in self.probes)
 
 
-def _prober(cfg, consts, phi, M):
-    """probe(state, rng, noise, label): the decrement probe at regressor phi,
-    whose M resamples each take the kernel's step from the frozen state as a
-    column of (N, M) buffers that the probes of one report share."""
-    if M < 100:
-        raise ValueError("need at least 100 resamples")
-    ts, gamma = cfg.theta_star, cfg.gains.gamma
+def _prober(cfg, consts, phi):
+    """probe(state, rng, label): the decrement probe at regressor phi, whose
+    M = cfg.resamples draws of cfg.noise each take the kernel's step from the
+    frozen state as a column of (N, M) buffers that the probes of one report
+    share."""
+    ts, gamma, noise, M = cfg.theta_star, cfg.gains.gamma, cfg.noise, cfg.resamples
     y = float(phi @ ts)
     p = np.tile(phi[:, None], (1, M))
     norm = np.full_like(p, 1.0 + _sum_squares(phi))
     th, vt = np.empty((2,) + p.shape)
     carry, step = _hot_stepper(cfg.gains, ts.size, M)
 
-    def probe(state, rng, noise, label):
-        noise = cfg.noise if noise is None else noise
+    def probe(state, rng, label):
         mean_eta = noise.conditional_mean(state.theta, state.vartheta)
         eta = mean_eta + noise.innovation(rng.uniform(size=M))
         th[...], vt[...] = state.theta[:, None], state.vartheta[:, None]
@@ -451,22 +440,17 @@ def _prober(cfg, consts, phi, M):
     return probe
 
 
-def decrement_report(cfg, consts=None, M=None, noises=None, harvest=None):
+def decrement_report(cfg, consts, harvest=None):
     """Run the decrement probe over sphere and harvested states.
 
-    `noises` defaults to the configured noise kind; pass several kinds to
-    sweep them all against the same (d_max, sigma_max) constants.  A
-    Harvest fed every harvest row saves the one-wide harvest run.
+    A Harvest fed every harvest row saves the one-wide harvest run.
     """
-    consts = cfg.constants() if consts is None else consts
-    M = cfg.resamples if M is None else M
-    noises = [cfg.noise] if noises is None else noises
     states = probe_states(cfg, consts, harvest)
     rng = np.random.default_rng([cfg.base_seed, 0, 0xDEC])
     phi = cfg.regressor.generate_batch(0, 1, [cfg.trial_seed(0)])[0, :, 0]
-    probe = _prober(cfg, consts, phi, M)
-    probes = [probe(state, rng, noise, label) for noise in noises for label, state in states]
-    return DecrementReport(probes=probes, z=Z, resamples=M)
+    probe = _prober(cfg, consts, phi)
+    return DecrementReport(probes=[probe(state, rng, label) for label, state in states],
+                           z=Z, resamples=cfg.resamples)
 
 
 # ---------------------------------------------------------------------------

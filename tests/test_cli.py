@@ -240,8 +240,9 @@ class TestMalformedNumbers:
         ("gains.mu", dict(mode="unrestricted", gains={"gamma": 0.04, "beta": 0.5, "mu": 1.0})),
         ("gains.gamma", dict(gains={"gamma": 0.05, "beta": 0.5, "mu": 0.1})),  # > gamma_max
         # finite inputs whose derived bounds or constants overflow a float
-        ("noise", dict(noise={"kind": "uniform_biased", "center": 0.0, "halfwidth": 1e200})),
-        ("noise", dict(noise={"kind": "biased_gaussian", "bias": 0.0, "sd": 1e200})),
+        ("noise.halfwidth", dict(noise={"kind": "uniform_biased", "center": 0.0,
+                                        "halfwidth": 1e200})),
+        ("noise.sd", dict(noise={"kind": "biased_gaussian", "bias": 0.0, "sd": 1e200})),
         ("regressor.amplitude", dict(regressor={"kind": "sinusoid", "amplitude": [1e200, 1e200],
                                       "omega": 0.5})),
         ("theta_star", dict(theta_star=[1e300, 0.0])),
@@ -286,6 +287,21 @@ class TestMalformedNumbers:
         # omega * k overflows within the decrement probe's harvest, past the horizon
         ("regressor.omega", dict(horizon=2, regressor={"kind": "sinusoid",
                                                        "amplitude": [1.0, 1.0], "omega": 1e308})),
+        # a noise parameter whose square overflows would make sigma_max inf
+        ("noise.center", dict(noise={"kind": "uniform_biased", "center": 1e200,
+                                     "halfwidth": 0.1})),
+        ("noise.bias", dict(noise={"kind": "biased_gaussian", "bias": 1e200, "sd": 0.1})),
+        ("noise.d_amplitude", dict(noise={"kind": "state_dependent_bias", "d_amplitude": 1e200,
+                                          "sd": 0.1})),
+        ("noise.sd", dict(noise={"kind": "state_dependent_bias", "d_amplitude": 0.1,
+                                 "sd": 1e200})),
+        # finite squares whose sum overflows: sigma_max is inf, and so are the constants
+        ("(constants)", dict(noise={"kind": "uniform_biased", "center": 1.3e154,
+                                    "halfwidth": 1.3e154}, d_max=None, sigma_max=None)),
+        # the run sizes the verify entry points take from the config
+        ("horizon", dict(horizon=0)),
+        ("ensemble", dict(ensemble=0)),
+        ("resamples", dict(resamples=99)),
     ])
     def test_usage_error_names_field(self, tmp_path, capsys, field, overrides):
         cfg_path = write_config(tmp_path, small_dict(**overrides))
@@ -431,6 +447,21 @@ class TestExitCodes:
         assert main(["verify", cfg_path, "--check", check, "--out", str(out)]) == 2
         assert "degenerate constants" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_degenerate_constants_leave_vhat_nan_and_probe_no_sphere(self, tmp_path):
+        # mu = 0: K and T are NaN, so every Vhat is NaN and the decrement
+        # probe starts from the harvested states alone
+        cfg_path = write_config(tmp_path, small_dict(
+            mode="unrestricted", gains={"gamma": 0.04, "beta": 0.5, "mu": 0.0}))
+        assert main(["simulate", cfg_path, "--trials", "1", "--out", str(tmp_path / "s")]) == 0
+        with open(tmp_path / "s" / "trace_0.csv", newline="") as fh:
+            vhat = np.array([float(row["Vhat"]) for row in csv.DictReader(fh)])
+        assert vhat.size == 101 and np.isnan(vhat).all()
+        assert main(["verify", cfg_path, "--check", "decrement",
+                     "--out", str(tmp_path / "v")]) == 0
+        payload = json.loads((tmp_path / "v" / "verify_decrement.json").read_text())
+        labels = [p["label"] for p in payload["checks"]["decrement"]["probes"]]
+        assert len(labels) == 50 and all(label.startswith("traj[") for label in labels)
 
     @pytest.mark.parametrize("command", [
         ["constants"], ["verify", "--check", "decrement"],

@@ -213,7 +213,7 @@ class TestNoise:
             expected = 0.3 * np.tanh(np.linalg.norm(theta - vartheta, axis=-1))
             assert np.array_equal(noise.conditional_mean(theta, vartheta), expected)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12])
     def test_state_dependent_component_axis(self, n):
         # the lockstep kernel's (N, trials) states give the row-major values
         noise = StateDependentBias(d_amplitude=0.3, sd=0.1)

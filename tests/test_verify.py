@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -63,8 +64,8 @@ def kernel_states(cfg, seeds, horizon):
 
 class TestRunTrajectory:
     def test_record_count(self, small_config):
-        trace = verify.run_trajectory(small_config, small_config.trial_seed(0),
-                                      horizon=100)
+        cfg = dataclasses.replace(small_config, horizon=100)
+        trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
         assert trace.k.size == 101
         assert trace.theta.shape == (101, 2)
 
@@ -100,10 +101,11 @@ class TestRunTrajectory:
         assert np.all(trace.V <= trace.V[0] + 1e-12)
 
     def test_ensemble_rows_match_single_trials(self, small_config):
-        ens = verify.run_ensemble(small_config, n_trials=3, horizon=150)
+        cfg = dataclasses.replace(small_config, ensemble=3, horizon=150)
+        ens = verify.run_ensemble(cfg)
+        assert ens.V.shape == (3, 151)
         for t in range(3):
-            trace = verify.run_trajectory(small_config,
-                                          small_config.trial_seed(t), horizon=150)
+            trace = verify.run_trajectory(cfg, cfg.trial_seed(t))
             assert np.array_equal(trace.V, ens.V[t])
 
     @pytest.mark.parametrize("n", [8, 12])
@@ -366,26 +368,19 @@ class TestDecrement:
         rng = np.random.default_rng(1)
         state = cfg.initial_state()
         phi = rows(cfg.regressor, 0, 1, cfg.trial_seed(0))[0]
-        probe = verify._prober(cfg, consts, phi, 500)(state, rng, None, "")
+        probe = verify._prober(cfg, consts, phi)(state, rng, "")
         assert probe.stderr == 0.0
         assert probe.passed
 
     def test_minimum_state_bounded_by_chat(self, small_config):
-        cfg = small_config
+        cfg = dataclasses.replace(small_config, resamples=10_000)
         consts = cfg.constants()
         state = TunerState(theta=cfg.theta_star.copy(),
                            vartheta=cfg.theta_star.copy())
         phi = rows(cfg.regressor, 0, 1, cfg.trial_seed(0))[0]
-        probe = verify._prober(cfg, consts, phi, 10_000)(
-            state, np.random.default_rng(2), None, "")
+        probe = verify._prober(cfg, consts, phi)(state, np.random.default_rng(2), "")
         assert probe.V_k == 0.0
         assert probe.mean_V_next <= consts.c_hat + 4 * probe.stderr
-
-    def test_requires_enough_resamples(self, small_config):
-        cfg = small_config
-        with pytest.raises(ValueError):
-            verify._prober(cfg, cfg.constants(), np.zeros(2), 10)(
-                cfg.initial_state(), np.random.default_rng(0), None, "")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
     def test_probe_resamples_take_the_kernel_step(self, n, monkeypatch):
@@ -410,13 +405,15 @@ class TestDecrement:
         report = verify.decrement_report(cfg, consts)
         states = verify.probe_states(cfg, consts)
         assert len(captured) == len(states)
+        one_step = dataclasses.replace(cfg, horizon=1)
         for (label, state), (th, vt) in zip(states, captured):
-            trace = verify.run_trajectory(cfg, cfg.trial_seed(0), horizon=1, initial=state)
+            trace = verify.run_trajectory(one_step, cfg.trial_seed(0), initial=state)
             assert np.array_equal(th, np.tile(trace.theta[1], (100, 1))), label
             assert np.array_equal(vt, np.tile(trace.vartheta[1], (100, 1))), label
         # a harvested probe's V_k is the V the kernel recorded for its state
         harvest = verify.Harvest(cfg)
-        V = verify.run_trajectory(cfg, cfg.trial_seed(0), horizon=harvest.horizon).V
+        V = verify.run_trajectory(dataclasses.replace(cfg, horizon=harvest.horizon),
+                                  cfg.trial_seed(0)).V
         harvested = [p for p in report.probes if p.label.startswith("traj[")]
         assert len(harvested) == len(harvest.rows)
         for probe, row in zip(harvested, harvest.rows):
@@ -424,13 +421,18 @@ class TestDecrement:
             assert probe.V_k == V[row], probe.label
 
     def test_report_all_kinds(self, small_config):
+        # each kind against the same (d_max, sigma_max) constants and states
         cfg = small_config
-        noises = [Zero(), cfg.noise, UniformBiased(center=-0.08, halfwidth=0.3),
-                  StateDependentBias(d_amplitude=0.1, sd=0.45)]
-        report = verify.decrement_report(cfg, M=500, noises=noises)
-        kinds = {p.noise_kind for p in report.probes}
+        consts = cfg.constants()
+        harvest = verify.Harvest(cfg).run()
+        kinds = set()
+        for noise in (Zero(), cfg.noise, UniformBiased(center=-0.08, halfwidth=0.3),
+                      StateDependentBias(d_amplitude=0.1, sd=0.45)):
+            report = verify.decrement_report(dataclasses.replace(cfg, noise=noise), consts,
+                                             harvest=harvest)
+            kinds |= {p.noise_kind for p in report.probes}
+            assert report.all_pass
         assert len(kinds) == 4
-        assert report.all_pass
 
 
 class TestBoundedness:
@@ -468,7 +470,7 @@ class TestRate:
 
     def test_invalid_alpha(self, small_config):
         consts = small_config.constants()
-        ens = verify.run_ensemble(small_config, n_trials=2, horizon=50)
+        ens = verify.run_ensemble(dataclasses.replace(small_config, ensemble=2, horizon=50))
         with pytest.raises(InvalidAlphaError):
             verify.rate_check(ens.V, consts.c1, consts)
 
@@ -476,7 +478,7 @@ class TestRate:
         cfg = small_config
         consts = cfg.constants()
         alpha = consts.c1 / 2.0
-        ens = verify.run_ensemble(cfg, n_trials=4, horizon=200)
+        ens = verify.run_ensemble(dataclasses.replace(cfg, ensemble=4))
         report = verify.rate_check(ens.V, alpha, consts)
         # V0 is far below the clip radius, so Vhat stays identically zero
         assert np.all(report.envelope == 0.0)
@@ -489,6 +491,7 @@ class TestRate:
         K4 = theorem4_radius(alpha, consts)
         init = verify.state_on_sphere(10 * K4, cfg.theta_star,
                                       cfg.gains.gamma, np.random.default_rng(5))
-        ens = verify.run_ensemble(cfg, n_trials=16, horizon=500, initial=init)
+        ens = verify.run_ensemble(dataclasses.replace(cfg, ensemble=16, horizon=500),
+                                  initial=init)
         report = verify.rate_check(ens.V, alpha, consts)
         assert report.passed
