@@ -1,11 +1,18 @@
-"""JSON run configuration shared by the verification harness and the CLI."""
+"""JSON run configuration shared by the verification harness and the CLI.
+
+A regressor or noise spec names its `kind`, a model class (`_KINDS`); its other
+keys are that class's dataclass fields, read in declaration order, except
+`dimension`, which is always the config's.  An optional field that is absent or
+null takes the class default.  A malformed or out-of-range value raises a
+ConfigError naming its key.
+"""
 from __future__ import annotations
 
 import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -75,29 +82,52 @@ def _check_keys(d, allowed, where):
             raise ConfigError(f"{where}{key}", "unknown key")
 
 
-# the keys of each section; a regressor or noise spec also has its "kind"
 _TOP_KEYS = {"dimension", "theta_star", "theta0", "vartheta0", "regressor", "noise",
              "d_max", "sigma_max", "gains", "horizon", "ensemble", "resamples", "alpha",
              "base_seed", "mode", "c2_variant"}
 _GAINS_KEYS = ("gamma", "beta", "mu")
-_REGRESSOR_KEYS = {"constant": {"value", "phi_bound"},
-                   "sinusoid": {"amplitude", "omega", "phase", "phi_bound"},
-                   "iid_bounded": {"bound"},
-                   "piecewise_constant": {"bound", "dwell", "levels"}}
-_NOISE_KEYS = {"zero": set(),
-               "biased_gaussian": {"bias", "sd", "truncation"},
-               "uniform_biased": {"center", "halfwidth"},
-               "state_dependent_bias": {"d_amplitude", "sd"}}
+# a regressor or noise kind is its model class: the spec's keys are the class's fields
+_KINDS = {"regressor": {"constant": model_mod.Constant, "sinusoid": model_mod.Sinusoid,
+                        "iid_bounded": model_mod.IidBounded,
+                        "piecewise_constant": model_mod.PiecewiseConstant},
+          "noise": {"zero": model_mod.Zero, "biased_gaussian": model_mod.BiasedGaussianTruncated,
+                    "uniform_biased": model_mod.UniformBiased,
+                    "state_dependent_bias": model_mod.StateDependentBias}}
 
 
-def _kind(spec, kinds, where):
-    """spec's kind, after checking that it is known and that spec has no
-    key the kind does not take."""
+def _levels(d, key, dim, where):
+    levels = tuple(_check_vector(v, dim, f"{where}{key}") for v in _require(d, key, list, where))
+    if not levels:
+        raise ConfigError(f"{where}{key}", "must hold at least one level")
+    return levels
+
+
+# the reader, (spec, key, dim, where) -> value, of each field not a plain finite number
+_READERS = {"value": _vector, "amplitude": _vector, "phase": _vector, "levels": _levels,
+            "dwell": lambda d, key, dim, where: _number(d, key, where, integer=True)}
+
+
+def _build(d, section, dim):
+    """The model object of d[section], a spec naming its `kind` and that kind's
+    class fields, read in declaration order; an optional field absent or null
+    takes the class default, and `dimension` is always the config's."""
+    where = f"{section}."
+    spec = _require(d, section, dict, "")
     kind = _require(spec, "kind", str, where)
-    if kind not in kinds:
+    if kind not in _KINDS[section]:
         raise ConfigError(f"{where}kind", f"unknown kind '{kind}'")
-    _check_keys(spec, kinds[kind] | {"kind"}, where)
-    return kind
+    cls = _KINDS[section][kind]
+    _check_keys(spec, {"kind", *(f.name for f in fields(cls))} - {"dimension"}, where)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name == "dimension":
+            kwargs["dimension"] = dim
+        elif f.default is MISSING or spec.get(f.name) is not None:
+            read = _READERS.get(f.name)
+            kwargs[f.name] = (read(spec, f.name, dim, where) if read
+                              else _number(spec, f.name, where))
+    with _section(section):
+        return cls(**kwargs)
 
 
 def check_seed(value):
@@ -114,54 +144,6 @@ def _section(name):
         yield
     except model_mod.ConfigurationError as exc:
         raise ConfigError(f"{name}.{exc.field}", str(exc)) from exc
-
-
-def _build_regressor(spec, dim):
-    kind = _kind(spec, _REGRESSOR_KEYS, "regressor.")
-    if kind == "constant":
-        return model_mod.Constant(
-            value=_vector(spec, "value", dim, "regressor."),
-            phi_bound=_number(spec, "phi_bound", "regressor.", None))
-    if kind == "sinusoid":
-        return model_mod.Sinusoid(
-            amplitude=_vector(spec, "amplitude", dim, "regressor."),
-            omega=_number(spec, "omega", "regressor."),
-            phase=_vector(spec, "phase", dim, "regressor.") if "phase" in spec else None,
-            phi_bound=_number(spec, "phi_bound", "regressor.", None))
-    if kind == "iid_bounded":
-        return model_mod.IidBounded(
-            bound=_number(spec, "bound", "regressor."), dimension=dim)
-    if kind == "piecewise_constant":
-        levels = None
-        if spec.get("levels") is not None:
-            levels = tuple(_check_vector(v, dim, "regressor.levels")
-                           for v in _require(spec, "levels", list, "regressor."))
-            if not levels:
-                raise ConfigError("regressor.levels", "must hold at least one level")
-        return model_mod.PiecewiseConstant(
-            bound=_number(spec, "bound", "regressor."),
-            dimension=dim,
-            dwell=_number(spec, "dwell", "regressor.", integer=True),
-            levels=levels)
-
-
-def _build_noise(spec):
-    kind = _kind(spec, _NOISE_KEYS, "noise.")
-    if kind == "zero":
-        return model_mod.Zero()
-    if kind == "biased_gaussian":
-        return model_mod.BiasedGaussianTruncated(
-            bias=_number(spec, "bias", "noise."),
-            sd=_number(spec, "sd", "noise."),
-            truncation=_number(spec, "truncation", "noise.", 3.0))
-    if kind == "uniform_biased":
-        return model_mod.UniformBiased(
-            center=_number(spec, "center", "noise."),
-            halfwidth=_number(spec, "halfwidth", "noise."))
-    if kind == "state_dependent_bias":
-        return model_mod.StateDependentBias(
-            d_amplitude=_number(spec, "d_amplitude", "noise."),
-            sd=_number(spec, "sd", "noise."))
 
 
 @dataclass
@@ -203,18 +185,17 @@ class RunConfig:
         with _section("gains"):
             gains = Gains(gamma=gamma, beta=beta, mu=mu, theta0=theta0, mode=mode)
 
-        with _section("regressor"):
-            regressor = _build_regressor(_require(d, "regressor", dict, ""), dim)
-        with _section("noise"):
-            noise = _build_noise(_require(d, "noise", dict, ""))
-        noise_d_max, noise_sigma_max = noise.d_max, noise.sigma_max
-
-        d_max = _number(d, "d_max", "", noise_d_max)
-        sigma_max = _number(d, "sigma_max", "", noise_sigma_max)
-        if d_max < noise_d_max - 1e-12:
-            raise ConfigError("d_max", "smaller than the noise kind's analytic bound")
-        if sigma_max < noise_sigma_max - 1e-12:
-            raise ConfigError("sigma_max", "smaller than the noise kind's analytic bound")
+        regressor = _build(d, "regressor", dim)
+        noise = _build(d, "noise", dim)
+        bounds = {}
+        for key in ("d_max", "sigma_max"):
+            analytic = getattr(noise, key)
+            bounds[key] = _number(d, key, "", analytic)
+            # `not >=`, so that a NaN analytic bound fails too
+            if not bounds[key] >= 0.0:
+                raise ConfigError(key, f"must be nonnegative, got {bounds[key]!r}")
+            if not bounds[key] >= analytic - 1e-12:
+                raise ConfigError(key, "smaller than the noise kind's analytic bound")
 
         horizon = _number(d, "horizon", "", integer=True)
         if horizon < 1:
@@ -241,7 +222,7 @@ class RunConfig:
 
         return cls(theta_star=theta_star, regressor=regressor,
                    noise=noise, gains=gains, vartheta0=vartheta0,
-                   d_max=d_max, sigma_max=sigma_max, horizon=horizon,
+                   horizon=horizon, **bounds,
                    ensemble=ensemble, resamples=resamples, alpha=alpha,
                    base_seed=base_seed, c2_variant=c2_variant, raw=dict(d))
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 import hot_tuner
-from hot_tuner import __version__, lyapunov
+from hot_tuner import __version__, lyapunov, model
 from hot_tuner.cli import _jsonable, _write_trace_csv, main
-from hot_tuner.config import load_config
+from hot_tuner.config import RunConfig, load_config
 from hot_tuner import verify
 
 from conftest import reference_dict
@@ -302,11 +303,22 @@ class TestMalformedNumbers:
         ("horizon", dict(horizon=0)),
         ("ensemble", dict(ensemble=0)),
         ("resamples", dict(resamples=99)),
+        # a declared bound below 0 fails, even within 1e-12 of a zero analytic bound
+        ("d_max", dict(noise={"kind": "zero"}, d_max=-1e-13, sigma_max=0.0)),
+        ("sigma_max", dict(noise={"kind": "zero"}, d_max=0.0, sigma_max=-5e-13)),
     ])
     def test_usage_error_names_field(self, tmp_path, capsys, field, overrides):
         cfg_path = write_config(tmp_path, small_dict(**overrides))
         assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+
+    def test_nan_analytic_bound_names_its_key(self, tmp_path, capsys, monkeypatch):
+        # no declared bound passes a NaN analytic one
+        monkeypatch.setattr(model.UniformBiased, "sigma_max", property(lambda self: math.nan))
+        cfg_path = write_config(tmp_path, small_dict(
+            noise={"kind": "uniform_biased", "center": 0.1, "halfwidth": 0.3}))
+        assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'sigma_max'" in capsys.readouterr().err
 
     def test_huge_omega_that_fits_still_runs(self, tmp_path):
         # at 1e300, omega * k stays finite over every step drawn, and the checks run
@@ -329,6 +341,9 @@ class TestUnknownKeys:
         ("noise.truncaton", dict(noise={"kind": "biased_gaussian", "bias": 0.1, "sd": 0.48,
                                         "truncaton": 2.0})),
         ("noise.sd", dict(noise={"kind": "zero", "sd": 0.1})),
+        # a kind's dimension is always the config's
+        ("regressor.dimension", dict(regressor={"kind": "iid_bounded", "bound": 2.0,
+                                                "dimension": 2})),
     ])
     def test_usage_error_names_key(self, tmp_path, capsys, field, overrides):
         cfg_path = write_config(tmp_path, small_dict(**overrides))
@@ -339,6 +354,31 @@ class TestUnknownKeys:
         cfg_path = write_config(tmp_path, small_dict(noise={"kind": "laplace", "scale": 1.0}))
         assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "config field 'noise.kind': unknown kind 'laplace'" in capsys.readouterr().err
+
+
+class TestKindSpecs:
+    def test_null_phase_is_the_default_phase(self):
+        spec = {"kind": "sinusoid", "amplitude": [1.0, 2.0], "omega": 0.5}
+        omitted = RunConfig.from_dict(small_dict(regressor=spec)).regressor
+        null = RunConfig.from_dict(small_dict(regressor=dict(spec, phase=None))).regressor
+        assert null.phase.tolist() == omitted.phase.tolist() == [0.0, 0.0]
+        assert (null.amplitude.tolist(), null.omega, null.phi_bound) == (
+            omitted.amplitude.tolist(), omitted.omega, omitted.phi_bound)
+
+    @pytest.mark.parametrize("truncation, bias, overrides, command", [
+        (1e-20, 0.1, {}, ["constants"]),
+        (1e-20, 0.1, {}, ["verify", "--check", "decrement"]),
+        (1e-8, 0.0, dict(d_max=None, sigma_max=None), ["constants"]),
+        (1e308, 0.1, dict(d_max=None, sigma_max=None), ["verify", "--check", "all"]),
+    ])
+    def test_extreme_truncation_runs_on_finite_bounds(self, tmp_path, capsys, truncation,
+                                                       bias, overrides, command):
+        cfg_path = write_config(tmp_path, small_dict(noise={
+            "kind": "biased_gaussian", "bias": bias, "sd": 0.48, "truncation": truncation},
+            **overrides))
+        out = ["--out", str(tmp_path / "o")] if command[0] == "verify" else []
+        assert main([command[0], cfg_path, *command[1:], *out]) == 0, capsys.readouterr().err
+        assert math.isfinite(load_config(cfg_path).sigma_max)
 
 
 def strict_json(path):

@@ -1,7 +1,9 @@
 import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hot_tuner.model import (
     BiasedGaussianTruncated,
@@ -165,9 +167,13 @@ class TestNoise:
         from scipy import stats  # the reference; the package itself does not import it
         unit = BiasedGaussianTruncated(bias=0.0, sd=1.0)
         assert unit._trunc_var == stats.truncnorm.var(-3.0, 3.0)
-        for t in np.linspace(0.1, 40.0, 400):
+        # the series below t = 0.15 and the closed form above meet at scipy's value
+        for t in [*np.linspace(0.1, 40.0, 400), np.nextafter(0.15, 0.0), 0.15]:
             got = BiasedGaussianTruncated(bias=0.0, sd=1.0, truncation=float(t))._trunc_var
             assert got == pytest.approx(stats.truncnorm.var(-t, t), rel=1e-12, abs=0)
+        # far below it scipy's closed form cancels, and the series' first term is exact
+        assert BiasedGaussianTruncated(bias=0.0, sd=1.0, truncation=1e-8)._trunc_var == (
+            pytest.approx(1e-16 / 3.0, rel=1e-15))
 
     @pytest.mark.parametrize("t", [0.5, 3.0, 8.0])
     def test_truncated_cdf_and_innovation_are_scipy_specials(self, t):
@@ -179,6 +185,25 @@ class TestNoise:
         u = np.concatenate(([0.0, 0.5, np.nextafter(1.0, 0.0)],
                             np.random.default_rng(5).random(1000)))
         assert np.array_equal(noise.innovation(u), 0.48 * special.ndtri(lo + u * span))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-300.0, 308.0), min_size=2, max_size=2))
+    def test_truncated_variance_holds_at_every_truncation(self, exponents):
+        # over log-uniform t in [1e-300, 1e308] the variance is finite, within
+        # [0, sd**2], and non-decreasing in t to within the closed form's rounding
+        t1, t2 = sorted(10.0 ** e for e in exponents)
+        v1, v2 = (BiasedGaussianTruncated(bias=0.0, sd=1.0, truncation=t)._trunc_var
+                  for t in (t1, t2))
+        assert 0.0 <= v1 <= 1.0 and 0.0 <= v2 <= 1.0
+        assert v1 <= v2 * (1.0 + 1e-12)
+
+    def test_truncated_gaussian_at_extreme_truncations(self):
+        narrow = BiasedGaussianTruncated(bias=0.1, sd=0.48, truncation=1e-20)
+        assert narrow._cdf_span == 0.0 and narrow.sigma_max == 0.1
+        assert np.all(narrow.innovation(np.array([0.0, 0.5, 0.99])) == 0.0)
+        # pdf(t) underflows to 0: the whole Gaussian, not 2 t * pdf(t) = inf * 0
+        wide = BiasedGaussianTruncated(bias=0.1, sd=0.48, truncation=1e308)
+        assert wide._trunc_var == 0.48 ** 2 and wide.sigma_max == math.sqrt(0.1 ** 2 + 0.48 ** 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
     def test_state_dependent_mean_folds_left(self, n):
