@@ -24,8 +24,6 @@ from .model import (
 from .tuner import Gains, TunerState, NonFiniteError, hot_step
 from .lyapunov import (
     LyapunovConstants,
-    DegenerateConstantsError,
-    InvalidAlphaError,
     lyapunov_value,
     gamma_max,
     constants,

@@ -1,9 +1,9 @@
 """`hot-tuner` command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error (an
---out that cannot be created or written included), 3 numeric divergence,
-4 internal error (any other exception, reported on one line).  A warning is
-printed as one `warning: ...` line on stderr and leaves the exit code as it is.
+Exit codes: 0 success, 1 verification failure, 2 a bad option, a ConfigError
+or an --out that cannot be created or written, 3 numeric divergence, 4 internal
+error (any other exception, reported on one line).  A warning is printed as one
+`warning: ...` line on stderr and leaves the exit code as it is.
 
 `simulate` advances all its trials in one lockstep kernel pass and writes the
 CSVs afterwards, so a divergence in any trial exits 3 before any trace is
@@ -257,10 +257,6 @@ def main(argv=None):
         with warnings.catch_warnings():  # restores showwarning on the way out
             warnings.showwarning = _print_warning
             return args.func(args)
-    except lyapunov.InvalidAlphaError as exc:
-        # every command reads the config's alpha for the Theorem-4 radius
-        print(f"error: {ConfigError('alpha', str(exc))}", file=sys.stderr)
-        return EXIT_USAGE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,9 +2,9 @@
 
 A regressor or noise spec names its `kind`, a model class (`_KINDS`); its other
 keys are that class's dataclass fields, read in declaration order, except
-`dimension`, which is always the config's.  An optional field that is absent or
-null takes the class default.  A malformed or out-of-range value raises a
-ConfigError naming its key.
+`dimension`, which is always the config's.  An optional key, top-level or in a
+spec, that is absent or null takes its default.  A malformed or out-of-range
+value raises a ConfigError (model's, re-exported here) naming its key.
 """
 from __future__ import annotations
 
@@ -17,25 +17,28 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import lyapunov, model as model_mod
+from .model import ConfigError
 from .tuner import Gains, TunerState
 from .verify import N_HARVEST
 
-
-class ConfigError(ValueError):
-    """Schema violation; `field` names the offending entry."""
-
-    def __init__(self, field_name, message):
-        self.field = field_name
-        super().__init__(f"config field '{field_name}': {message}")
+# a JSON value's type, as an error message names it
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
 
 
-def _require(d, key, types, where):
+def _require(d, key, json_type, where):
     if key not in d:
         raise ConfigError(f"{where}{key}", "missing")
     v = d[key]
-    if not isinstance(v, types):
-        raise ConfigError(f"{where}{key}", f"expected {types}, got {type(v).__name__}")
+    if not isinstance(v, json_type):
+        got = _JSON_TYPES.get(type(v), type(v).__name__)
+        raise ConfigError(f"{where}{key}", f"expected {_JSON_TYPES[json_type]}, got {got}")
     return v
+
+
+def _get(d, key, default):
+    """d[key]; `default` if it is absent or null."""
+    return default if d.get(key) is None else d[key]
 
 
 def _is_number(x, integer=False):
@@ -139,11 +142,11 @@ def check_seed(value):
 
 @contextlib.contextmanager
 def _section(name):
-    """Re-raise a model.ConfigurationError as a ConfigError naming section.key."""
+    """Re-raise a model object's ConfigError as one naming section.key."""
     try:
         yield
-    except model_mod.ConfigurationError as exc:
-        raise ConfigError(f"{name}.{exc.field}", str(exc)) from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{name}.{exc.field}", exc.message) from exc
 
 
 @dataclass
@@ -176,7 +179,7 @@ class RunConfig:
         vartheta0 = (_vector(d, "vartheta0", dim, "")
                      if d.get("vartheta0") is not None else theta0.copy())
 
-        mode = d.get("mode", "certified")
+        mode = _get(d, "mode", "certified")
         if mode not in ("certified", "unrestricted"):
             raise ConfigError("mode", "must be 'certified' or 'unrestricted'")
         gspec = _require(d, "gains", dict, "")
@@ -215,8 +218,8 @@ class RunConfig:
         alpha = _number(d, "alpha", "", None)
         if alpha is not None and alpha <= 0:
             raise ConfigError("alpha", "must be positive")
-        base_seed = check_seed(d.get("base_seed", 0))
-        c2_variant = d.get("c2_variant", "theorem")
+        base_seed = check_seed(_get(d, "base_seed", 0))
+        c2_variant = _get(d, "c2_variant", "theorem")
         if c2_variant not in ("theorem", "appendix"):
             raise ConfigError("c2_variant", "must be 'theorem' or 'appendix'")
 
@@ -248,8 +251,6 @@ class RunConfig:
         """alpha from the config, defaulting to c1/2 of the given constants."""
         if self.alpha is not None:
             return self.alpha
-        if consts.degenerate:
-            raise ConfigError("alpha", "no default alpha for degenerate constants")
         return consts.c1 / 2.0
 
     def trial_seed(self, trial):

@@ -7,15 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _sum_squares
-
-
-class DegenerateConstantsError(ValueError):
-    """c1 = 0 (mu * gamma * beta = 0): the thresholds K and T are undefined."""
-
-
-class InvalidAlphaError(ValueError):
-    """The contraction rate alpha must satisfy 0 < alpha < c1."""
+from .model import ConfigError, _sum_squares
 
 
 def lyapunov_value(state, theta_star, gamma):
@@ -51,7 +43,7 @@ def gamma_max(beta, mu):
 def threshold_K(c1, c2, c_hat):
     """Greatest root of -c1 x + c2 sqrt(x) + c_hat = 0, in closed form."""
     if c1 <= 0.0:
-        raise DegenerateConstantsError("c1 must be positive for the roots K and T")
+        raise ValueError("c1 must be positive for the roots K and T")
     disc = max(c2 ** 4 + 4.0 * c1 * c2 ** 2 * c_hat, 0.0)
     return (c2 ** 2 + 2.0 * c1 * c_hat + math.sqrt(disc)) / (2.0 * c1 ** 2)
 
@@ -141,13 +133,12 @@ def clipped_V(v, K):
 
 
 def theorem4_radius(alpha, consts):
-    """Radius of the exponential-convergence target set: max{c2^2/(alpha-c1)^2, c_hat/alpha}."""
-    if consts.degenerate:
-        raise DegenerateConstantsError("radius undefined for degenerate constants")
+    """Radius of the exponential-convergence target set: max{c2^2/(alpha-c1)^2, c_hat/alpha};
+    a ConfigError naming alpha unless 0 < alpha < c1 (never so for degenerate c1 = 0)."""
     if not 0.0 < alpha < consts.c1:
-        raise InvalidAlphaError(f"alpha must lie in (0, c1={consts.c1}); got {alpha}")
+        raise ConfigError("alpha", f"alpha must lie in (0, c1={consts.c1}); got {alpha}")
     gap = (alpha - consts.c1) ** 2  # 0.0 if it underflows
     radius = max(consts.c2 ** 2 / gap, consts.c_hat / alpha) if gap else math.inf
     if not math.isfinite(radius):
-        raise InvalidAlphaError(f"alpha={alpha} is so near 0 or c1 that the radius overflows")
+        raise ConfigError("alpha", f"alpha={alpha} is so near 0 or c1 that the radius overflows")
     return radius

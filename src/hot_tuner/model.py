@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class ConfigurationError(ValueError):
-    """A parameter out of its range; `field` names its key within its section."""
+class ConfigError(ValueError):
+    """A bad value: `field` names its key, `message` says what is wrong with it."""
 
     def __init__(self, field, message):
         self.field = field
-        super().__init__(message)
+        self.message = message
+        super().__init__(f"config field '{field}': {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +112,10 @@ def _check_ball(bound, dim):
     """Reject a negative bound, or one whose squared norm over dim components
     overflows a float: the clip would scale every hashed row by bound/inf = 0."""
     if bound < 0:
-        raise ConfigurationError("bound", "bound must be nonnegative")
+        raise ConfigError("bound", "bound must be nonnegative")
     if not math.isfinite(bound * bound * dim):
-        raise ConfigurationError("bound", f"its squared norm over {dim} components "
-                                 "overflows a float")
+        raise ConfigError("bound", f"its squared norm over {dim} components "
+                          "overflows a float")
 
 
 def _uniform_rows(words, ks, dim, bound):
@@ -141,11 +142,11 @@ class Constant:
     def __post_init__(self):
         v = np.asarray(self.value, dtype=float)
         if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise ConfigurationError("value", "constant regressor value must be a finite vector")
+            raise ConfigError("value", "constant regressor value must be a finite vector")
         object.__setattr__(self, "value", v)
         b = float(np.linalg.norm(v)) if self.phi_bound is None else float(self.phi_bound)
         if b < np.linalg.norm(v) - 1e-12:
-            raise ConfigurationError("phi_bound", "phi_bound smaller than the constant value norm")
+            raise ConfigError("phi_bound", "phi_bound smaller than the constant value norm")
         object.__setattr__(self, "phi_bound", b)
 
     @property
@@ -168,15 +169,15 @@ class Sinusoid:
     def __post_init__(self):
         amp = np.atleast_1d(np.asarray(self.amplitude, dtype=float))
         if np.any(amp < 0) or not np.all(np.isfinite(amp)):
-            raise ConfigurationError("amplitude", "amplitude must be finite and nonnegative")
+            raise ConfigError("amplitude", "amplitude must be finite and nonnegative")
         ph = np.zeros_like(amp) if self.phase is None else np.asarray(self.phase, dtype=float)
         if ph.shape != amp.shape:
-            raise ConfigurationError("phase", "sinusoid phase must match amplitude shape")
+            raise ConfigError("phase", "sinusoid phase must match amplitude shape")
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "phase", ph)
         b = float(np.linalg.norm(amp)) if self.phi_bound is None else float(self.phi_bound)
         if b < np.linalg.norm(amp) - 1e-12:
-            raise ConfigurationError("phi_bound", "phi_bound smaller than the amplitude norm")
+            raise ConfigError("phi_bound", "phi_bound smaller than the amplitude norm")
         object.__setattr__(self, "phi_bound", b)
 
     @property
@@ -197,7 +198,7 @@ class IidBounded:
 
     def __post_init__(self):
         if self.dimension < 1:
-            raise ConfigurationError("dimension", "dimension must be >= 1")
+            raise ConfigError("dimension", "dimension must be >= 1")
         _check_ball(self.bound, self.dimension)
 
     @property
@@ -224,15 +225,15 @@ class PiecewiseConstant:
     def __post_init__(self):
         # np.arange(k0, k1) // dwell needs a dwell that fits an int64
         if not 1 <= self.dwell < 2 ** 63:
-            raise ConfigurationError("dwell", "dwell must lie in [1, 2**63)")
+            raise ConfigError("dwell", "dwell must lie in [1, 2**63)")
         _check_ball(self.bound, self.dimension)
         if self.levels is not None:
             lv = tuple(np.asarray(l, dtype=float) for l in self.levels)
             for l in lv:
                 if l.size != self.dimension:
-                    raise ConfigurationError("levels", "level dimension mismatch")
+                    raise ConfigError("levels", "level dimension mismatch")
                 if np.linalg.norm(l) > self.bound + 1e-12:
-                    raise ConfigurationError("levels", "level norm exceeds bound")
+                    raise ConfigError("levels", "level norm exceeds bound")
             object.__setattr__(self, "levels", lv)
 
     @property
@@ -268,7 +269,7 @@ def _check_squares(noise, keys):
     for key in keys:
         value = getattr(noise, key)
         if not math.isfinite(value * value):
-            raise ConfigurationError(key, f"{key} squared overflows a float")
+            raise ConfigError(key, f"{key} squared overflows a float")
 
 
 class _ConstantMean:
@@ -309,9 +310,9 @@ class BiasedGaussianTruncated(_ConstantMean):
     def __post_init__(self):
         t = self.truncation
         if self.sd < 0:
-            raise ConfigurationError("sd", "sd must be >= 0")
+            raise ConfigError("sd", "sd must be >= 0")
         if t <= 0:
-            raise ConfigurationError("truncation", "truncation must be > 0")
+            raise ConfigError("truncation", "truncation must be > 0")
         _check_squares(self, ("bias", "sd"))
         from scipy import special
         lo = special.ndtr(-t)
@@ -356,7 +357,7 @@ class UniformBiased(_ConstantMean):
 
     def __post_init__(self):
         if self.halfwidth < 0:
-            raise ConfigurationError("halfwidth", "halfwidth must be nonnegative")
+            raise ConfigError("halfwidth", "halfwidth must be nonnegative")
         _check_squares(self, ("center", "halfwidth"))
 
     @property
@@ -389,7 +390,7 @@ class StateDependentBias:
     def __post_init__(self):
         for key in ("d_amplitude", "sd"):
             if getattr(self, key) < 0:
-                raise ConfigurationError(key, f"{key} must be nonnegative")
+                raise ConfigError(key, f"{key} must be nonnegative")
         _check_squares(self, ("d_amplitude", "sd"))
 
     @property

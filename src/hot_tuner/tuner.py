@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError
+from .model import ConfigError
 
 
 class NonFiniteError(FloatingPointError):
@@ -43,24 +43,24 @@ class Gains:
     def __post_init__(self):
         t0 = np.asarray(self.theta0, dtype=float)
         if t0.ndim != 1 or not np.all(np.isfinite(t0)):
-            raise ConfigurationError("theta0", "theta0 must be a finite 1-d vector")
+            raise ConfigError("theta0", "theta0 must be a finite 1-d vector")
         object.__setattr__(self, "theta0", t0)
         if not 0.0 < self.beta < 1.0:
-            raise ConfigurationError("beta", "beta must lie in (0, 1)")
+            raise ConfigError("beta", "beta must lie in (0, 1)")
         if self.gamma <= 0.0:
-            raise ConfigurationError("gamma", "gamma must be positive")
+            raise ConfigError("gamma", "gamma must be positive")
         if self.mode not in ("certified", "unrestricted"):
-            raise ConfigurationError("mode", "mode must be 'certified' or 'unrestricted'")
+            raise ConfigError("mode", "mode must be 'certified' or 'unrestricted'")
         if self.mode == "certified":
             if not 0.0 < self.mu < 1.0:
-                raise ConfigurationError("mu", "certified mode requires 0 < mu < 1")
+                raise ConfigError("mu", "certified mode requires 0 < mu < 1")
             from .lyapunov import gamma_max
             gmax = gamma_max(self.beta, self.mu)
             if self.gamma > gmax:
-                raise ConfigurationError("gamma", f"gamma={self.gamma} exceeds "
-                                         f"gamma_max({self.beta}, {self.mu})={gmax}")
+                raise ConfigError("gamma", f"gamma={self.gamma} exceeds "
+                                  f"gamma_max({self.beta}, {self.mu})={gmax}")
         elif not 0.0 <= self.mu < 1.0:
-            raise ConfigurationError("mu", "mu must lie in [0, 1)")
+            raise ConfigError("mu", "mu must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -572,7 +572,7 @@ class RateStream:
     """
 
     def __init__(self, alpha, consts):
-        self.clip_radius = theorem4_radius(alpha, consts)  # raises InvalidAlphaError
+        self.clip_radius = theorem4_radius(alpha, consts)  # a ConfigError unless 0 < alpha < c1
         self.alpha = alpha
         self.means = []
         self.stderrs = []

@@ -312,6 +312,26 @@ class TestMalformedNumbers:
         assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(gains={"gamma": 0.04, "beta": 1.5, "mu": 0.1}),
+         "config field 'gains.beta': beta must lie in (0, 1)"),
+        (dict(noise={"kind": "biased_gaussian", "bias": 0.1, "sd": -1}),
+         "config field 'noise.sd': sd must be >= 0"),
+    ], ids=["gains.beta", "noise.sd"])
+    def test_model_error_says_config_field_once(self, tmp_path, capsys, overrides, message):
+        cfg_path = write_config(tmp_path, small_dict(**overrides))
+        assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(gains=None), "config field 'gains': expected an object, got null"),
+        (dict(regressor=[]), "config field 'regressor': expected an object, got an array"),
+    ], ids=["gains-null", "regressor-array"])
+    def test_wrong_json_type_is_named_in_json_terms(self, tmp_path, capsys, overrides, message):
+        cfg_path = write_config(tmp_path, small_dict(**overrides))
+        assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_nan_analytic_bound_names_its_key(self, tmp_path, capsys, monkeypatch):
         # no declared bound passes a NaN analytic one
         monkeypatch.setattr(model.UniformBiased, "sigma_max", property(lambda self: math.nan))
@@ -354,6 +374,20 @@ class TestUnknownKeys:
         cfg_path = write_config(tmp_path, small_dict(noise={"kind": "laplace", "scale": 1.0}))
         assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "config field 'noise.kind': unknown kind 'laplace'" in capsys.readouterr().err
+
+
+class TestTopLevelNulls:
+    @pytest.mark.parametrize("key, read, default", [
+        ("base_seed", lambda cfg: cfg.base_seed, 0),
+        ("mode", lambda cfg: cfg.gains.mode, "certified"),
+        ("c2_variant", lambda cfg: cfg.c2_variant, "theorem"),
+    ], ids=["base_seed", "mode", "c2_variant"])
+    def test_null_loads_as_omitted(self, key, read, default):
+        omitted = small_dict()
+        del omitted[key]
+        null = RunConfig.from_dict(dict(omitted, **{key: None}))
+        assert repr(null) == repr(RunConfig.from_dict(omitted))
+        assert read(null) == default
 
 
 class TestKindSpecs:

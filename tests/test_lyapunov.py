@@ -6,8 +6,6 @@ import pytest
 from scipy.optimize import brentq
 
 from hot_tuner.lyapunov import (
-    DegenerateConstantsError,
-    InvalidAlphaError,
     clipped_V,
     constants,
     gamma_max,
@@ -17,6 +15,7 @@ from hot_tuner.lyapunov import (
     threshold_K,
     threshold_T,
 )
+from hot_tuner.model import ConfigError
 from hot_tuner.tuner import Gains, TunerState
 
 
@@ -149,9 +148,9 @@ class TestThresholds:
                                   rel=1e-12)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateConstantsError):
+        with pytest.raises(ValueError, match="c1 must be positive for the roots K and T"):
             threshold_K(0.0, 1.0, 1.0)
-        with pytest.raises(DegenerateConstantsError):
+        with pytest.raises(ValueError, match="c1 must be positive for the roots K and T"):
             threshold_T(-1.0, 1.0, 1.0, 0.0)
 
     def test_random_triples_match_oracle(self):
@@ -240,5 +239,14 @@ class TestTheorem4Radius:
     def test_invalid_alpha(self):
         c = self._consts()
         for alpha in (0.0, c.c1, c.c1 * 2, -1.0):
-            with pytest.raises(InvalidAlphaError):
+            with pytest.raises(ConfigError, match=r"alpha must lie in \(0, c1="):
                 theorem4_radius(alpha, c)
+
+    def test_degenerate_constants_name_alpha(self):
+        # mu = 0 gives c1 = 0, so no alpha lies in (0, c1)
+        g = Gains(gamma=0.04, beta=0.5, mu=0.0, theta0=[0.0], mode="unrestricted")
+        c = constants(g, 0.1, 0.5, [1.0])
+        for alpha in (1e-3, 0.5):
+            with pytest.raises(ConfigError, match=r"alpha must lie in \(0, c1=0.0\)") as exc:
+                theorem4_radius(alpha, c)
+            assert exc.value.field == "alpha"

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hot_tuner.model import (
     BiasedGaussianTruncated,
-    ConfigurationError,
+    ConfigError,
     Constant,
     IidBounded,
     PiecewiseConstant,
@@ -18,7 +19,7 @@ from hot_tuner.model import (
     _sum_rows,
 )
 from hot_tuner import verify
-from hot_tuner.config import ConfigError, RunConfig
+from hot_tuner.config import RunConfig
 from hot_tuner.tuner import TunerState
 
 from conftest import reference_dict, rows
@@ -122,13 +123,15 @@ class TestRegressors:
             assert np.max(np.linalg.norm(batch, axis=1)) <= src.phi_bound + 1e-12
 
     def test_invalid_params_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError, match="amplitude must be finite and nonnegative"):
             Sinusoid(amplitude=[-1.0], omega=1.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError, match="bound must be nonnegative") as exc:
             IidBounded(bound=-1.0, dimension=2)
-        with pytest.raises(ConfigurationError):
+        assert (exc.value.field, exc.value.message, str(exc.value)) == (
+            "bound", "bound must be nonnegative", "config field 'bound': bound must be nonnegative")
+        with pytest.raises(ConfigError, match=re.escape("dwell must lie in [1, 2**63)")):
             PiecewiseConstant(bound=1.0, dimension=2, dwell=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError, match="phi_bound smaller than the constant value norm"):
             Constant(value=[3.0, 4.0], phi_bound=1.0)
 
 

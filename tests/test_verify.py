@@ -4,8 +4,8 @@ import functools
 import numpy as np
 import pytest
 
-from hot_tuner.config import RunConfig
-from hot_tuner.lyapunov import InvalidAlphaError, lyapunov_value_arrays, theorem4_radius
+from hot_tuner.config import ConfigError, RunConfig
+from hot_tuner.lyapunov import lyapunov_value_arrays, theorem4_radius
 from hot_tuner.model import StateDependentBias, UniformBiased, Zero
 from hot_tuner.tuner import NonFiniteError, TunerState, hot_step
 from hot_tuner import verify
@@ -471,7 +471,7 @@ class TestRate:
     def test_invalid_alpha(self, small_config):
         consts = small_config.constants()
         ens = verify.run_ensemble(dataclasses.replace(small_config, ensemble=2, horizon=50))
-        with pytest.raises(InvalidAlphaError):
+        with pytest.raises(ConfigError, match=r"alpha must lie in \(0, c1="):
             verify.rate_check(ens.V, consts.c1, consts)
 
     def test_start_inside_target_set(self, small_config):
