@@ -21,9 +21,9 @@ from .model import ConfigError
 from .tuner import Gains, TunerState
 from .verify import N_HARVEST
 
-# a JSON value's type, as an error message names it
+# a JSON value's type, as an error message names it (a number is named by its value)
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
-               int: "a number", float: "a number", type(None): "null"}
+               type(None): "null"}
 
 
 def _require(d, key, json_type, where):
@@ -31,9 +31,13 @@ def _require(d, key, json_type, where):
         raise ConfigError(f"{where}{key}", "missing")
     v = d[key]
     if not isinstance(v, json_type):
-        got = _JSON_TYPES.get(type(v), type(v).__name__)
-        raise ConfigError(f"{where}{key}", f"expected {_JSON_TYPES[json_type]}, got {got}")
+        raise ConfigError(f"{where}{key}", f"expected {_JSON_TYPES[json_type]}, got {_got(v)}")
     return v
+
+
+def _got(v):
+    """v as an error message names it: a number by its value, else by its JSON type."""
+    return repr(v) if type(v) in (int, float) else _JSON_TYPES.get(type(v), type(v).__name__)
 
 
 def _get(d, key, default):
@@ -61,7 +65,7 @@ def _number(d, key, where, default=_REQUIRED, integer=False):
     value = d[key]
     if not _is_number(value, integer):
         kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{where}{key}", f"expected {kind}, got {value!r}")
+        raise ConfigError(f"{where}{key}", f"expected {kind}, got {_got(value)}")
     return value if integer else float(value)
 
 
@@ -136,7 +140,7 @@ def _build(d, section, dim):
 def check_seed(value):
     """A base seed: a non-negative integer, as numpy's generators require."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError("base_seed", f"must be a non-negative integer, got {value!r}")
+        raise ConfigError("base_seed", f"must be a non-negative integer, got {_got(value)}")
     return value
 
 

@@ -17,6 +17,9 @@ estimates E[V_{k+1} | F_k] by frozen-state resampling: M = cfg.resamples
 noise draws given the history, as the columns of (N, M) buffers that one
 kernel step advances.  The boundedness and rate checks are running
 reductions fed chunk by chunk: memory is O(trials * CHUNK_STEPS + horizon).
+Each reads a chunk's V as the kernel lays it out: the rate check sums each
+step's trials along the contiguous axis, as np.mean and np.std do, and the
+boundedness check reads re-entry off the last step.
 `verify --check all` makes one kernel pass, from whose trial 0 a Harvest
 takes the decrement probe's trajectory states.
 """
@@ -494,7 +497,7 @@ class BoundednessStream:
         self.T = consts.T
         self.steps = 0
         self.n_above = 0
-        self.sup, self.last_below, self.last_above = -np.inf, -1, -1
+        self.sup, self.last_below = -np.inf, -1
 
     def add(self, V):
         above = V > self.T
@@ -502,14 +505,12 @@ class BoundednessStream:
             self.v0 = float(np.max(V[:, 0]))
         self.sup = np.maximum(self.sup, np.max(V, axis=1))
         self.last_below = np.maximum(self.last_below, _last_true(~above, self.steps))
-        self.last_above = np.maximum(self.last_above, _last_true(above, self.steps))
+        self.above_at_end = above[:, -1]
         self.n_above += int(np.count_nonzero(above))
         self.steps += V.shape[1]
 
     def result(self):
         threshold = max(self.v0, self.T) * BOUND_MARGIN
-        # the last excursion above T must be followed by a return to {V <= T}
-        reenter = (self.last_above < 0) | (self.last_below > self.last_above)
         return BoundednessSummary(
             sup_per_trial=self.sup, max_sup=float(np.max(self.sup)),
             threshold=threshold,
@@ -517,7 +518,8 @@ class BoundednessStream:
             last_entry_time=self.last_below,
             all_finite=bool(np.all(np.isfinite(self.sup))),
             all_within_threshold=bool(np.all(self.sup <= threshold)),
-            all_reenter=bool(np.all(reenter)), margin=BOUND_MARGIN)
+            # a trial re-enters {V <= T} after its last excursion iff it ends there
+            all_reenter=not np.any(self.above_at_end), margin=BOUND_MARGIN)
 
 
 def boundedness_check(V, consts):
@@ -549,26 +551,13 @@ class RateReport:
         return bool(np.all(self.pass_per_step))
 
 
-def _column_sums(a):
-    """Sums over axis 0 in row order: ((a[0] + a[1]) + a[2]) + ...
-
-    That is numpy's own order for a reduction over the rows of a C-ordered
-    matrix with two or more columns.  add.reduce sums a single column, or
-    along a contiguous axis, pairwise instead, which would make results
-    depend on the block split; accumulate keeps row order for any layout but
-    writes every partial sum.
-    """
-    if a.shape[1] < 2 or not a.flags.c_contiguous:
-        return np.add.accumulate(a, axis=0)[-1]
-    return np.add.reduce(a, axis=0)
-
-
 class RateStream:
     """The supermartingale-envelope check as a running reduction over V.
 
-    Feed V to `add` as in BoundednessStream.  The per-step mean and standard
-    error of V-hat are computed block by block over the trials, as
-    np.mean/np.std(ddof=1) compute them; memory is O(trials * block + horizon).
+    Feed V to `add` as in BoundednessStream.  Each step's mean and standard
+    error of V-hat are np.mean/np.std(ddof=1) over its trials, along the
+    contiguous axis of the kernel's (steps, trials) buffers, for any split;
+    memory is O(trials * block + horizon).
     """
 
     def __init__(self, alpha, consts):
@@ -578,18 +567,19 @@ class RateStream:
         self.stderrs = []
 
     def add(self, V):
-        # C order: the kernel's blocks are (trials, steps) views of
-        # (steps, trials) buffers, and _column_sums reduces C order fastest
-        vhat = np.ascontiguousarray(clipped_V(V, self.clip_radius))
-        n, steps = vhat.shape
+        # (steps, trials): a no-op for a kernel block, a transposed view of
+        # its C-ordered buffer; a copy for a whole (trials, steps) matrix
+        vhat = np.ascontiguousarray(clipped_V(V, self.clip_radius).T)
+        steps, n = vhat.shape
         if not self.means:
-            self.vhat0 = float(np.max(vhat[:, 0]))
-        mean = _column_sums(vhat) / n
+            self.vhat0 = float(np.max(vhat[0]))
+        # np.mean and np.std(ddof=1) over axis 1, with the deviations taken in place
+        mean = np.add.reduce(vhat, axis=1) / n
         self.means.append(mean)
         if n > 1:
             with np.errstate(over="ignore", invalid="ignore"):  # V = inf: inf - inf
-                dev = np.subtract(vhat, mean, out=vhat)
-                var = _column_sums(np.multiply(dev, dev, out=dev)) / (n - 1)
+                dev = np.subtract(vhat, mean[:, None], out=vhat)
+                var = np.add.reduce(np.multiply(dev, dev, out=dev), axis=1) / (n - 1)
             self.stderrs.append(np.sqrt(var) / math.sqrt(n))
         else:
             self.stderrs.append(np.zeros(steps))

@@ -326,7 +326,16 @@ class TestMalformedNumbers:
     @pytest.mark.parametrize("overrides, message", [
         (dict(gains=None), "config field 'gains': expected an object, got null"),
         (dict(regressor=[]), "config field 'regressor': expected an object, got an array"),
-    ], ids=["gains-null", "regressor-array"])
+        (dict(dimension=None), "config field 'dimension': expected an integer, got null"),
+        (dict(horizon="5"), "config field 'horizon': expected an integer, got a string"),
+        (dict(ensemble=True), "config field 'ensemble': expected an integer, got a boolean"),
+        (dict(base_seed="5"),
+         "config field 'base_seed': must be a non-negative integer, got a string"),
+        # a finite number of the wrong kind is named by its value
+        (dict(resamples=1.5), "config field 'resamples': expected an integer, got 1.5"),
+        (dict(gains=5), "config field 'gains': expected an object, got 5"),
+    ], ids=["gains-null", "regressor-array", "dimension-null", "horizon-string",
+            "ensemble-boolean", "base_seed-string", "resamples-float", "gains-number"])
     def test_wrong_json_type_is_named_in_json_terms(self, tmp_path, capsys, overrides, message):
         cfg_path = write_config(tmp_path, small_dict(**overrides))
         assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2

@@ -1,11 +1,10 @@
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
 
 from hot_tuner.config import ConfigError, RunConfig
-from hot_tuner.lyapunov import lyapunov_value_arrays, theorem4_radius
+from hot_tuner.lyapunov import clipped_V, lyapunov_value_arrays, theorem4_radius
 from hot_tuner.model import StateDependentBias, UniformBiased, Zero
 from hot_tuner.tuner import NonFiniteError, TunerState, hot_step
 from hot_tuner import verify
@@ -52,6 +51,12 @@ def hot_step_loop(cfg, seed, horizon):
     theta, vartheta, _, _ = hot_step_run(cfg, seed, horizon)
     ts = cfg.theta_star
     return theta, vartheta, lyapunov_value_arrays(theta, vartheta, ts, cfg.gains.gamma)
+
+
+def column_blocks(buf, cols):
+    """(trials, cols) blocks of a (steps, trials) V buffer, as the kernel yields them:
+    transposed views of its C-ordered rows."""
+    return [buf[k:k + cols].T for k in range(0, len(buf), cols)]
 
 
 def kernel_states(cfg, seeds, horizon):
@@ -456,17 +461,56 @@ class TestBoundedness:
         assert summary.passed
         assert summary.frac_steps_above_T == 0.0
 
+    @pytest.mark.parametrize("end_above, reenter", [(False, True), (True, False)])
+    def test_reentry_is_read_off_the_last_step(self, small_config, end_above, reenter):
+        consts = small_config.constants()
+        T = consts.T
+        # (steps, trials), as the kernel lays V out: trial 0 stays below T,
+        # trial 1 leaves {V <= T} and comes back, and trial 2 leaves it at the end
+        buf = np.full((600, 3), 0.5 * T)
+        buf[100:150, 1] = 2.0 * T
+        buf[300:, 2] = 2.0 * T
+        buf[-1, 2] = 2.0 * T if end_above else T
+        whole = verify.boundedness_check(np.ascontiguousarray(buf.T), consts)
+        assert whole.all_reenter is reenter
+        assert whole.passed is reenter
+        assert np.array_equal(whole.last_entry_time, [599, 599, 299 if end_above else 599])
+        for cols in (1, 7, 256):
+            stream = verify.BoundednessStream(consts)
+            for V in column_blocks(buf, cols):
+                stream.add(V)
+            summary = stream.result()
+            assert summary.all_reenter is reenter
+            for name in ("sup_per_trial", "last_entry_time"):
+                assert np.array_equal(getattr(summary, name), getattr(whole, name))
+            for name in ("max_sup", "threshold", "frac_steps_above_T", "all_finite",
+                         "all_within_threshold", "margin"):
+                assert getattr(summary, name) == getattr(whole, name)
+
 
 class TestRate:
-    @pytest.mark.parametrize("shape", [(200, 256), (57, 2), (3, 1), (1, 5)])
-    def test_column_sums_fold_rows_in_order(self, shape):
+    @pytest.mark.parametrize("trials", [8, 200])
+    def test_any_split_sums_trials_as_numpy_does(self, small_config, trials):
+        consts = small_config.constants()
+        alpha = consts.c1 / 2.0
+        radius = theorem4_radius(alpha, consts)
         # spread magnitudes so that any other summation order rounds differently
-        a = np.random.default_rng(1).lognormal(sigma=4.0, size=shape)
-        want = functools.reduce(np.add, a)
-        if shape[0] >= 8:
-            assert not np.array_equal(np.sum(np.ascontiguousarray(a.T), axis=1), want)
-        for layout in (a, np.asfortranarray(a), np.ascontiguousarray(a.T).T):
-            assert np.array_equal(verify._column_sums(layout), want)
+        buf = radius + np.random.default_rng(1).lognormal(sigma=4.0, size=(600, trials))
+        vhat = clipped_V(buf, radius)
+        assert np.all(vhat > 0.0)
+        want_mean = np.mean(vhat, axis=1)
+        want_stderr = np.std(vhat, axis=1, ddof=1) / np.sqrt(trials)
+        # the whole matrix as run_ensemble lays it out, and kernel-like blocks
+        reports = [verify.rate_check(np.ascontiguousarray(buf.T), alpha, consts)]
+        for cols in (1, 7, 256):
+            stream = verify.RateStream(alpha, consts)
+            for V in column_blocks(buf, cols):
+                stream.add(V)
+            reports.append(stream.result())
+        for report in reports:
+            assert np.array_equal(report.mean_Vhat, want_mean)
+            assert np.array_equal(report.stderr_Vhat, want_stderr)
+            assert np.array_equal(report.pass_per_step, reports[0].pass_per_step)
 
     def test_invalid_alpha(self, small_config):
         consts = small_config.constants()
