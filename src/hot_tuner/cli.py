@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 a bad option, a ConfigError
 or an --out that cannot be created or written, 3 numeric divergence, 4 internal
 error (any other exception, reported on one line).  A warning is printed as one
-`warning: ...` line on stderr and leaves the exit code as it is.
+`warning: ...` line on stderr, once, and leaves the exit code as it is, under
+any -W or PYTHONWARNINGS filter.
 
 `simulate` advances all its trials in one lockstep kernel pass and writes the
 CSVs afterwards, so a divergence in any trial exits 3 before any trace is
@@ -254,7 +255,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings():  # restores showwarning on the way out
+        with warnings.catch_warnings():  # restores the filters and showwarning on the way out
+            warnings.simplefilter("default")  # once per warning, even under -W error
             warnings.showwarning = _print_warning
             return args.func(args)
     except ConfigError as exc:

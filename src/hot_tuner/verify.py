@@ -6,10 +6,15 @@ is lyapunov_value_arrays, whose norms fold left too.  Every multi-step run
 -- traces, ensembles and simulate -- goes through one lockstep kernel that
 advances every trial CHUNK_STEPS steps at a time, laid out
 (steps, N, trials).  Per chunk it does the work that does not depend on the
-state: every trial's innovations and regressors from its own seed,
-phi . theta*, the normalisations, V, the finite check, and every eta and y
-if the conditional mean is a constant.  Per step it makes only the
-update's ufunc calls, and a state-dependent mean's.
+state: every trial's innovations and regressors from its own seed, the
+observation rows, V, the finite check, and every eta and y if the
+conditional mean is a constant.  Per step it makes only the update's ufunc
+calls, and a state-dependent mean's.
+
+The observation rows -- phi at full width, 1 + |phi|^2 and phi . theta* --
+are built in one place, _observe, for the kernel and the decrement probe,
+from shared and per-trial regressors alike; its docstring states the
+rounding rule.
 
 Every run takes its horizon, trial count, resample count and noise kind
 from the RunConfig, which checks their ranges.  The decrement check
@@ -62,7 +67,7 @@ class _Block:
     V: np.ndarray         # (trials, rows)
     eta: np.ndarray       # (observations, trials); observations == rows or 0
     y: np.ndarray         # (observations, trials)
-    phi: np.ndarray       # (observations, N, trials), trials == 1 if shared
+    phi: np.ndarray       # (observations, N, trials)
 
 
 def _hot_stepper(gains, n, width):
@@ -119,10 +124,10 @@ def _lockstep(cfg, seeds, horizon, initial):
     """Advance one trial per seed through `horizon` observations in lockstep.
 
     The trial with seed s draws its innovations from default_rng(s) and its
-    regressors with seed s; phi . theta* rounds as np.dot does, so for N < 8
-    the kernel is bitwise a hot_step loop.  Yields _Blocks that cover trace
-    rows 0..horizon in order; raises NonFiniteError naming the first step
-    whose update is not finite.
+    regressors with seed s; _observe builds the observation rows, so for
+    N < 8 the kernel is bitwise a hot_step loop.  Yields _Blocks that cover
+    trace rows 0..horizon in order; raises NonFiniteError naming the first
+    step whose update is not finite.
     """
     ts, noise, regressor = cfg.theta_star, cfg.noise, cfg.regressor
     n, width, size = ts.size, len(seeds), CHUNK_STEPS
@@ -136,11 +141,7 @@ def _lockstep(cfg, seeds, horizon, initial):
     u = np.empty((width, size))
     eta = np.empty((size, width))
     y = np.empty((size, width))
-    # phi transposed to (steps, trials, N) for phi . theta*; then, once that is
-    # taken, 1 + |phi|^2 repeated over the components for the step's division
-    phi_t = np.empty((size, width, n))
-    norms = phi_t.reshape(size, n, width)
-    phi_full = None  # a shared regressor's rows broadcast to full width
+    p, norm = np.empty((2, size, n, width))
     carry, step = _hot_stepper(cfg.gains, n, width)
     carry(theta[0])
 
@@ -156,32 +157,19 @@ def _lockstep(cfg, seeds, horizon, initial):
         for row, rng in zip(u, rngs):
             rng.random(out=row[:m])
         innov = noise.innovation(u[:, :m]).T
-        phi = regressor.generate_batch(k0, k0 + m, seeds)
-        # np.dot's rounding of phi . theta* differs from a fold of products
-        # (and between a strided and a contiguous phi), so take it row-major
-        if phi.shape[2] == width:
-            phi_t[:m] = phi.transpose(0, 2, 1)
-            _rowdot(phi_t[:m], ts, out=y[:m])
-        else:
-            y[:m] = _rowdot(np.ascontiguousarray(phi.transpose(0, 2, 1)), ts)
-        norms[:m] = (1.0 + _sum_squares(phi.transpose(0, 2, 1)))[:, None, :]
+        # unnamed, the fresh batch is freed once copied into p
+        _observe(regressor.generate_batch(k0, k0 + m, seeds), ts, p[:m], norm[:m], y[:m])
         if state_mean is None:
             add(noise.conditional_mean(), innov, eta[:m])
             add(y[:m], eta[:m], y[:m])
         else:
             eta[:m] = innov  # eta_j = mean_j + innovation_j, and y_j += eta_j, per step
-        p_rows = phi
-        if phi.shape[2] != width:
-            if phi_full is None:
-                phi_full = np.empty((size, n, width))
-            phi_full[:m] = phi
-            p_rows = phi_full
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(m):
                 th, vt, y_j = theta[j], vartheta[j], y[j]
                 if state_mean is not None:
                     add(y_j, add(state_mean(th, vt), eta[j], eta[j]), y_j)
-                step(th, vt, p_rows[j], norms[j], y_j, theta[j + 1], vartheta[j + 1])
+                step(th, vt, p[j], norm[j], y_j, theta[j + 1], vartheta[j + 1])
         V_rows = v_rows(theta[:m], vartheta[:m])
         # V covers rows 0..m-1 and overflows for huge finite states too, so
         # it only tells when to look for the first non-finite row 1..m
@@ -191,19 +179,27 @@ def _lockstep(cfg, seeds, horizon, initial):
                       & np.isfinite(vartheta[1:m + 1]).all(axis=(1, 2)))
             if not finite.all():
                 raise NonFiniteError(k0 + int(np.argmin(finite)))
-        yield _Block(k0, theta[:m], vartheta[:m], V_rows, eta[:m], y[:m], phi)
+        yield _Block(k0, theta[:m], vartheta[:m], V_rows, eta[:m], y[:m], p[:m])
         theta[0], vartheta[0] = theta[m], vartheta[m]
     yield _Block(horizon, theta[:1], vartheta[:1], v_rows(theta[:1], vartheta[:1]),
-                 eta[:0], y[:0], np.empty((0, n, width)))
+                 eta[:0], y[:0], p[:0])
 
 
-def _rowdot(a, b, out=None):
-    """Dot products over the last axis, rounded as np.dot rounds one pair of
-    vectors (a stack of 1xN by Nx1 products shares its inner loop), so the
-    kernel reproduces a per-step `phi @ theta_star`."""
-    if out is not None:
-        out = out[..., None, None]
-    return np.matmul(a[..., None, :], b[..., :, None], out=out)[..., 0, 0]
+def _observe(phi, theta_star, p, norm, y):
+    """Write a (steps, N, S) chunk of regressor rows, S the trial count or 1
+    for a regressor that every trial shares, as the HOT step reads it: the
+    rows broadcast to every trial into p (steps, N, trials), 1 + |phi|^2 for
+    each component into norm (steps, N, trials), and phi . theta* into y
+    (steps, trials).  y is np.vecdot over the contiguous (steps, S, N)
+    transpose, whose rows it rounds as np.dot rounds one pair of vectors, so
+    it is hot_step's `phi @ theta_star`; over a strided component axis
+    vecdot rounds differently from N = 5 on.
+    """
+    rows = phi.transpose(0, 2, 1)
+    # (steps, S) dots, then broadcast: out=y would take a shared row's dot once per trial
+    y[...] = np.vecdot(np.ascontiguousarray(rows), theta_star)
+    norm[...] = 1.0 + _sum_squares(rows)[:, None, :]
+    p[...] = phi
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +256,8 @@ def run_trajectories(cfg, seeds, initial=None):
 
     e_y = np.full(shape[:2], np.nan)
     phi_norm = np.full(shape[:2], np.nan)
-    e_y[:, :horizon] = _rowdot(theta[:, :horizon], phi) - y
-    phi_norm[:, :horizon] = np.sqrt(_rowdot(phi, phi))
+    e_y[:, :horizon] = np.vecdot(theta[:, :horizon], phi) - y
+    phi_norm[:, :horizon] = np.sqrt(np.vecdot(phi, phi))
     Vhat = clipped_V(V, consts.K)  # all NaN for degenerate constants, whose K is NaN
     return [TrajectoryTrace(k=np.arange(horizon + 1), theta=theta[t], vartheta=vartheta[t],
                             V=V[t], Vhat=Vhat[t], e_y=e_y[t], eta=eta[t],
@@ -413,9 +409,9 @@ def _prober(cfg, consts, phi):
     frozen state as a column of (N, M) buffers that the probes of one report
     share."""
     ts, gamma, noise, M = cfg.theta_star, cfg.gains.gamma, cfg.noise, cfg.resamples
-    y = float(phi @ ts)
-    p = np.tile(phi[:, None], (1, M))
-    norm = np.full_like(p, 1.0 + _sum_squares(phi))
+    p, norm = np.empty((2, ts.size, M))
+    y = np.empty(M)
+    _observe(phi[None, :, None], ts, p[None], norm[None], y[None])  # a one-row chunk
     th, vt = np.empty((2,) + p.shape)
     carry, step = _hot_stepper(cfg.gains, ts.size, M)
 

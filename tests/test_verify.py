@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -180,6 +181,40 @@ class TestRunTrajectory:
         assert exc.value.step == 198
 
 
+def observe(phi, theta_star, trials):
+    """p, norm and y that verify._observe writes for a (steps, N, S) chunk."""
+    steps, n, _ = phi.shape
+    p, norm = np.empty((2, steps, n, trials))
+    y = np.empty((steps, trials))
+    verify._observe(phi, theta_star, p, norm, y)
+    return p, norm, y
+
+
+class TestObserve:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_shared_rows_match_the_same_rows_tiled(self, n):
+        rng = np.random.default_rng(n)
+        phi, ts = rng.uniform(-2.0, 2.0, (40, n, 1)), rng.uniform(-1.0, 1.0, n)
+        shared = observe(phi, ts, 6)
+        tiled = observe(np.tile(phi, (1, 1, 6)), ts, 6)
+        for a, b in zip(shared, tiled):
+            assert np.array_equal(a, b)
+        assert np.array_equal(shared[0], np.broadcast_to(phi, shared[0].shape))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+    def test_y_rounds_as_np_dot_of_one_row(self, n):
+        # vecdot over the strided component axis differs from N = 5 on
+        rng = np.random.default_rng(n)
+        phi, ts = rng.uniform(-2.0, 2.0, (64, n, 50)), rng.uniform(-1.0, 1.0, n)
+        _, norm, y = observe(phi, ts, 50)
+        for k in range(64):
+            for t in range(50):
+                row = np.ascontiguousarray(phi[k, :, t])
+                assert y[k, t] == np.dot(row, ts)
+                assert np.all(norm[k, :, t] == 1.0 + functools.reduce(
+                    lambda acc, x: acc + x * x, row[1:], row[0] * row[0]))
+
+
 class TestLockstepKernel:
     @pytest.mark.parametrize("noise", sorted(NOISES))
     @pytest.mark.parametrize("regressor", sorted(REGRESSORS))
@@ -298,7 +333,8 @@ class TestLockstepKernel:
         monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
         with pytest.raises(NonFiniteError) as ens:
             verify.run_ensemble(cfg)
-        with pytest.raises(NonFiniteError) as one:
+        # run_trajectories takes the constants, whose c2 warns for gamma > 1/16
+        with pytest.raises(NonFiniteError) as one, pytest.warns(UserWarning, match="gamma > 1/16"):
             verify.run_trajectory(cfg, cfg.trial_seed(0))
         assert ens.value.step == one.value.step == 37
 
