@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 a bad option, a ConfigError
 or an --out that cannot be created or written, 3 numeric divergence, 4 internal
 error (any other exception, reported on one line).  A warning is printed as one
-`warning: ...` line on stderr, once, and leaves the exit code as it is, under
-any -W or PYTHONWARNINGS filter.
+`warning: ...` line on stderr, once, and leaves the exit code as it is, where
+a -W or PYTHONWARNINGS filter would raise it; a filter that ignores it holds.
 
 `simulate` advances all its trials in one lockstep kernel pass and writes the
 CSVs afterwards, so a divergence in any trial exits 3 before any trace is
@@ -256,7 +256,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings():  # restores the filters and showwarning on the way out
-            warnings.simplefilter("default")  # once per warning, even under -W error
+            filters = warnings.filters  # -W error prints once instead; ignore filters hold
+            filters[:] = [("default", *f[1:]) if f[0] == "error" else f for f in filters]
             warnings.showwarning = _print_warning
             return args.func(args)
     except ConfigError as exc:

@@ -186,19 +186,19 @@ def _lockstep(cfg, seeds, horizon, initial):
 
 
 def _observe(phi, theta_star, p, norm, y):
-    """Write a (steps, N, S) chunk of regressor rows, S the trial count or 1
-    for a regressor that every trial shares, as the HOT step reads it: the
-    rows broadcast to every trial into p (steps, N, trials), 1 + |phi|^2 for
-    each component into norm (steps, N, trials), and phi . theta* into y
-    (steps, trials).  y is np.vecdot over the contiguous (steps, S, N)
-    transpose, whose rows it rounds as np.dot rounds one pair of vectors, so
-    it is hot_step's `phi @ theta_star`; over a strided component axis
-    vecdot rounds differently from N = 5 on.
+    """Write a ([steps,] N, S) chunk of regressor rows, S the trial count or
+    1 for a regressor that every trial shares, as the HOT step reads it: the
+    rows broadcast to every trial into p ([steps,] N, trials), 1 + |phi|^2
+    for each component into norm, likewise, and phi . theta* into y
+    ([steps,] trials).  y is np.vecdot over the contiguous (S, N) rows,
+    which it rounds as np.dot rounds one pair of vectors, so it is
+    hot_step's `phi @ theta_star`; over a strided component axis vecdot
+    rounds differently from N = 5 on.
     """
-    rows = phi.transpose(0, 2, 1)
+    rows = phi.swapaxes(-1, -2)
     # (steps, S) dots, then broadcast: out=y would take a shared row's dot once per trial
     y[...] = np.vecdot(np.ascontiguousarray(rows), theta_star)
-    norm[...] = 1.0 + _sum_squares(rows)[:, None, :]
+    norm[...] = 1.0 + _sum_squares(rows)[..., None, :]
     p[...] = phi
 
 
@@ -411,7 +411,7 @@ def _prober(cfg, consts, phi):
     ts, gamma, noise, M = cfg.theta_star, cfg.gains.gamma, cfg.noise, cfg.resamples
     p, norm = np.empty((2, ts.size, M))
     y = np.empty(M)
-    _observe(phi[None, :, None], ts, p[None], norm[None], y[None])  # a one-row chunk
+    _observe(phi[:, None], ts, p, norm, y)
     th, vt = np.empty((2,) + p.shape)
     carry, step = _hot_stepper(cfg.gains, ts.size, M)
 

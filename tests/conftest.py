@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from hot_tuner import cli
 from hot_tuner.config import RunConfig
 
 REFERENCE_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -14,6 +15,25 @@ def reference_dict(**overrides):
         d = json.load(fh)
     d.update(overrides)
     return d
+
+
+@pytest.fixture(autouse=True)
+def no_stray_cli_warning(monkeypatch):
+    """Fail a test in which a command prints a warning other than gamma > 1/16.
+
+    cli.main prints a warning even where -W error would raise it, so the
+    suite's -W error flags cannot fail a command's exit code; this does.
+    """
+    printed = []
+
+    def record(message, *args, **kwargs):
+        printed.append(str(message))
+        show(message, *args, **kwargs)
+
+    show = cli._print_warning
+    monkeypatch.setattr(cli, "_print_warning", record)
+    yield
+    assert [m for m in printed if not m.startswith("gamma > 1/16: ")] == []
 
 
 def rows(src, k0, k1, seed):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hot_tuner
-from hot_tuner import __version__, lyapunov, model
+from hot_tuner import __version__, cli, lyapunov, model
 from hot_tuner.cli import _jsonable, _write_trace_csv, main
 from hot_tuner.config import RunConfig, load_config
 from hot_tuner import verify
@@ -565,6 +565,21 @@ class TestExitCodes:
                              "--out", str(tmp_path / action)]) == 0
             err = capsys.readouterr().err
             assert err.startswith("warning: gamma > 1/16: ") and err.count("\n") == 1
+
+    def test_ignored_deprecation_warning_prints_nothing(self, tmp_path, capsys, monkeypatch):
+        # only "error" filters turn into printing: the interpreter's ignore of
+        # DeprecationWarning holds beside -W error::UserWarning
+        def command(args):
+            warnings.warn("deprecated", DeprecationWarning)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_constants", command)
+        with warnings.catch_warnings():
+            warnings.resetwarnings()
+            warnings.simplefilter("ignore", DeprecationWarning)
+            warnings.simplefilter("error", UserWarning)
+            assert main(["constants", write_config(tmp_path, small_dict())]) == 0
+        assert capsys.readouterr().err == ""
 
     @staticmethod
     def _python(code, *args):
