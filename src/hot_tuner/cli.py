@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 a bad option, a ConfigError
 or an --out that cannot be created or written, 3 numeric divergence, 4 internal
-error (any other exception, reported on one line).  A warning is printed as one
-`warning: ...` line on stderr, once, and leaves the exit code as it is, where
-a -W or PYTHONWARNINGS filter would raise it; a filter that ignores it holds.
+error (any other exception, a stdout that cannot be written among them,
+reported on one line).  A warning is printed as one `warning: ...` line on
+stderr, once, and leaves the exit code as it is, where a -W or PYTHONWARNINGS
+filter would raise it; a filter that ignores it holds.
 
 `simulate` advances all its trials in one lockstep kernel pass and writes the
 CSVs afterwards, so a divergence in any trial exits 3 before any trace is
@@ -77,18 +78,31 @@ def _constants_payload(cfg, consts):
     return payload
 
 
-def _write_trace_csv(path, trace):
+def _write_trace_csv(path, trace, K):
+    """The trace as CSV, with V-hat clipped at K (all NaN for degenerate constants)."""
     n = trace.theta.shape[1]
     header = (["k"] + [f"theta_{i}" for i in range(n)]
               + [f"vartheta_{i}" for i in range(n)]
               + ["V", "Vhat", "e_y", "eta", "phi_norm"])
     # floats as their shortest round-trip decimal (repr)
-    values = np.column_stack((trace.theta, trace.vartheta, trace.V, trace.Vhat,
+    values = np.column_stack((trace.theta, trace.vartheta, trace.V,
+                              lyapunov.clipped_V(trace.V, K),
                               trace.e_y, trace.eta, trace.phi_norm)).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows([str(k), *map(repr, row)] for k, row in zip(trace.k.tolist(), values))
+
+
+def _print(text):
+    """Print text to stdout now.  A stdout that cannot be written is not --out,
+    so its error leaves as an internal one; stdout is then dropped, which
+    keeps the interpreter from failing to flush it again on exit."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        sys.stdout = None
+        raise RuntimeError(f"cannot write stdout: {exc}") from None
 
 
 def _load_config(args):
@@ -112,7 +126,7 @@ def cmd_simulate(args):
 
     traces = verify.run_trajectories(cfg, [cfg.trial_seed(t) for t in range(trials)])
     for t, trace in enumerate(traces):
-        _write_trace_csv(os.path.join(args.out, f"trace_{t}.csv"), trace)
+        _write_trace_csv(os.path.join(args.out, f"trace_{t}.csv"), trace, consts.K)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge finite state: inf
         errors = [float(np.linalg.norm(t.theta[-1] - cfg.theta_star)) for t in traces]
 
@@ -201,7 +215,7 @@ def cmd_verify(args):
     }
     _write_json(os.path.join(args.out, f"verify_{args.check}.json"), payload)
     for name, res in results.items():
-        print(f"{name}: {'PASS' if res['passed'] else 'FAIL'}")
+        _print(f"{name}: {'PASS' if res['passed'] else 'FAIL'}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -212,7 +226,7 @@ def cmd_constants(args):
     if args.out:  # written first: a failed --out leaves stdout empty
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "constants.json"), payload)
-    print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
+    _print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
     return EXIT_OK
 
 
@@ -267,7 +281,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
     except OSError as exc:
-        # load_config raises ConfigError for the config, so this is from --out
+        # load_config raises ConfigError for the config and _print a RuntimeError
+        # for stdout, so this is from --out
         print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

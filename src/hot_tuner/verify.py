@@ -9,7 +9,8 @@ advances every trial CHUNK_STEPS steps at a time, laid out
 state: every trial's innovations and regressors from its own seed, the
 observation rows, V, the finite check, and every eta and y if the
 conditional mean is a constant.  Per step it makes only the update's ufunc
-calls, and a state-dependent mean's.
+calls, and a state-dependent mean's.  A trace holds the columns simulate
+writes, V-hat aside, taken block by block; no runner computes the constants.
 
 The observation rows -- phi at full width, 1 + |phi|^2 and phi . theta* --
 are built in one place, _observe, for the kernel and the decrement probe,
@@ -208,23 +209,20 @@ def _observe(phi, theta_star, p, norm, y):
 
 @dataclass
 class TrajectoryTrace:
-    """Full per-step record of one trial.
+    """The per-step record of one trial that a simulate trace holds.
 
     Row k holds the state before consuming observation k; the observation
     fields (e_y, eta, phi_norm) of the final row are NaN since no observation
-    is consumed there.  phi and y hold the horizon observations themselves.
+    is consumed there.  V-hat is left to the trace writer, which holds K.
     """
 
     k: np.ndarray
     theta: np.ndarray
     vartheta: np.ndarray
     V: np.ndarray
-    Vhat: np.ndarray
     e_y: np.ndarray
     eta: np.ndarray
     phi_norm: np.ndarray
-    phi: np.ndarray
-    y: np.ndarray
 
 
 def run_trajectories(cfg, seeds, initial=None):
@@ -235,15 +233,12 @@ def run_trajectories(cfg, seeds, initial=None):
     """
     horizon = cfg.horizon
     state = cfg.initial_state() if initial is None else initial
-    consts = cfg.constants()
     shape = (len(seeds), horizon + 1, cfg.dimension)
 
     theta = np.empty(shape)
     vartheta = np.empty(shape)
     V = np.empty(shape[:2])
-    eta = np.full(shape[:2], np.nan)
-    y = np.empty((len(seeds), horizon))
-    phi = np.empty((len(seeds), horizon, cfg.dimension))
+    e_y, eta, phi_norm = np.full((3,) + shape[:2], np.nan)
     for blk in _lockstep(cfg, seeds, horizon, state):
         rows = slice(blk.k, blk.k + blk.V.shape[1])
         obs = slice(blk.k, blk.k + len(blk.eta))
@@ -251,17 +246,12 @@ def run_trajectories(cfg, seeds, initial=None):
         vartheta[:, rows] = blk.vartheta.transpose(2, 0, 1)
         V[:, rows] = blk.V
         eta[:, obs] = blk.eta.T
-        y[:, obs] = blk.y.T
-        phi[:, obs] = blk.phi.transpose(2, 0, 1)
-
-    e_y = np.full(shape[:2], np.nan)
-    phi_norm = np.full(shape[:2], np.nan)
-    e_y[:, :horizon] = np.vecdot(theta[:, :horizon], phi) - y
-    phi_norm[:, :horizon] = np.sqrt(np.vecdot(phi, phi))
-    Vhat = clipped_V(V, consts.K)  # all NaN for degenerate constants, whose K is NaN
+        # vecdot over contiguous (trials, steps, N) rows rounds as np.dot does
+        phi = np.ascontiguousarray(blk.phi.transpose(2, 0, 1))
+        e_y[:, obs] = np.vecdot(theta[:, obs], phi) - blk.y.T
+        phi_norm[:, obs] = np.sqrt(np.vecdot(phi, phi))
     return [TrajectoryTrace(k=np.arange(horizon + 1), theta=theta[t], vartheta=vartheta[t],
-                            V=V[t], Vhat=Vhat[t], e_y=e_y[t], eta=eta[t],
-                            phi_norm=phi_norm[t], phi=phi[t], y=y[t])
+                            V=V[t], e_y=e_y[t], eta=eta[t], phi_norm=phi_norm[t])
             for t in range(len(seeds))]
 
 
@@ -462,7 +452,6 @@ class BoundednessSummary:
     max_sup: float
     threshold: float
     frac_steps_above_T: float
-    last_entry_time: np.ndarray  # last k with V_k <= T, -1 if never
     all_finite: bool
     all_within_threshold: bool
     all_reenter: bool
@@ -471,12 +460,6 @@ class BoundednessSummary:
     @property
     def passed(self):
         return self.all_finite and self.all_within_threshold and self.all_reenter
-
-
-def _last_true(mask, offset):
-    """Per row: offset + the column of the last True, or -1 if there is none."""
-    last = offset + mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
-    return np.where(mask.any(axis=1), last, -1)
 
 
 class BoundednessStream:
@@ -493,14 +476,13 @@ class BoundednessStream:
         self.T = consts.T
         self.steps = 0
         self.n_above = 0
-        self.sup, self.last_below = -np.inf, -1
+        self.sup = -np.inf
 
     def add(self, V):
         above = V > self.T
         if self.steps == 0:
             self.v0 = float(np.max(V[:, 0]))
         self.sup = np.maximum(self.sup, np.max(V, axis=1))
-        self.last_below = np.maximum(self.last_below, _last_true(~above, self.steps))
         self.above_at_end = above[:, -1]
         self.n_above += int(np.count_nonzero(above))
         self.steps += V.shape[1]
@@ -511,7 +493,6 @@ class BoundednessStream:
             sup_per_trial=self.sup, max_sup=float(np.max(self.sup)),
             threshold=threshold,
             frac_steps_above_T=self.n_above / (self.sup.size * self.steps),
-            last_entry_time=self.last_below,
             all_finite=bool(np.all(np.isfinite(self.sup))),
             all_within_threshold=bool(np.all(self.sup <= threshold)),
             # a trial re-enters {V <= T} after its last excursion iff it ends there

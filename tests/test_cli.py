@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -44,18 +47,31 @@ class TestSimulate:
         assert len(summary["sup_V_per_trial"]) == 3
         assert summary["constants"]["c1"] == pytest.approx(0.00125)
 
-    def test_csv_roundtrip_exact(self, tmp_path):
-        cfg_path = write_config(tmp_path, small_dict(ensemble=1))
+    def test_csv_roundtrip_exact(self, tmp_path, monkeypatch):
+        # chunks of 7 steps, so the per-block e_y and phi_norm cross chunk
+        # boundaries; a start far from theta* puts V above K for some rows
+        monkeypatch.setattr(verify, "CHUNK_STEPS", 7)
+        cfg_path = write_config(tmp_path, small_dict(ensemble=1, horizon=200,
+                                                     vartheta0=[300.0, -300.0]))
         out = str(tmp_path / "out")
         assert main(["simulate", cfg_path, "--out", out]) == 0
         cfg = load_config(cfg_path)
         trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
+        vhat = lyapunov.clipped_V(trace.V, cfg.constants().K)
+        assert 0 < np.count_nonzero(vhat) < vhat.size
         with open(os.path.join(out, "trace_0.csv"), newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == cfg.horizon + 1
-        for i, row in enumerate(rows):
-            assert float(row["V"]) == trace.V[i]  # bitwise round-trip
-            assert float(row["theta_0"]) == trace.theta[i, 0]
+        columns = {"V": trace.V, "Vhat": vhat, "e_y": trace.e_y, "eta": trace.eta,
+                   "phi_norm": trace.phi_norm,
+                   **{f"{name}_{i}": getattr(trace, name)[:, i]
+                      for name in ("theta", "vartheta") for i in range(cfg.dimension)}}
+        assert sorted(rows[0]) == sorted(["k", *columns])
+        for name, want in columns.items():
+            got = np.array([float(row[name]) for row in rows])
+            assert np.array_equal(got, want, equal_nan=True), name  # bitwise round-trip
+        for name in ("e_y", "eta", "phi_norm"):
+            assert np.isnan(columns[name][-1]) and np.isfinite(columns[name][:-1]).all()
 
     def test_traces_equal_single_trial_runs(self, tmp_path):
         # one lockstep pass over all trials writes what each trial gives alone
@@ -65,9 +81,10 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", cfg_path, "--out", str(out), "--trials", "3"]) == 0
         cfg = load_config(cfg_path)
+        K = cfg.constants().K
         for t in range(3):
             ref = tmp_path / f"ref_{t}.csv"
-            _write_trace_csv(str(ref), verify.run_trajectory(cfg, cfg.trial_seed(t)))
+            _write_trace_csv(str(ref), verify.run_trajectory(cfg, cfg.trial_seed(t)), K)
             assert (out / f"trace_{t}.csv").read_bytes() == ref.read_bytes()
 
     def test_gamma_violation_names_field(self, tmp_path, capsys):
@@ -226,6 +243,31 @@ class TestGoldenReports:
         report = json.loads((out / "verify_all.json").read_text())
         report.pop("generated_at")
         assert report == golden
+
+
+with open(os.path.join(HERE, "golden", "simulate-digests.json")) as fh:
+    SIMULATE_DIGESTS = json.load(fh)
+
+
+def output_digest(path):
+    """sha256 of a file's bytes, less a JSON report's `generated_at` line."""
+    with open(path, "rb") as fh:
+        lines = [line for line in fh.read().splitlines(keepends=True)
+                 if not line.startswith(b'  "generated_at": ')]
+    return hashlib.sha256(b"".join(lines)).hexdigest()
+
+
+class TestGoldenSimulate:
+    @pytest.mark.parametrize("case", list(SIMULATE_DIGESTS))
+    def test_simulate_outputs_are_exact(self, tmp_path, case):
+        # 4 trials x 300 steps, recorded before the trace fields they guard
+        # were dropped: every trace column, summary.json and plotdata.csv
+        golden = SIMULATE_DIGESTS[case]
+        cfg_path = write_config(tmp_path, golden["config"])
+        out = tmp_path / "out"
+        assert main(["simulate", cfg_path, "--out", str(out), "--trials", "4",
+                     "--emit-plot-data"]) == 0
+        assert {name: output_digest(out / name) for name in os.listdir(out)} == golden["digests"]
 
 
 class TestMalformedNumbers:
@@ -519,6 +561,21 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, small_dict())
         assert main(["constants", cfg_path, "--out", str(existing)]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["constants", "verify"])
+    def test_closed_stdout_exits_4_without_naming_out(self, tmp_path, capsys, command):
+        class ClosedStdout(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        out = tmp_path / "out"
+        extra = ["--check", "decrement", "--out", str(out)] if command == "verify" else []
+        with contextlib.redirect_stdout(ClosedStdout()):
+            code = main([command, write_config(tmp_path, small_dict()), *extra])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--out" not in err
+        assert (out / "verify_decrement.json").exists() is (command == "verify")
 
     def test_unexpected_exception_exits_4_on_one_line(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -23,6 +23,7 @@ from hot_tuner.config import RunConfig
 from hot_tuner.tuner import TunerState
 
 from conftest import reference_dict, rows
+from test_verify import kernel_observations
 
 
 def row(src, k, seed):
@@ -263,13 +264,14 @@ def observation_config(**overrides):
 
 
 class TestObservation:
-    """The observations y_k = phi_k . theta* + eta_k that a trace records."""
+    """The observations y_k = phi_k . theta* + eta_k that the kernel's steps read."""
 
     def test_noise_free_dot_product(self):
         cfg = observation_config(dimension=1, theta_star=[1.0], theta0=[0.0],
                                  regressor={"kind": "constant", "value": [2.0]})
         trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
-        assert np.all(trace.y == 2.0) and np.all(trace.eta[:-1] == 0.0)
+        _, (y,) = kernel_observations(cfg, [cfg.trial_seed(0)], cfg.horizon)
+        assert np.all(y == 2.0) and np.all(trace.eta[:-1] == 0.0)
 
     def test_cancellation_plus_noise(self):
         # theta* = [1, -1], phi = [3, 3], eta = 0.5 -> y = 0.5
@@ -278,15 +280,17 @@ class TestObservation:
                                  noise={"kind": "uniform_biased", "center": 0.5,
                                         "halfwidth": 0.0}, d_max=0.5, sigma_max=0.5)
         trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
-        assert trace.y == pytest.approx(0.5)
-        assert np.array_equal(trace.y, trace.phi @ cfg.theta_star + trace.eta[:-1])
+        (phi,), (y,) = kernel_observations(cfg, [cfg.trial_seed(0)], cfg.horizon)
+        assert y == pytest.approx(0.5)
+        assert np.array_equal(y, phi @ cfg.theta_star + trace.eta[:-1])
 
     def test_constant_stream(self):
         cfg = observation_config(dimension=1, theta_star=[0.7], theta0=[0.0],
                                  regressor={"kind": "constant", "value": [1.0]})
         trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
+        _, (y,) = kernel_observations(cfg, [cfg.trial_seed(0)], cfg.horizon)
         for k in (0, 3, 17):
-            assert trace.y[k] == pytest.approx(0.7)
+            assert y[k] == pytest.approx(0.7)
             assert trace.k[k] == k
 
     def test_dimension_mismatch(self):

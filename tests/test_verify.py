@@ -68,6 +68,14 @@ def kernel_states(cfg, seeds, horizon):
     return [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
 
 
+def kernel_observations(cfg, seeds, horizon):
+    """phi (trials, steps, N) and y (trials, steps) that the kernel's steps read."""
+    # copy each block before the kernel reuses its buffers for the next chunk
+    blocks = [(b.phi.transpose(2, 0, 1).copy(), b.y.T.copy())
+              for b in verify._lockstep(cfg, seeds, horizon, cfg.initial_state())]
+    return [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
+
+
 class TestRunTrajectory:
     def test_record_count(self, small_config):
         cfg = dataclasses.replace(small_config, horizon=100)
@@ -127,10 +135,14 @@ class TestRunTrajectory:
             **NOISES["state_dependent_bias"]))
         seeds = [cfg.trial_seed(t) for t in range(3)]
         ens = verify.run_ensemble(cfg)
+        _, y_wide = kernel_observations(cfg, seeds, cfg.horizon)
         for t, wide in enumerate(verify.run_trajectories(cfg, seeds)):
             one = verify.run_trajectory(cfg, seeds[t])
-            for name in ("theta", "vartheta", "V", "y"):
+            for name in ("theta", "vartheta", "V"):
                 assert np.array_equal(getattr(one, name), getattr(wide, name))
+            assert np.array_equal(one.e_y, wide.e_y, equal_nan=True)
+            _, (y_one,) = kernel_observations(cfg, seeds[t:t + 1], cfg.horizon)
+            assert np.array_equal(y_one, y_wide[t])
             assert np.array_equal(one.V, ens.V[t])
 
     @pytest.mark.parametrize("noise", ["biased_gaussian", "state_dependent_bias"])
@@ -139,11 +151,12 @@ class TestRunTrajectory:
             horizon=300, ensemble=2, resamples=500,
             **NOISES[noise], **REGRESSORS["iid_bounded"]))
         seeds = [cfg.trial_seed(t) for t in range(2)]
-        for trace, seed in zip(verify.run_trajectories(cfg, seeds), seeds):
+        kernel_phi, kernel_y = kernel_observations(cfg, seeds, cfg.horizon)
+        for t, (trace, seed) in enumerate(zip(verify.run_trajectories(cfg, seeds), seeds)):
             theta, _, phi, y = hot_step_run(cfg, seed, cfg.horizon)
             assert np.array_equal(trace.theta, theta)
-            assert np.array_equal(trace.phi, phi)
-            assert np.array_equal(trace.y, y)
+            assert np.array_equal(kernel_phi[t], phi)
+            assert np.array_equal(kernel_y[t], y)
             assert np.array_equal(trace.e_y[:-1],
                                   [float(th @ p) - y_k for th, p, y_k in zip(theta, phi, y)])
             assert np.isnan(trace.e_y[-1])
@@ -311,8 +324,7 @@ class TestLockstepKernel:
             bound.add(V)
             rate.add(V)
         streamed_bound, streamed_rate = bound.result(), rate.result()
-        for name in ("sup_per_trial", "last_entry_time"):
-            assert np.array_equal(getattr(streamed_bound, name), getattr(whole_bound, name))
+        assert np.array_equal(streamed_bound.sup_per_trial, whole_bound.sup_per_trial)
         for name in ("max_sup", "threshold", "frac_steps_above_T", "all_finite",
                      "all_within_threshold", "all_reenter", "margin"):
             assert getattr(streamed_bound, name) == getattr(whole_bound, name)
@@ -322,6 +334,7 @@ class TestLockstepKernel:
 
     @pytest.mark.parametrize("chunk", [40, 37, 38, 18])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::UserWarning")
     def test_nonfinite_step_is_first_divergent_step(self, chunk, monkeypatch):
         # step 37 lands mid-chunk, first in a chunk, last in a chunk, mid-chunk
         cfg = RunConfig.from_dict(reference_dict(
@@ -333,8 +346,8 @@ class TestLockstepKernel:
         monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
         with pytest.raises(NonFiniteError) as ens:
             verify.run_ensemble(cfg)
-        # run_trajectories takes the constants, whose c2 warns for gamma > 1/16
-        with pytest.raises(NonFiniteError) as one, pytest.warns(UserWarning, match="gamma > 1/16"):
+        # no runner takes the constants, whose c2 warns for gamma > 1/16
+        with pytest.raises(NonFiniteError) as one:
             verify.run_trajectory(cfg, cfg.trial_seed(0))
         assert ens.value.step == one.value.step == 37
 
@@ -510,15 +523,13 @@ class TestBoundedness:
         whole = verify.boundedness_check(np.ascontiguousarray(buf.T), consts)
         assert whole.all_reenter is reenter
         assert whole.passed is reenter
-        assert np.array_equal(whole.last_entry_time, [599, 599, 299 if end_above else 599])
         for cols in (1, 7, 256):
             stream = verify.BoundednessStream(consts)
             for V in column_blocks(buf, cols):
                 stream.add(V)
             summary = stream.result()
             assert summary.all_reenter is reenter
-            for name in ("sup_per_trial", "last_entry_time"):
-                assert np.array_equal(getattr(summary, name), getattr(whole, name))
+            assert np.array_equal(summary.sup_per_trial, whole.sup_per_trial)
             for name in ("max_sup", "threshold", "frac_steps_above_T", "all_finite",
                          "all_within_threshold", "margin"):
                 assert getattr(summary, name) == getattr(whole, name)
