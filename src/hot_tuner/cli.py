@@ -170,8 +170,8 @@ def cmd_verify(args):
         streams["bound"] = verify.BoundednessStream(consts)
     if "rate" in checks:
         streams["rate"] = verify.RateStream(cfg.effective_alpha(consts), consts)
-    # trial 0 of the ensemble is the decrement probe's one-wide harvest run
-    harvest = verify.Harvest(cfg) if "decrement" in checks else None
+    # one kernel pass: the ensemble's trial 0 feeds the harvest, or decrement_report runs it
+    harvest = verify.Harvest(cfg) if "decrement" in checks and streams else None
     if streams:
         for V in verify.ensemble_blocks(cfg, harvest=harvest):
             for stream in streams.values():

@@ -19,7 +19,6 @@ import numpy as np
 from . import lyapunov, model as model_mod
 from .model import ConfigError
 from .tuner import Gains, TunerState
-from .verify import N_HARVEST
 
 # a JSON value's type, as an error message names it (a number is named by its value)
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
@@ -208,8 +207,7 @@ class RunConfig:
         if horizon < 1:
             raise ConfigError("horizon", "must be >= 1")
         if isinstance(regressor, model_mod.Sinusoid):
-            # the last step drawn: the horizon's, or the decrement probe harvest's
-            k = max(horizon, N_HARVEST) - 1
+            k = horizon - 1  # the last step any command draws
             if not all(math.isfinite(regressor.omega * k + p) for p in regressor.phase.tolist()):
                 raise ConfigError("regressor.omega",
                                   f"omega * k + phase overflows a float at step k = {k}")
@@ -261,14 +259,30 @@ class RunConfig:
         return self.base_seed ^ trial
 
 
+def _unique_keys(pairs):
+    """A JSON object's pairs as a dict; if a key repeats, in the object or in
+    an object it holds, a ConfigError naming the first such key instead, for
+    load_config to raise."""
+    obj = {}
+    for key, value in pairs:
+        if isinstance(value, ConfigError):
+            return ConfigError(f"{key}.{value.field}", value.message)
+        if key in obj:
+            return ConfigError(key, "duplicated key")
+        obj[key] = value
+    return obj
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError("(file)", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("(file)", f"invalid JSON in {path}: {exc}") from exc
+    if isinstance(data, ConfigError):
+        raise data
     if not isinstance(data, dict):
         raise ConfigError("(file)", "top-level JSON value must be an object")
     return RunConfig.from_dict(data)

@@ -26,8 +26,8 @@ reductions fed chunk by chunk: memory is O(trials * CHUNK_STEPS + horizon).
 Each reads a chunk's V as the kernel lays it out: the rate check sums each
 step's trials along the contiguous axis, as np.mean and np.std do, and the
 boundedness check reads re-entry off the last step.
-`verify --check all` makes one kernel pass, from whose trial 0 a Harvest
-takes the decrement probe's trajectory states.
+Every verify command makes one kernel pass; the decrement probe's Harvest
+takes its states from trial 0 of --check all's ensemble, or runs alone.
 """
 from __future__ import annotations
 
@@ -319,17 +319,17 @@ def state_on_sphere(v, theta_star, gamma, rng):
 class Harvest:
     """Labelled states of trial 0 at the trace rows the decrement probe starts from.
 
-    The rows are N_HARVEST evenly spaced rows, 0 to `horizon`, of the
-    trajectory with seed cfg.trial_seed(0) from the config's initial state,
-    where horizon = max(N_HARVEST, min(cfg.horizon, 2000)).  `add` takes
-    them from the kernel blocks of any run whose trial 0 is that trajectory,
-    such as the checks' ensemble; `run` makes the one-wide run itself.
+    The rows are up to N_HARVEST distinct, evenly spaced rows, 0 to horizon =
+    min(cfg.horizon, 2000), of the run with seed cfg.trial_seed(0) from the
+    config's initial state.  `add` takes them from the kernel blocks of any
+    run whose trial 0 is that trajectory, such as the checks' ensemble;
+    `run` makes the one-wide run itself.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.horizon = max(N_HARVEST, min(cfg.horizon, 2000))
-        self.rows = np.linspace(0, self.horizon, N_HARVEST, dtype=int)
+        self.horizon = min(cfg.horizon, 2000)
+        self.rows = np.linspace(0, self.horizon, min(N_HARVEST, self.horizon + 1), dtype=int)
         self.states = []
 
     def add(self, blk):
@@ -349,8 +349,8 @@ class Harvest:
 def probe_states(cfg, consts, harvest=None):
     """Labelled probe states: V-spheres {0.1K, K, T, 10T} plus harvested ones.
 
-    The harvested states come from `harvest` if the run that fed it reached
-    every harvest row, or else from a one-wide run of Harvest(cfg).
+    The harvested states come from `harvest`, a Harvest(cfg) that a run of
+    the config fed, or else from a one-wide run of Harvest(cfg).
     """
     rng = np.random.default_rng([cfg.base_seed, 0, 0x9E37])
     ts = cfg.theta_star
@@ -361,7 +361,7 @@ def probe_states(cfg, consts, harvest=None):
                      ("T", consts.T), ("10T", 10.0 * consts.T)):
         if v > 0:
             probes.append((label, state_on_sphere(v, ts, gamma, rng)))
-    if harvest is None or len(harvest.states) < len(harvest.rows):
+    if harvest is None:
         harvest = Harvest(cfg).run()
     return probes + harvest.states
 
@@ -432,7 +432,7 @@ def _prober(cfg, consts, phi):
 def decrement_report(cfg, consts, harvest=None):
     """Run the decrement probe over sphere and harvested states.
 
-    A Harvest fed every harvest row saves the one-wide harvest run.
+    A Harvest fed by the checks' ensemble saves the one-wide harvest run.
     """
     states = probe_states(cfg, consts, harvest)
     rng = np.random.default_rng([cfg.base_seed, 0, 0xDEC])

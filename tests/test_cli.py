@@ -18,7 +18,7 @@ from hot_tuner.cli import _jsonable, _write_trace_csv, main
 from hot_tuner.config import RunConfig, load_config
 from hot_tuner import verify
 
-from conftest import reference_dict
+from conftest import REFERENCE_PATH, reference_dict
 
 
 def write_config(tmp_path, d, name="config.json"):
@@ -177,7 +177,7 @@ class TestVerifyCommand:
         dict(horizon=300),
         dict(horizon=300, regressor={"kind": "iid_bounded", "bound": 2.0},
              noise={"kind": "state_dependent_bias", "d_amplitude": 0.1, "sd": 0.45}),
-        dict(horizon=30),  # shorter than the harvest run, which then runs alone
+        dict(horizon=30),  # below N_HARVEST: the harvest takes every row of the run
     ])
     def test_all_reports_the_decrement_check_alone(self, tmp_path, overrides):
         # --check all harvests the probe states from trial 0 of its ensemble
@@ -189,6 +189,29 @@ class TestVerifyCommand:
             payload = json.loads((out / f"verify_{check}.json").read_text())
             decrement[check] = payload["checks"]["decrement"]
         assert decrement["all"] == decrement["decrement"]
+
+    @pytest.mark.parametrize("horizon", [30, 300])
+    @pytest.mark.parametrize("check", ["decrement", "bound", "rate", "all"])
+    def test_one_kernel_pass_per_command(self, tmp_path, monkeypatch, check, horizon):
+        # --check all harvests from its ensemble and --check decrement runs
+        # the harvest alone; either way the probe's states lie within the run
+        calls = []
+        lockstep = verify._lockstep
+
+        def counted(cfg, seeds, steps, initial):
+            calls.append((len(seeds), steps))
+            return lockstep(cfg, seeds, steps, initial)
+
+        monkeypatch.setattr(verify, "_lockstep", counted)
+        cfg_path = write_config(tmp_path, small_dict(horizon=horizon))
+        assert main(["verify", cfg_path, "--check", check, "--out", str(tmp_path / "o")]) == 0
+        assert calls == [(1 if check == "decrement" else 3, horizon)]
+        payload = json.loads((tmp_path / "o" / f"verify_{check}.json").read_text())
+        if check in ("decrement", "all"):
+            rows = [int(p["label"][5:-1]) for p in payload["checks"]["decrement"]["probes"]
+                    if p["label"].startswith("traj[")]
+            assert len(set(rows)) == len(rows) == min(horizon + 1, verify.N_HARVEST)
+            assert all(0 <= i <= horizon for i in rows)
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         cfg_path = write_config(tmp_path, small_dict(horizon=300, ensemble=10))
@@ -332,8 +355,8 @@ class TestMalformedNumbers:
         # a dwell past int64 cannot divide the step numbers
         ("regressor.dwell", dict(regressor={"kind": "piecewise_constant", "bound": 2.0,
                                             "dwell": 2 ** 63})),
-        # omega * k overflows within the decrement probe's harvest, past the horizon
-        ("regressor.omega", dict(horizon=2, regressor={"kind": "sinusoid",
+        # omega * k overflows at the last step drawn, k = horizon - 1
+        ("regressor.omega", dict(horizon=3, regressor={"kind": "sinusoid",
                                                        "amplitude": [1.0, 1.0], "omega": 1e308})),
         # a noise parameter whose square overflows would make sigma_max inf
         ("noise.center", dict(noise={"kind": "uniform_biased", "center": 1e200,
@@ -404,6 +427,42 @@ class TestMalformedNumbers:
         assert main(["verify", cfg_path, "--check", "all",
                      "--out", str(tmp_path / "o")]) in (0, 1)
         assert "warning" not in capsys.readouterr().err
+
+    def test_omega_is_checked_at_the_last_step_drawn(self, tmp_path, capsys):
+        # omega * k overflows at k = 2, the last step of horizon 3, and at no
+        # step of horizon 2
+        regressor = {"kind": "sinusoid", "amplitude": [1.0, 1.0], "omega": 1e308}
+        cfg_path = write_config(tmp_path, small_dict(horizon=3, regressor=regressor))
+        assert main(["verify", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: config field 'regressor.omega': omega * k + phase overflows a float"
+            " at step k = 2\n")
+        cfg_path = write_config(tmp_path, small_dict(horizon=2, regressor=regressor), "h2.json")
+        assert main(["verify", cfg_path, "--check", "all", "--out", str(tmp_path / "p")]) == 0
+
+
+class TestDuplicateKeys:
+    @pytest.mark.parametrize("field, first, second", [
+        ("horizon", '"horizon": 2000', '"horizon": 7'),
+        ("gains.gamma", '"gamma": 0.04', '"gamma": 0.9'),
+        ("regressor.omega", '"omega": 0.5', '"omega": 0.25'),
+        ("noise.sd", '"sd": 0.48', '"sd": 0.3'),
+    ], ids=["horizon", "gains.gamma", "regressor.omega", "noise.sd"])
+    def test_usage_error_names_key(self, tmp_path, capsys, field, first, second):
+        # json.load alone keeps the second value: a 7-step run, or an out-of-range gamma
+        with open(REFERENCE_PATH, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.count(first) == 1
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text.replace(first, f"{first}, {second}"))
+        assert main(["verify", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: config field '{field}': duplicated key\n"
+
+    def test_reference_config_loads_unchanged(self):
+        with open(REFERENCE_PATH, encoding="utf-8") as fh:
+            data = json.load(fh)
+        cfg = load_config(REFERENCE_PATH)
+        assert cfg.raw == data and repr(cfg) == repr(RunConfig.from_dict(data))
 
 
 class TestUnknownKeys:

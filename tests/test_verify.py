@@ -399,15 +399,18 @@ class TestProbeStates:
 
 class TestHarvest:
     @pytest.mark.parametrize("overrides", [
-        {}, dict(**REGRESSORS["iid_bounded"], **NOISES["state_dependent_bias"])])
+        {}, dict(**REGRESSORS["iid_bounded"], **NOISES["state_dependent_bias"]),
+        dict(horizon=30)])
     def test_ensemble_trial_zero_is_the_one_wide_run(self, overrides):
-        # the ensemble runs past the 2000-row harvest horizon, over several chunks
-        cfg = RunConfig.from_dict(reference_dict(horizon=2300, ensemble=6, **overrides))
+        # at horizon 2300 the ensemble runs past the 2000-row harvest horizon,
+        # over several chunks; at 30 the harvest takes each of the run's rows
+        cfg = RunConfig.from_dict(reference_dict(**{"horizon": 2300, "ensemble": 6, **overrides}))
         harvest = verify.Harvest(cfg)
         for _ in verify.ensemble_blocks(cfg, harvest=harvest):
             pass
         alone = verify.Harvest(cfg).run()
-        assert harvest.horizon == 2000 and len(alone.states) == 50
+        assert harvest.horizon == min(cfg.horizon, 2000)
+        assert len(alone.states) == min(cfg.horizon + 1, verify.N_HARVEST)
         assert [label for label, _ in harvest.states] == [label for label, _ in alone.states]
         for (_, got), (_, want) in zip(harvest.states, alone.states):
             assert got.step == want.step
