@@ -116,8 +116,6 @@ def _load_config(args):
 def cmd_simulate(args):
     cfg = _load_config(args)
     trials = args.trials if args.trials is not None else cfg.ensemble
-    if trials < 1:
-        raise ConfigError("trials", "must be >= 1")
     consts = cfg.constants()
     constants = _constants_payload(cfg, consts)
     if consts.degenerate and args.emit_plot_data:  # the rate envelope needs c1 > 0
@@ -230,6 +228,17 @@ def cmd_constants(args):
     return EXIT_OK
 
 
+def _trial_count(text):
+    """A --trials value: an int of at least 1."""
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {trials}")
+    return trials
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hot-tuner",
@@ -240,7 +249,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="run trajectories and write CSV traces")
     p.add_argument("config")
     p.add_argument("--out", required=True)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_trial_count, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--emit-plot-data", action="store_true")
     p.set_defaults(func=cmd_simulate)

@@ -279,7 +279,7 @@ def load_config(path):
             data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError("(file)", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too deep, too many digits
         raise ConfigError("(file)", f"invalid JSON in {path}: {exc}") from exc
     if isinstance(data, ConfigError):
         raise data

@@ -78,9 +78,12 @@ def test_criterion_2_strict_decrease_outside_D(decrement, consts):
 
 
 def test_criterion_3_boundedness(cfg, consts):
-    ens = verify.run_ensemble(dataclasses.replace(cfg, horizon=50_000))
-    assert ens.V.shape == (200, 50_001)
-    summary = verify.boundedness_check(ens.V, consts)
+    # streamed, as verify streams it: the (200, 50 001) V matrix is never held
+    stream = verify.BoundednessStream(consts)
+    for V in verify.ensemble_blocks(dataclasses.replace(cfg, horizon=50_000)):
+        stream.add(V)
+    assert (stream.sup.size, stream.steps) == (200, 50_001)
+    summary = stream.result()
     _report("3 boundedness (200 trials, horizon 5e4)", summary.passed)
 
 

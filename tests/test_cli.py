@@ -102,6 +102,15 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_an_option_error(self, tmp_path, capsys, trials):
+        cfg_path = write_config(tmp_path, small_dict())
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", cfg_path, "--out", str(tmp_path / "o"), "--trials", trials])
+        assert exc.value.code == 2
+        assert f"argument --trials: must be >= 1, got {trials}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
         cfg_path = write_config(tmp_path, small_dict(base_seed=-1))
@@ -239,16 +248,31 @@ class TestInvalidAlpha:
 
 
 HERE = os.path.dirname(__file__)
+BENCH_REFERENCE = os.path.join(HERE, "..", "perfbench", "reference")
 # the benchmark's two shrunk ops, and iid_bounded x state_dependent_bias at
 # N = 1, 3 and 8 (recorded at 27c19a1), to pin the kernel's other fold lengths
 GOLDEN_REPORTS = {
-    "verify-reference": os.path.join(HERE, "..", "perfbench", "reference",
-                                     "verify-reference.shrunk.json"),
-    "verify-long-random": os.path.join(HERE, "..", "perfbench", "reference",
-                                       "verify-long-random.shrunk.json"),
+    **{name: os.path.join(BENCH_REFERENCE, f"{name}.shrunk.json")
+       for name in ("verify-reference", "verify-long-random")},
     **{name: os.path.join(HERE, "golden", f"{name}.json")
        for name in ("n1-iid-sdb", "n3-iid-sdb", "n8-iid-sdb")},
 }
+# the benchmark's full-size ops on configs/reference.json: the options and the
+# file whose JSON, less `generated_at`, is perfbench/reference/<name>.json
+FULL_SIZE = {
+    "verify-reference": (["verify", "--check", "all"], "verify_all.json"),
+    "simulate-reference": (["simulate", "--trials", "20", "--emit-plot-data",
+                            "--seed", "20240613"], "summary.json"),
+}
+
+
+def assert_same_json(path, golden):
+    """The JSON file at path, less `generated_at`, is golden to the token:
+    sorted-key dumps tell `true` from 1, 1.0 from 1 and -0.0 from 0.0, which == does not."""
+    with open(path, encoding="utf-8") as fh:
+        got = json.load(fh)
+    got.pop("generated_at")
+    assert json.dumps(got, sort_keys=True) == json.dumps(golden, sort_keys=True)
 
 
 class TestGoldenReports:
@@ -263,9 +287,17 @@ class TestGoldenReports:
         out = tmp_path / "out"
         assert main(["verify", cfg_path, "--check", "all", "--out", str(out),
                      "--seed", "20240613"]) == 0
-        report = json.loads((out / "verify_all.json").read_text())
-        report.pop("generated_at")
-        assert report == golden
+        assert_same_json(out / "verify_all.json", golden)
+
+    @pytest.mark.parametrize("workload", list(FULL_SIZE))
+    def test_full_size_benchmark_output_is_exact(self, tmp_path, workload):
+        # 200 trials x 2000 steps for verify, 20 trials for simulate
+        options, written = FULL_SIZE[workload]
+        with open(os.path.join(BENCH_REFERENCE, f"{workload}.json")) as fh:
+            golden = json.load(fh)
+        out = tmp_path / "out"
+        assert main([options[0], REFERENCE_PATH, *options[1:], "--out", str(out)]) == 0
+        assert_same_json(out / written, golden)
 
 
 with open(os.path.join(HERE, "golden", "simulate-digests.json")) as fh:
@@ -463,6 +495,22 @@ class TestDuplicateKeys:
             data = json.load(fh)
         cfg = load_config(REFERENCE_PATH)
         assert cfg.raw == data and repr(cfg) == repr(RunConfig.from_dict(data))
+
+
+class TestUndecodableConfig:
+    @pytest.mark.parametrize("text", [
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"mode": "cert\xffified"}',
+        b'{"horizon": ' + b"9" * 5000 + b"}",
+    ], ids=["nested-100000-deep", "byte-0xff", "5000-digit-integer"])
+    def test_usage_error_names_file(self, tmp_path, capsys, text):
+        # json raises RecursionError, UnicodeDecodeError and ValueError on these
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        assert main(["constants", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config field '(file)': invalid JSON in {path}: ")
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
 class TestUnknownKeys:
