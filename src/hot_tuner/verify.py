@@ -44,8 +44,12 @@ Z = 4.0  # standard errors of slack in the decrement and rate tests
 BOUND_MARGIN = 5.0  # the boundedness threshold, in units of max(V0, T)
 N_HARVEST = 50  # trajectory states the decrement probe starts from
 
-# Steps per kernel chunk.  At 200 trials the chunk buffers take a few MB.
-CHUNK_STEPS = 256
+# Steps per kernel chunk.  A chunk's buffers and temporaries, about ten
+# (CHUNK_STEPS, N, trials) arrays, set a verify run's peak RSS: at 200 trials
+# and N = 2 each is 0.4 MB at 128 steps.  There, 128 takes 3.5 MB less peak
+# RSS than 256 at a time per run within the noise; 64 saves 1.5 MB more but
+# runs about 25% slower.
+CHUNK_STEPS = 128
 
 
 # ---------------------------------------------------------------------------

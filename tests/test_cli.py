@@ -276,10 +276,15 @@ def assert_same_json(path, golden):
 
 
 class TestGoldenReports:
-    @pytest.mark.parametrize("workload", list(GOLDEN_REPORTS))
-    def test_shrunk_benchmark_report_is_exact(self, tmp_path, workload):
+    @pytest.mark.parametrize("workload, chunk", [
+        pytest.param(name, chunk,
+                     id=name if chunk == verify.CHUNK_STEPS else f"{name}-chunk{chunk}")
+        for chunk in (verify.CHUNK_STEPS, 7) for name in GOLDEN_REPORTS])
+    def test_shrunk_benchmark_report_is_exact(self, tmp_path, monkeypatch, workload, chunk):
         # recorded before the kernel changes they guard; every number must
-        # come out bit for bit, not merely to a tolerance
+        # come out bit for bit, not merely to a tolerance, at the default
+        # chunk size and at one that splits the horizon unevenly
+        monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
         with open(GOLDEN_REPORTS[workload]) as fh:
             golden = json.load(fh)
         assert (golden["config"]["horizon"], golden["config"]["ensemble"]) == (200, 4)
