@@ -109,8 +109,11 @@ def _clip_to_ball(v, bound):
 
 
 def _check_ball(bound, dim):
-    """Reject a negative bound, or one whose squared norm over dim components
-    overflows a float: the clip would scale every hashed row by bound/inf = 0."""
+    """Reject an empty dimension, a negative bound, or one whose squared norm
+    over dim components overflows a float: the clip would scale every hashed
+    row by bound/inf = 0."""
+    if dim < 1:
+        raise ConfigError("dimension", "dimension must be >= 1")
     if bound < 0:
         raise ConfigError("bound", "bound must be nonnegative")
     if not math.isfinite(bound * bound * dim):
@@ -141,8 +144,9 @@ class Constant:
 
     def __post_init__(self):
         v = np.asarray(self.value, dtype=float)
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise ConfigError("value", "constant regressor value must be a finite vector")
+        if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
+            raise ConfigError("value", "constant regressor value must be a finite, "
+                              "nonempty vector")
         object.__setattr__(self, "value", v)
         b = float(np.linalg.norm(v)) if self.phi_bound is None else float(self.phi_bound)
         if b < np.linalg.norm(v) - 1e-12:
@@ -168,6 +172,8 @@ class Sinusoid:
 
     def __post_init__(self):
         amp = np.atleast_1d(np.asarray(self.amplitude, dtype=float))
+        if amp.size == 0:
+            raise ConfigError("amplitude", "amplitude must be nonempty")
         if np.any(amp < 0) or not np.all(np.isfinite(amp)):
             raise ConfigError("amplitude", "amplitude must be finite and nonnegative")
         ph = np.zeros_like(amp) if self.phase is None else np.asarray(self.phase, dtype=float)
@@ -197,8 +203,6 @@ class IidBounded:
     dimension: int
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ConfigError("dimension", "dimension must be >= 1")
         _check_ball(self.bound, self.dimension)
 
     @property

@@ -134,6 +134,14 @@ class TestRegressors:
             PiecewiseConstant(bound=1.0, dimension=2, dwell=0)
         with pytest.raises(ConfigError, match="phi_bound smaller than the constant value norm"):
             Constant(value=[3.0, 4.0], phi_bound=1.0)
+        # an empty dimension, which would otherwise build and fail in generate_batch
+        for field, build in (("dimension", lambda: PiecewiseConstant(bound=1.0, dimension=0,
+                                                                     dwell=2)),
+                             ("value", lambda: Constant(value=[])),
+                             ("amplitude", lambda: Sinusoid(amplitude=[], omega=0.5))):
+            with pytest.raises(ConfigError) as exc:
+                build()
+            assert exc.value.field == field
 
 
 class TestNoise:

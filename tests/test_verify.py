@@ -22,51 +22,64 @@ NOISES = {
                                         "d_amplitude": 0.1, "sd": 0.45}),
 }
 REGRESSORS = {
-    "sinusoid": {},
+    "sinusoid": {},  # the reference config's; grid_config draws one per N
     "iid_bounded": dict(regressor={"kind": "iid_bounded", "bound": 2.0}),
     "piecewise_constant": dict(regressor={"kind": "piecewise_constant",
                                           "bound": 2.0, "dwell": 5}),
 }
 
 
+def grid_config(n, regressor, noise, horizon):
+    """A 3-trial config of N = n from REGRESSORS and NOISES.  theta*, theta0
+    and the sinusoid's amplitude and phase come from default_rng(n), the
+    amplitudes inside the 2.0 ball."""
+    rng = np.random.default_rng(n)
+    theta_star, theta0 = rng.uniform(-1.0, 1.0, n), rng.uniform(-0.3, 0.3, n)
+    sinusoid = {"kind": "sinusoid", "amplitude": list(rng.uniform(0.0, 2.0 / np.sqrt(n), n)),
+                "omega": 0.5, "phase": list(rng.uniform(0.0, np.pi, n)), "phi_bound": 2.0}
+    spec = dict(regressor=sinusoid) if regressor == "sinusoid" else REGRESSORS[regressor]
+    return RunConfig.from_dict(reference_dict(
+        dimension=n, theta_star=list(theta_star), theta0=list(theta0), horizon=horizon,
+        ensemble=3, resamples=500, **NOISES[noise], **spec))
+
+
+# The kernel oracle's cases: (n, regressor, noise, horizon, chunk).  60 steps
+# in chunks of 7 end on a 4-step tail chunk; 300 steps at the default chunk
+# run 128, 128 and 44.
+KERNEL_GRID = [
+    *(pytest.param(n, regressor, noise, 60, 7, id=f"{n}-{regressor}-{noise}")
+      for n in (1, 2, 3, 7) for regressor in sorted(REGRESSORS) for noise in sorted(NOISES)),
+    pytest.param(12, "iid_bounded", "state_dependent_bias", 60, 7,
+                 id="12-iid_bounded-state_dependent_bias"),
+    *(pytest.param(2, "iid_bounded", noise, 300, verify.CHUNK_STEPS,
+                   id=f"2-iid_bounded-{noise}-300")
+      for noise in ("biased_gaussian", "state_dependent_bias")),
+]
+
+
 def hot_step_run(cfg, seed, horizon):
-    """theta, vartheta of one trial from a plain hot_step loop, and the phi
-    and y fed to each step."""
+    """theta, vartheta of one trial from a plain hot_step loop, and the phi,
+    eta and y fed to each step."""
     rng = np.random.default_rng(seed)
     innov = cfg.noise.innovation(rng.uniform(size=horizon))
     phi_all = rows(cfg.regressor, 0, horizon, seed)
     ts = cfg.theta_star
     state = cfg.initial_state()
-    theta, vartheta, ys = [state.theta], [state.vartheta], []
+    theta, vartheta, etas, ys = [state.theta], [state.vartheta], [], []
     for k in range(horizon):
         phi = phi_all[k]
-        eta = cfg.noise.conditional_mean(state.theta, state.vartheta) + innov[k]
-        ys.append(float(phi @ ts) + eta)
+        etas.append(cfg.noise.conditional_mean(state.theta, state.vartheta) + innov[k])
+        ys.append(float(phi @ ts) + etas[-1])
         state = hot_step(state, phi, ys[-1], cfg.gains)
         theta.append(state.theta)
         vartheta.append(state.vartheta)
-    return np.array(theta), np.array(vartheta), phi_all, np.array(ys)
-
-
-def hot_step_loop(cfg, seed, horizon):
-    """theta, vartheta and V of one trial from a plain hot_step loop."""
-    theta, vartheta, _, _ = hot_step_run(cfg, seed, horizon)
-    ts = cfg.theta_star
-    return theta, vartheta, lyapunov_value_arrays(theta, vartheta, ts, cfg.gains.gamma)
+    return np.array(theta), np.array(vartheta), phi_all, np.array(etas), np.array(ys)
 
 
 def column_blocks(buf, cols):
     """(trials, cols) blocks of a (steps, trials) V buffer, as the kernel yields them:
     transposed views of its C-ordered rows."""
     return [buf[k:k + cols].T for k in range(0, len(buf), cols)]
-
-
-def kernel_states(cfg, seeds, horizon):
-    """theta, vartheta (trials, steps, N) and V (trials, steps) from the kernel."""
-    # copy each block before the kernel reuses its buffers for the next chunk
-    blocks = [(b.theta.transpose(2, 0, 1).copy(), b.vartheta.transpose(2, 0, 1).copy(),
-               b.V.copy()) for b in verify._lockstep(cfg, seeds, horizon, cfg.initial_state())]
-    return [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
 
 
 def kernel_observations(cfg, seeds, horizon):
@@ -78,26 +91,6 @@ def kernel_observations(cfg, seeds, horizon):
 
 
 class TestRunTrajectory:
-    def test_record_count(self, small_config):
-        cfg = dataclasses.replace(small_config, horizon=100)
-        trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
-        assert trace.k.size == 101
-        assert trace.theta.shape == (101, 2)
-
-    def test_deterministic(self, small_config):
-        a = verify.run_trajectory(small_config, small_config.trial_seed(1))
-        b = verify.run_trajectory(small_config, small_config.trial_seed(1))
-        assert np.array_equal(a.theta, b.theta)
-        assert np.array_equal(a.V, b.V)
-        assert np.array_equal(a.eta, b.eta, equal_nan=True)
-
-    def test_stored_V_recomputes_bitwise(self, small_config):
-        trace = verify.run_trajectory(small_config, small_config.trial_seed(2))
-        v = lyapunov_value_arrays(trace.theta, trace.vartheta,
-                                  small_config.theta_star,
-                                  small_config.gains.gamma)
-        assert np.array_equal(v, trace.V)
-
     def test_fixed_point_with_zero_regressor(self):
         d = reference_dict(horizon=50, ensemble=1, resamples=500,
                            noise={"kind": "zero"}, d_max=0.0, sigma_max=0.0,
@@ -115,25 +108,12 @@ class TestRunTrajectory:
         trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
         assert np.all(trace.V <= trace.V[0] + 1e-12)
 
-    def test_ensemble_rows_match_single_trials(self, small_config):
-        cfg = dataclasses.replace(small_config, ensemble=3, horizon=150)
-        ens = verify.run_ensemble(cfg)
-        assert ens.V.shape == (3, 151)
-        for t in range(3):
-            trace = verify.run_trajectory(cfg, cfg.trial_seed(t))
-            assert np.array_equal(trace.V, ens.V[t])
-
     @pytest.mark.parametrize("n", [8, 12])
     def test_many_components_independent_of_width(self, n):
         # from 8 terms on, np.sum adds a contiguous axis pairwise, so a sum
         # over the components of a one-wide (N, 1) state would round
         # differently from the same trial's column of a wider state
-        rng = np.random.default_rng(n)
-        cfg = RunConfig.from_dict(reference_dict(
-            dimension=n, theta_star=list(rng.uniform(-1.0, 1.0, n)),
-            theta0=list(rng.uniform(-0.3, 0.3, n)), horizon=300, ensemble=3,
-            resamples=500, regressor={"kind": "iid_bounded", "bound": 2.0},
-            **NOISES["state_dependent_bias"]))
+        cfg = grid_config(n, "iid_bounded", "state_dependent_bias", 300)
         seeds = [cfg.trial_seed(t) for t in range(3)]
         ens = verify.run_ensemble(cfg)
         _, y_wide = kernel_observations(cfg, seeds, cfg.horizon)
@@ -145,22 +125,6 @@ class TestRunTrajectory:
             _, (y_one,) = kernel_observations(cfg, seeds[t:t + 1], cfg.horizon)
             assert np.array_equal(y_one, y_wide[t])
             assert np.array_equal(one.V, ens.V[t])
-
-    @pytest.mark.parametrize("noise", ["biased_gaussian", "state_dependent_bias"])
-    def test_observations_match_hot_step_loop(self, noise):
-        cfg = RunConfig.from_dict(reference_dict(
-            horizon=300, ensemble=2, resamples=500,
-            **NOISES[noise], **REGRESSORS["iid_bounded"]))
-        seeds = [cfg.trial_seed(t) for t in range(2)]
-        kernel_phi, kernel_y = kernel_observations(cfg, seeds, cfg.horizon)
-        for t, (trace, seed) in enumerate(zip(verify.run_trajectories(cfg, seeds), seeds)):
-            theta, _, phi, y = hot_step_run(cfg, seed, cfg.horizon)
-            assert np.array_equal(trace.theta, theta)
-            assert np.array_equal(kernel_phi[t], phi)
-            assert np.array_equal(kernel_y[t], y)
-            assert np.array_equal(trace.e_y[:-1],
-                                  [float(th @ p) - y_k for th, p, y_k in zip(theta, phi, y)])
-            assert np.isnan(trace.e_y[-1])
 
     def test_zero_noise_converges(self):
         d = reference_dict(horizon=3000, ensemble=1, resamples=500,
@@ -230,78 +194,31 @@ class TestObserve:
 
 
 class TestLockstepKernel:
-    @pytest.mark.parametrize("noise", sorted(NOISES))
-    @pytest.mark.parametrize("regressor", sorted(REGRESSORS))
-    def test_matches_hot_step_loop_bitwise(self, noise, regressor, monkeypatch):
-        monkeypatch.setattr(verify, "CHUNK_STEPS", 7)
-        cfg = RunConfig.from_dict(reference_dict(
-            horizon=60, ensemble=3, resamples=500,
-            **NOISES[noise], **REGRESSORS[regressor]))
-        seeds = [cfg.trial_seed(t) for t in range(3)]
-        theta, vartheta, V = kernel_states(cfg, seeds, cfg.horizon)
+    @pytest.mark.parametrize("n, regressor, noise, horizon, chunk", KERNEL_GRID)
+    def test_every_run_is_the_hot_step_loop(self, n, regressor, noise, horizon, chunk,
+                                            monkeypatch):
+        # Below 8 terms numpy sums in the order of the kernel's row folds, so
+        # every run is bitwise the loop; from 8 terms on np.sum adds pairwise.
+        monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
+        cfg = grid_config(n, regressor, noise, horizon)
+        same = (np.testing.assert_array_equal if n < 8 else
+                functools.partial(np.testing.assert_allclose, rtol=1e-12, atol=0))
+        seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
+        kernel_phi, kernel_y = kernel_observations(cfg, seeds, horizon)
         ens = verify.run_ensemble(cfg)
-        for t, seed in enumerate(seeds):
-            ref_theta, ref_vartheta, ref_V = hot_step_loop(cfg, seed, cfg.horizon)
-            assert np.array_equal(theta[t], ref_theta)
-            assert np.array_equal(vartheta[t], ref_vartheta)
-            assert np.array_equal(V[t], ref_V)
-            assert np.array_equal(ens.V[t], ref_V)
-
-    @pytest.mark.parametrize("noise", sorted(NOISES))
-    @pytest.mark.parametrize("regressor", ["sinusoid", "iid_bounded"])
-    def test_one_component_matches_hot_step_loop_bitwise(self, noise, regressor, monkeypatch):
-        # N = 1 takes the kernel's one-row fold, and the one-row gap of the
-        # state-dependent mean
-        monkeypatch.setattr(verify, "CHUNK_STEPS", 7)
-        regressors = {"sinusoid": {"kind": "sinusoid", "amplitude": [1.3], "omega": 0.5,
-                                   "phase": [0.4], "phi_bound": 2.0},
-                      "iid_bounded": {"kind": "iid_bounded", "bound": 2.0}}
-        cfg = RunConfig.from_dict(reference_dict(
-            dimension=1, theta_star=[0.7], theta0=[-0.2], horizon=60, ensemble=3,
-            resamples=500, **{**NOISES[noise], "regressor": regressors[regressor]}))
-        seeds = [cfg.trial_seed(t) for t in range(3)]
-        theta, vartheta, V = kernel_states(cfg, seeds, cfg.horizon)
-        for t, seed in enumerate(seeds):
-            for got, want in zip((theta[t], vartheta[t], V[t]),
-                                 hot_step_loop(cfg, seed, cfg.horizon)):
-                assert np.array_equal(got, want)
-
-    def test_three_dimensional_non_dyadic_theta_star(self, monkeypatch):
-        monkeypatch.setattr(verify, "CHUNK_STEPS", 16)
-        cfg = RunConfig.from_dict(reference_dict(
-            dimension=3, theta_star=[0.3, -1.1, 0.7], theta0=[0.1, 0.2, -0.3],
-            horizon=200, ensemble=4, resamples=500,
-            regressor={"kind": "iid_bounded", "bound": 2.0},
-            **NOISES["state_dependent_bias"]))
-        seeds = [cfg.trial_seed(t) for t in range(4)]
-        theta, vartheta, V = kernel_states(cfg, seeds, cfg.horizon)
-        for t, seed in enumerate(seeds):
-            ref_theta, ref_vartheta, ref_V = hot_step_loop(cfg, seed, cfg.horizon)
-            np.testing.assert_allclose(theta[t], ref_theta, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(vartheta[t], ref_vartheta, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(V[t], ref_V, rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("n", [7, 12])
-    def test_many_components_match_hot_step_loop(self, n, monkeypatch):
-        # 60 steps in chunks of 7 end on a 4-step tail chunk.  Below 8 terms
-        # numpy sums in the order of the kernel's slab folds, so the kernel is
-        # bitwise the loop; from 8 terms on np.sum adds pairwise.
-        monkeypatch.setattr(verify, "CHUNK_STEPS", 7)
-        rng = np.random.default_rng(n)
-        cfg = RunConfig.from_dict(reference_dict(
-            dimension=n, theta_star=list(rng.uniform(-1.0, 1.0, n)),
-            theta0=list(rng.uniform(-0.3, 0.3, n)), horizon=60, ensemble=3,
-            resamples=500, regressor={"kind": "iid_bounded", "bound": 2.0},
-            **NOISES["state_dependent_bias"]))
-        seeds = [cfg.trial_seed(t) for t in range(3)]
-        theta, vartheta, V = kernel_states(cfg, seeds, cfg.horizon)
-        for t, seed in enumerate(seeds):
-            ref = hot_step_loop(cfg, seed, cfg.horizon)
-            for got, want in zip((theta[t], vartheta[t], V[t]), ref):
-                if n < 8:
-                    assert np.array_equal(got, want)
-                else:
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert ens.V.shape == (len(seeds), horizon + 1)
+        for t, (trace, seed) in enumerate(zip(verify.run_trajectories(cfg, seeds), seeds)):
+            theta, vartheta, phi, eta, y = hot_step_run(cfg, seed, horizon)
+            V = lyapunov_value_arrays(theta, vartheta, cfg.theta_star, cfg.gains.gamma)
+            assert np.array_equal(trace.k, np.arange(horizon + 1))
+            same(trace.theta, theta)
+            same(trace.vartheta, vartheta)
+            same(trace.V, V)
+            same(trace.eta, np.append(eta, np.nan))
+            same(trace.e_y, [float(th @ p) - y_k for th, p, y_k in zip(theta, phi, y)] + [np.nan])
+            same(kernel_phi[t], phi)
+            same(kernel_y[t], y)
+            same(ens.V[t], V)
 
     @pytest.mark.parametrize("chunk", [1, 7, 256, 1000])
     def test_streamed_checks_equal_whole_matrix(self, chunk, monkeypatch):
@@ -357,7 +274,7 @@ class TestLockstepKernel:
             horizon=100, ensemble=3, resamples=500, mode="unrestricted",
             gains={"gamma": 1e8, "beta": 0.5, "mu": 0.9}))
         with pytest.raises(NonFiniteError) as ref:
-            hot_step_loop(cfg, cfg.trial_seed(0), cfg.horizon)
+            hot_step_run(cfg, cfg.trial_seed(0), cfg.horizon)
         assert ref.value.step == 37
         monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
         with pytest.raises(NonFiniteError) as ens:
@@ -461,11 +378,7 @@ class TestDecrement:
         # their buffers) is the kernel's first step from the frozen state,
         # bit for bit at any N (np.sum's pairwise order from 8 terms on
         # would round differently)
-        rng = np.random.default_rng(n)
-        cfg = RunConfig.from_dict(reference_dict(
-            dimension=n, theta_star=list(rng.uniform(-1.0, 1.0, n)),
-            theta0=list(rng.uniform(-0.3, 0.3, n)), horizon=60, ensemble=3,
-            resamples=100, **REGRESSORS["iid_bounded"], **NOISES["zero"]))
+        cfg = dataclasses.replace(grid_config(n, "iid_bounded", "zero", 60), resamples=100)
         consts = cfg.constants()
         captured = []
 
