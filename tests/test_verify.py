@@ -90,7 +90,49 @@ def kernel_observations(cfg, seeds, horizon):
     return [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
 
 
+def assert_every_run_is_the_hot_step_loop(cfg, same=np.testing.assert_array_equal):
+    """Every trial of cfg's ensemble, as run_trajectories, the kernel's phi
+    and y, and run_ensemble's rows give it, is the plain hot_step loop."""
+    horizon = cfg.horizon
+    seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
+    kernel_phi, kernel_y = kernel_observations(cfg, seeds, horizon)
+    ens = verify.run_ensemble(cfg)
+    assert ens.V.shape == (len(seeds), horizon + 1)
+    for t, (trace, seed) in enumerate(zip(verify.run_trajectories(cfg, seeds), seeds)):
+        theta, vartheta, phi, eta, y = hot_step_run(cfg, seed, horizon)
+        V = lyapunov_value_arrays(theta, vartheta, cfg.theta_star, cfg.gains.gamma)
+        assert np.array_equal(trace.k, np.arange(horizon + 1))
+        same(trace.theta, theta)
+        same(trace.vartheta, vartheta)
+        same(trace.V, V)
+        same(trace.eta, np.append(eta, np.nan))
+        same(trace.e_y, [float(th @ p) - y_k for th, p, y_k in zip(theta, phi, y)] + [np.nan])
+        same(kernel_phi[t], phi)
+        same(kernel_y[t], y)
+        same(ens.V[t], V)
+
+
 class TestRunTrajectory:
+    def test_record_count(self, small_config):
+        cfg = dataclasses.replace(small_config, horizon=100)
+        trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
+        assert trace.k.size == 101
+        assert trace.theta.shape == (101, 2)
+
+    def test_deterministic(self, small_config):
+        a = verify.run_trajectory(small_config, small_config.trial_seed(1))
+        b = verify.run_trajectory(small_config, small_config.trial_seed(1))
+        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.V, b.V)
+        assert np.array_equal(a.eta, b.eta, equal_nan=True)
+
+    def test_stored_V_recomputes_bitwise(self, small_config):
+        trace = verify.run_trajectory(small_config, small_config.trial_seed(2))
+        v = lyapunov_value_arrays(trace.theta, trace.vartheta,
+                                  small_config.theta_star,
+                                  small_config.gains.gamma)
+        assert np.array_equal(v, trace.V)
+
     def test_fixed_point_with_zero_regressor(self):
         d = reference_dict(horizon=50, ensemble=1, resamples=500,
                            noise={"kind": "zero"}, d_max=0.0, sigma_max=0.0,
@@ -107,6 +149,14 @@ class TestRunTrajectory:
         cfg = RunConfig.from_dict(d)
         trace = verify.run_trajectory(cfg, cfg.trial_seed(0))
         assert np.all(trace.V <= trace.V[0] + 1e-12)
+
+    def test_ensemble_rows_match_single_trials(self, small_config):
+        cfg = dataclasses.replace(small_config, ensemble=3, horizon=150)
+        ens = verify.run_ensemble(cfg)
+        assert ens.V.shape == (3, 151)
+        for t in range(3):
+            trace = verify.run_trajectory(cfg, cfg.trial_seed(t))
+            assert np.array_equal(trace.V, ens.V[t])
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_many_components_independent_of_width(self, n):
@@ -125,6 +175,13 @@ class TestRunTrajectory:
             _, (y_one,) = kernel_observations(cfg, seeds[t:t + 1], cfg.horizon)
             assert np.array_equal(y_one, y_wide[t])
             assert np.array_equal(one.V, ens.V[t])
+
+    @pytest.mark.parametrize("noise", ["biased_gaussian", "state_dependent_bias"])
+    def test_observations_match_hot_step_loop(self, noise):
+        # the reference config's theta*, in the default chunks
+        assert_every_run_is_the_hot_step_loop(RunConfig.from_dict(reference_dict(
+            horizon=300, ensemble=2, resamples=500,
+            **NOISES[noise], **REGRESSORS["iid_bounded"])))
 
     def test_zero_noise_converges(self):
         d = reference_dict(horizon=3000, ensemble=1, resamples=500,
@@ -200,25 +257,20 @@ class TestLockstepKernel:
         # Below 8 terms numpy sums in the order of the kernel's row folds, so
         # every run is bitwise the loop; from 8 terms on np.sum adds pairwise.
         monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
-        cfg = grid_config(n, regressor, noise, horizon)
-        same = (np.testing.assert_array_equal if n < 8 else
-                functools.partial(np.testing.assert_allclose, rtol=1e-12, atol=0))
-        seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
-        kernel_phi, kernel_y = kernel_observations(cfg, seeds, horizon)
-        ens = verify.run_ensemble(cfg)
-        assert ens.V.shape == (len(seeds), horizon + 1)
-        for t, (trace, seed) in enumerate(zip(verify.run_trajectories(cfg, seeds), seeds)):
-            theta, vartheta, phi, eta, y = hot_step_run(cfg, seed, horizon)
-            V = lyapunov_value_arrays(theta, vartheta, cfg.theta_star, cfg.gains.gamma)
-            assert np.array_equal(trace.k, np.arange(horizon + 1))
-            same(trace.theta, theta)
-            same(trace.vartheta, vartheta)
-            same(trace.V, V)
-            same(trace.eta, np.append(eta, np.nan))
-            same(trace.e_y, [float(th @ p) - y_k for th, p, y_k in zip(theta, phi, y)] + [np.nan])
-            same(kernel_phi[t], phi)
-            same(kernel_y[t], y)
-            same(ens.V[t], V)
+        assert_every_run_is_the_hot_step_loop(
+            grid_config(n, regressor, noise, horizon),
+            np.testing.assert_array_equal if n < 8 else
+            functools.partial(np.testing.assert_allclose, rtol=1e-12, atol=0))
+
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize("regressor", sorted(REGRESSORS))
+    def test_matches_hot_step_loop_bitwise(self, noise, regressor, monkeypatch):
+        # the reference config's own theta* and sinusoid, which the grid's
+        # default_rng(n) draws do not use
+        monkeypatch.setattr(verify, "CHUNK_STEPS", 7)
+        assert_every_run_is_the_hot_step_loop(RunConfig.from_dict(reference_dict(
+            horizon=60, ensemble=3, resamples=500,
+            **NOISES[noise], **REGRESSORS[regressor])))
 
     @pytest.mark.parametrize("chunk", [1, 7, 256, 1000])
     def test_streamed_checks_equal_whole_matrix(self, chunk, monkeypatch):
