@@ -191,14 +191,13 @@ def cmd_verify(args):
             "note": "finite-horizon proxy for an almost-sure statement",
         }
     if "rate" in streams:
-        report = streams["rate"].result()
+        rate = streams["rate"]
         results["rate"] = {
-            "passed": report.passed,
-            "alpha": report.alpha,
-            "clip_radius": report.clip_radius,
-            "z": report.z,
-            "failing_steps": [int(i) for i in
-                              np.flatnonzero(~report.pass_per_step)[:20]],
+            "passed": rate.passed,
+            "alpha": rate.alpha,
+            "clip_radius": rate.clip_radius,
+            "z": verify.Z,
+            "failing_steps": rate.failing_steps,
         }
     all_ok = all(res["passed"] for res in results.values())
 

@@ -59,8 +59,10 @@ def _hash_uniform(words, ks, dim):
     t = np.empty_like(z)
     _splitmix64(z, t)
     z >>= np.uint64(11)
-    # into the scratch: a cast in place would first copy z
-    return np.multiply(z, 1.0 / (1 << 53), out=t.view(np.float64))
+    # below 2**53, so the int64 view holds the same integers and converts
+    # exactly, through numpy's faster int64 cast; into the scratch, as a cast
+    # in place would first copy z
+    return np.multiply(z.view(np.int64), 1.0 / (1 << 53), out=t.view(np.float64))
 
 
 def _sum_squares(x, y=None):
@@ -172,8 +174,8 @@ class Sinusoid:
 
     def __post_init__(self):
         amp = np.atleast_1d(np.asarray(self.amplitude, dtype=float))
-        if amp.size == 0:
-            raise ConfigError("amplitude", "amplitude must be nonempty")
+        if amp.ndim != 1 or amp.size == 0:
+            raise ConfigError("amplitude", "amplitude must be a nonempty vector")
         if np.any(amp < 0) or not np.all(np.isfinite(amp)):
             raise ConfigError("amplitude", "amplitude must be finite and nonnegative")
         ph = np.zeros_like(amp) if self.phase is None else np.asarray(self.phase, dtype=float)

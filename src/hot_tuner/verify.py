@@ -22,10 +22,10 @@ from the RunConfig, which checks their ranges.  The decrement check
 estimates E[V_{k+1} | F_k] by frozen-state resampling: M = cfg.resamples
 noise draws given the history, as the columns of (N, M) buffers that one
 kernel step advances.  The boundedness and rate checks are running
-reductions fed chunk by chunk: memory is O(trials * CHUNK_STEPS + horizon).
-Each reads a chunk's V as the kernel lays it out: the rate check sums each
-step's trials along the contiguous axis, as np.mean and np.std do, and the
-boundedness check reads re-entry off the last step.
+reductions fed chunk by chunk, whose memory is O(trials * CHUNK_STEPS) at
+any horizon.  Each reads a chunk's V as the kernel lays it out: the rate
+check sums each step's trials along the contiguous axis, as np.mean and
+np.std do, and the boundedness check reads re-entry off the last step.
 Every verify command makes one kernel pass; the decrement probe's Harvest
 takes its states from trial 0 of --check all's ensemble, or runs alone.
 """
@@ -43,6 +43,7 @@ from .tuner import NonFiniteError, TunerState
 Z = 4.0  # standard errors of slack in the decrement and rate tests
 BOUND_MARGIN = 5.0  # the boundedness threshold, in units of max(V0, T)
 N_HARVEST = 50  # trajectory states the decrement probe starts from
+N_FAILING = 20  # failing steps a rate verdict lists
 
 # Steps per kernel chunk.  A chunk's buffers and temporaries, about ten
 # (CHUNK_STEPS, N, trials) arrays, set a verify run's peak RSS: at 200 trials
@@ -535,50 +536,57 @@ class RateReport:
 class RateStream:
     """The supermartingale-envelope check as a running reduction over V.
 
-    Feed V to `add` as in BoundednessStream.  Each step's mean and standard
-    error of V-hat are np.mean/np.std(ddof=1) over its trials, along the
-    contiguous axis of the kernel's (steps, trials) buffers, for any split;
-    memory is O(trials * block + horizon).
+    Feed V to `add` as in BoundednessStream.  Each call returns the block's
+    per-step (mean, stderr, envelope, pass) arrays, where the mean and
+    standard error of V-hat are np.mean/np.std(ddof=1) over its trials,
+    along the contiguous axis of the kernel's (steps, trials) buffers, and
+    folds them into the verdict: `passed`, the first N_FAILING failing steps
+    and `n_failing`.  Any split gives the same bits; memory is
+    O(trials * block) at any horizon.
     """
 
     def __init__(self, alpha, consts):
         self.clip_radius = theorem4_radius(alpha, consts)  # a ConfigError unless 0 < alpha < c1
         self.alpha = alpha
-        self.means = []
-        self.stderrs = []
+        self.steps = 0
+        self.n_failing = 0
+        self.failing_steps = []
+
+    @property
+    def passed(self):
+        return self.n_failing == 0
 
     def add(self, V):
         # (steps, trials): a no-op for a kernel block, a transposed view of
         # its C-ordered buffer; a copy for a whole (trials, steps) matrix
         vhat = np.ascontiguousarray(clipped_V(V, self.clip_radius).T)
         steps, n = vhat.shape
-        if not self.means:
+        if self.steps == 0:
             self.vhat0 = float(np.max(vhat[0]))
         # np.mean and np.std(ddof=1) over axis 1, with the deviations taken in place
         mean = np.add.reduce(vhat, axis=1) / n
-        self.means.append(mean)
         if n > 1:
             with np.errstate(over="ignore", invalid="ignore"):  # V = inf: inf - inf
                 dev = np.subtract(vhat, mean[:, None], out=vhat)
                 var = np.add.reduce(np.multiply(dev, dev, out=dev), axis=1) / (n - 1)
-            self.stderrs.append(np.sqrt(var) / math.sqrt(n))
+            stderr = np.sqrt(var) / math.sqrt(n)
         else:
-            self.stderrs.append(np.zeros(steps))
-
-    def result(self):
-        mean = np.concatenate(self.means)
-        stderr = np.concatenate(self.stderrs)
-        envelope = (1.0 - self.alpha) ** np.arange(mean.size) * self.vhat0
+            stderr = np.zeros(steps)
+        # elementwise, so a block's envelope is its slice of the whole one
+        envelope = (1.0 - self.alpha) ** np.arange(self.steps, self.steps + steps) * self.vhat0
         ok = mean <= envelope + Z * stderr
-        return RateReport(alpha=self.alpha, clip_radius=self.clip_radius,
-                          mean_Vhat=mean, stderr_Vhat=stderr, envelope=envelope,
-                          pass_per_step=ok, z=Z)
+        failing = np.flatnonzero(~ok)
+        self.failing_steps += (failing[:N_FAILING - len(self.failing_steps)] + self.steps).tolist()
+        self.n_failing += failing.size
+        self.steps += steps
+        return mean, stderr, envelope, ok
 
 
 def rate_check(V, alpha, consts):
     """Ensemble mean of V-hat (clipped at the Theorem-4 radius) over a
     (trials, steps) V matrix against the supermartingale envelope
-    (1-alpha)^k * Vhat_0."""
+    (1-alpha)^k * Vhat_0: RateStream's reduction of the whole matrix."""
     stream = RateStream(alpha, consts)
-    stream.add(V)
-    return stream.result()
+    mean, stderr, envelope, ok = stream.add(V)
+    return RateReport(alpha=alpha, clip_radius=stream.clip_radius, mean_Vhat=mean,
+                      stderr_Vhat=stderr, envelope=envelope, pass_per_step=ok, z=Z)

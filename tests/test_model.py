@@ -143,6 +143,13 @@ class TestRegressors:
                 build()
             assert exc.value.field == field
 
+    @pytest.mark.parametrize("amplitude", [[[1.0, 0.5]], [[1.0], [0.5]]])
+    def test_sinusoid_amplitude_must_be_a_vector(self, amplitude):
+        # a 2-D amplitude would report dimension 2 and yield (steps, 1, 2) slabs
+        with pytest.raises(ConfigError, match="amplitude must be a nonempty vector") as exc:
+            Sinusoid(amplitude=amplitude, omega=0.5)
+        assert exc.value.field == "amplitude"
+
 
 class TestNoise:
     def test_zero_kind(self):

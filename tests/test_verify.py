@@ -290,21 +290,24 @@ class TestLockstepKernel:
         monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
         bound = verify.BoundednessStream(consts)
         rate = verify.RateStream(alpha, consts)
+        rate_blocks = []
         for V in verify.ensemble_blocks(cfg, initial=init):
             bound.add(V)
-            rate.add(V)
-        streamed_bound, streamed_rate = bound.result(), rate.result()
+            rate_blocks.append(rate.add(V))
+        streamed_bound = bound.result()
         assert np.array_equal(streamed_bound.sup_per_trial, whole_bound.sup_per_trial)
         for name in ("max_sup", "threshold", "frac_steps_above_T", "all_finite",
                      "all_within_threshold", "all_reenter", "margin"):
             assert getattr(streamed_bound, name) == getattr(whole_bound, name)
-        for name in ("mean_Vhat", "stderr_Vhat", "envelope", "pass_per_step"):
-            assert np.array_equal(getattr(streamed_rate, name), getattr(whole_rate, name))
-        assert streamed_rate.clip_radius == whole_rate.clip_radius
+        for name, blocks in zip(("mean_Vhat", "stderr_Vhat", "envelope", "pass_per_step"),
+                                zip(*rate_blocks)):
+            assert np.array_equal(np.concatenate(blocks), getattr(whole_rate, name))
+        assert rate.clip_radius == whole_rate.clip_radius
+        assert rate.passed is whole_rate.passed
 
     def test_working_set_is_bounded(self):
-        # a chunk's slabs set a verify run's peak memory: about 8.3 MB traced
-        # at 256 steps per chunk, 4.6 MB at 128
+        # a chunk's slabs set a verify run's peak memory, O(trials * chunk) at
+        # any horizon: about 8.3 MB traced at 256 steps per chunk, 4.6 MB at 128
         cfg = RunConfig.from_dict(reference_dict(
             horizon=2000, ensemble=200, resamples=500,
             **NOISES["state_dependent_bias"], **REGRESSORS["iid_bounded"]))
@@ -316,6 +319,26 @@ class TestLockstepKernel:
         finally:
             tracemalloc.stop()
         assert peak < 5.5e6
+
+    def test_check_memory_does_not_grow_with_horizon(self):
+        def peak(horizon):
+            cfg = RunConfig.from_dict(reference_dict(horizon=horizon, ensemble=20,
+                                                     resamples=500))
+            consts = cfg.constants()
+            tracemalloc.start()
+            try:
+                bound = verify.BoundednessStream(consts)
+                rate = verify.RateStream(cfg.effective_alpha(consts), consts)
+                for V in verify.ensemble_blocks(cfg):
+                    bound.add(V)
+                    rate.add(V)
+                assert bound.result().passed and rate.passed and not rate.failing_steps
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a verdict that kept 40 B a step would add about 720 KB
+        assert peak(20_000) <= peak(2_000) + 16 * 1024
 
     @pytest.mark.parametrize("chunk", [40, 37, 38, 18])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -532,16 +555,40 @@ class TestRate:
         want_mean = np.mean(vhat, axis=1)
         want_stderr = np.std(vhat, axis=1, ddof=1) / np.sqrt(trials)
         # the whole matrix as run_ensemble lays it out, and kernel-like blocks
-        reports = [verify.rate_check(np.ascontiguousarray(buf.T), alpha, consts)]
+        whole = verify.rate_check(np.ascontiguousarray(buf.T), alpha, consts)
+        reports = [(whole.mean_Vhat, whole.stderr_Vhat, whole.pass_per_step)]
+        for cols in (1, 7, 256):
+            stream = verify.RateStream(alpha, consts)
+            mean, stderr, _, ok = (np.concatenate(a) for a in
+                                   zip(*(stream.add(V) for V in column_blocks(buf, cols))))
+            reports.append((mean, stderr, ok))
+        for mean, stderr, ok in reports:
+            assert np.array_equal(mean, want_mean)
+            assert np.array_equal(stderr, want_stderr)
+            assert np.array_equal(ok, whole.pass_per_step)
+
+    def test_streamed_verdict_lists_the_first_failing_steps(self, small_config):
+        consts = small_config.constants()
+        alpha = consts.c1 / 2.0
+        radius = theorem4_radius(alpha, consts)
+        # (steps, trials): V-hat 1 at step 0, so the envelope starts at 1; about
+        # 2 at the failing steps, some in pairs across 7- and 256-column
+        # boundaries; 0 elsewhere, which passes
+        fail = sorted(set(range(5, 600, 23)) | {6, 7, 13, 14, 255, 256})
+        buf = np.full((600, 8), 0.5 * radius)
+        buf[0] = radius + 1.0
+        buf[fail] = radius + 2.0 + np.random.default_rng(3).uniform(0.0, 0.1, (len(fail), 8))
+        whole = verify.rate_check(np.ascontiguousarray(buf.T), alpha, consts)
+        failing = np.flatnonzero(~whole.pass_per_step)
+        assert np.array_equal(failing, fail)
+        assert failing[19] > 256 and not whole.passed
         for cols in (1, 7, 256):
             stream = verify.RateStream(alpha, consts)
             for V in column_blocks(buf, cols):
                 stream.add(V)
-            reports.append(stream.result())
-        for report in reports:
-            assert np.array_equal(report.mean_Vhat, want_mean)
-            assert np.array_equal(report.stderr_Vhat, want_stderr)
-            assert np.array_equal(report.pass_per_step, reports[0].pass_per_step)
+            assert stream.passed is False
+            assert stream.failing_steps == failing[:20].tolist()
+            assert stream.n_failing == failing.size
 
     def test_invalid_alpha(self, small_config):
         consts = small_config.constants()
