@@ -78,20 +78,25 @@ def _constants_payload(cfg, consts):
     return payload
 
 
+def _write_csv(path, header, ks, columns):
+    """One row per k: str(k), then each float of the stacked columns as its
+    shortest round-trip decimal (repr)."""
+    rows = np.column_stack(columns).tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([str(k), *map(repr, row)] for k, row in zip(ks, rows))
+
+
 def _write_trace_csv(path, trace, K):
     """The trace as CSV, with V-hat clipped at K (all NaN for degenerate constants)."""
     n = trace.theta.shape[1]
     header = (["k"] + [f"theta_{i}" for i in range(n)]
               + [f"vartheta_{i}" for i in range(n)]
               + ["V", "Vhat", "e_y", "eta", "phi_norm"])
-    # floats as their shortest round-trip decimal (repr)
-    values = np.column_stack((trace.theta, trace.vartheta, trace.V,
-                              lyapunov.clipped_V(trace.V, K),
-                              trace.e_y, trace.eta, trace.phi_norm)).tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([str(k), *map(repr, row)] for k, row in zip(trace.k.tolist(), values))
+    _write_csv(path, header, trace.k.tolist(),
+               (trace.theta, trace.vartheta, trace.V, lyapunov.clipped_V(trace.V, K),
+                trace.e_y, trace.eta, trace.phi_norm))
 
 
 def _print(text):
@@ -105,63 +110,52 @@ def _print(text):
         raise RuntimeError(f"cannot write stdout: {exc}") from None
 
 
-def _load_config(args):
-    """The config named on the command line, with --seed applied."""
+def _setup(args, needs_c1):
+    """The config with --seed applied, its constants and their payload; then --out
+    is made.  A command that needs c1 > 0 (bound, rate, plot data) rejects degenerate ones."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.base_seed = check_seed(args.seed)
-    return cfg
+    consts = cfg.constants()
+    constants = _constants_payload(cfg, consts)
+    if consts.degenerate and needs_c1:
+        raise ConfigError("gains", "degenerate constants (mu*gamma*beta = 0)")
+    os.makedirs(args.out, exist_ok=True)
+    return cfg, consts, constants
+
+
+def _report(cfg, constants, **fields):
+    """A report: the header every command writes, then the command's fields."""
+    return {"version": __version__, "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "config": cfg.raw, "base_seed": cfg.base_seed, "constants": constants, **fields}
 
 
 def cmd_simulate(args):
-    cfg = _load_config(args)
+    cfg, consts, constants = _setup(args, args.emit_plot_data)
     trials = args.trials if args.trials is not None else cfg.ensemble
-    consts = cfg.constants()
-    constants = _constants_payload(cfg, consts)
-    if consts.degenerate and args.emit_plot_data:  # the rate envelope needs c1 > 0
-        raise ConfigError("gains", "degenerate constants (mu*gamma*beta = 0)")
-    os.makedirs(args.out, exist_ok=True)
 
     traces = verify.run_trajectories(cfg, [cfg.trial_seed(t) for t in range(trials)])
     for t, trace in enumerate(traces):
         _write_trace_csv(os.path.join(args.out, f"trace_{t}.csv"), trace, consts.K)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge finite state: inf
         errors = [float(np.linalg.norm(t.theta[-1] - cfg.theta_star)) for t in traces]
-
-    summary = {
-        "version": __version__,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config": cfg.raw,
-        "base_seed": cfg.base_seed,
-        "trials": trials,
-        "constants": constants,
-        "sup_V_per_trial": [float(np.max(t.V)) for t in traces],
-        "terminal_error_per_trial": errors,
-    }
-    _write_json(os.path.join(args.out, "summary.json"), summary)
+    _write_json(os.path.join(args.out, "summary.json"), _report(
+        cfg, constants, trials=trials, sup_V_per_trial=[float(np.max(t.V)) for t in traces],
+        terminal_error_per_trial=errors))
 
     if args.emit_plot_data:
         report = verify.rate_check(np.stack([t.V for t in traces]),
                                    cfg.effective_alpha(consts), consts)
-        mean, env = report.mean_Vhat, report.envelope
-        step = max(1, mean.size // 1000)
-        with open(os.path.join(args.out, "plotdata.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "mean_Vhat", "envelope"])
-            for i in range(0, mean.size, step):
-                w.writerow([str(i), repr(float(mean[i])), repr(float(env[i]))])
+        step = max(1, report.mean_Vhat.size // 1000)
+        _write_csv(os.path.join(args.out, "plotdata.csv"), ["k", "mean_Vhat", "envelope"],
+                   range(0, report.mean_Vhat.size, step),
+                   (report.mean_Vhat[::step], report.envelope[::step]))
     return EXIT_OK
 
 
 def cmd_verify(args):
-    cfg = _load_config(args)
-    consts = cfg.constants()
-    constants = _constants_payload(cfg, consts)
     checks = ("decrement", "bound", "rate") if args.check == "all" else (args.check,)
-    if consts.degenerate and ("bound" in checks or "rate" in checks):
-        raise ConfigError("gains", "degenerate constants (mu*gamma*beta = 0)")
-    os.makedirs(args.out, exist_ok=True)
+    cfg, consts, constants = _setup(args, "bound" in checks or "rate" in checks)
 
     streams = {}
     if "bound" in checks:
@@ -201,16 +195,8 @@ def cmd_verify(args):
         }
     all_ok = all(res["passed"] for res in results.values())
 
-    payload = {
-        "version": __version__,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config": cfg.raw,
-        "base_seed": cfg.base_seed,
-        "constants": constants,
-        "checks": results,
-        "passed": all_ok,
-    }
-    _write_json(os.path.join(args.out, f"verify_{args.check}.json"), payload)
+    _write_json(os.path.join(args.out, f"verify_{args.check}.json"),
+                _report(cfg, constants, checks=results, passed=all_ok))
     for name, res in results.items():
         _print(f"{name}: {'PASS' if res['passed'] else 'FAIL'}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
