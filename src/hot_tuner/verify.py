@@ -5,12 +5,22 @@ Every HOT update here is a step of _hot_stepper on component-major
 is lyapunov_value_arrays, whose norms fold left too.  Every multi-step run
 -- traces, ensembles and simulate -- goes through one lockstep kernel that
 advances every trial CHUNK_STEPS steps at a time, laid out
-(steps, N, trials).  Per chunk it does the work that does not depend on the
-state: every trial's innovations and regressors from its own seed, the
-observation rows, V, the finite check, and every eta and y if the
-conditional mean is a constant.  Per step it makes only the update's ufunc
-calls, and a state-dependent mean's.  A trace holds the columns simulate
-writes, V-hat aside, taken block by block; no runner computes the constants.
+(steps, N, trials).  Per chunk, _chunk_inputs does the work that does not
+read the state: every trial's innovations and regressors from its own seed,
+the observation rows, and every eta and y if the conditional mean is a
+constant.  The kernel makes per step only the update's ufunc calls, and a
+state-dependent mean's, and per chunk V and the finite check.  A trace holds
+the columns simulate writes, V-hat aside, taken block by block; no runner
+computes the constants.
+
+A pass of PIPE_MIN_TRIAL_STEPS trial-steps (horizon x trials) or more and
+more than one chunk, where os.fork exists and the process may run on two or
+more CPUs, forks one child that runs _chunk_inputs into two shared slots,
+filling the next chunk while the parent steps this one.  Any other pass runs
+it in-process into one slot.  Outputs are bit-identical either way; a child
+that dies raises RuntimeError, an internal error.  getrusage(RUSAGE_SELF)
+does not count the child's CPU time or memory: RUSAGE_CHILDREN counts them
+once the pass has reaped it.
 
 The observation rows -- phi at full width, 1 + |phi|^2 and phi . theta* --
 are built in one place, _observe, for the kernel and the decrement probe,
@@ -31,7 +41,12 @@ takes its states from trial 0 of --check all's ensemble, or runs alone.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +67,15 @@ N_FAILING = 20  # failing steps a rate verdict lists
 # runs about 25% slower.
 CHUNK_STEPS = 128
 
+# Trial-steps (horizon x trials) from which a kernel pass forks one child to
+# make each chunk's inputs while it steps the one before: twice the break-even,
+# about 2e6, of a 200-trial verify with per-trial iid regressors and
+# state-dependent noise on a 2-CPU VM, where forking was 8% slower at 4e5.
+# Inputs that cost less to make, such as a shared sinusoid with a constant
+# mean, gain less: there forking was still 4% slower at 4e6.
+PIPE_MIN_TRIAL_STEPS = 4_000_000
+_READY = b"\0"  # a pipe's byte: a chunk ready, or a slot free
+
 
 # ---------------------------------------------------------------------------
 # lockstep kernel
@@ -62,9 +86,11 @@ class _Block:
     """Trace rows k, k+1, ... of every trial, from one kernel chunk.
 
     Row j holds the state before observation k+j.  The last block holds the
-    final state alone and no observation.  The state and observation arrays
-    are views of kernel buffers that the next chunk overwrites; V is a fresh
-    array per block.
+    final state alone and no observation.  The state arrays are views of
+    kernel buffers that the next chunk overwrites.  eta, y and phi are views
+    of an input slot that lives until the chunk after next: once the pass is
+    resumed, a forked producer may refill it with that chunk (in-process,
+    the next chunk refills it).  V is a fresh array per block.
     """
 
     k: int
@@ -129,25 +155,20 @@ def _hot_stepper(gains, n, width):
 def _lockstep(cfg, seeds, horizon, initial):
     """Advance one trial per seed through `horizon` observations in lockstep.
 
-    The trial with seed s draws its innovations from default_rng(s) and its
-    regressors with seed s; _observe builds the observation rows, so for
+    _chunk_inputs makes each chunk's observation rows and noise, so for
     N < 8 the kernel is bitwise a hot_step loop.  Yields _Blocks that cover
     trace rows 0..horizon in order; raises NonFiniteError naming the first
     step whose update is not finite.
     """
-    ts, noise, regressor = cfg.theta_star, cfg.noise, cfg.regressor
+    ts = cfg.theta_star
     n, width, size = ts.size, len(seeds), CHUNK_STEPS
-    rngs = [np.random.default_rng(s) for s in seeds]
-    state_mean = noise.state_mean(n, width)  # None: a constant mean, added per chunk
+    state_mean = cfg.noise.state_mean(n, width)  # None: a constant mean, added per chunk
     add = np.add
 
     theta, vartheta = np.empty((2, size + 1, n, width))
     theta[0] = np.asarray(initial.theta, dtype=float)[:, None]
     vartheta[0] = np.asarray(initial.vartheta, dtype=float)[:, None]
-    u = np.empty((width, size))
-    eta = np.empty((size, width))
-    y = np.empty((size, width))
-    p, norm = np.empty((2, size, n, width))
+    scratch = np.empty((2, size, width))  # V's temporaries
     carry, step = _hot_stepper(cfg.gains, n, width)
     carry(theta[0])
 
@@ -156,39 +177,163 @@ def _lockstep(cfg, seeds, horizon, initial):
         overflows to V = inf, which the boundedness check reports."""
         with np.errstate(over="ignore", invalid="ignore"):
             return lyapunov_value_arrays(th.transpose(0, 2, 1), vt.transpose(0, 2, 1),
-                                         ts, cfg.gains.gamma).T
+                                         ts, cfg.gains.gamma, scratch[:, :len(th)]).T
 
-    for k0 in range(0, horizon, size):
+    inputs = _pass_inputs(cfg, seeds, horizon)
+    try:
+        for k0 in range(0, horizon, size):
+            m = min(size, horizon - k0)
+            p, norm, y, eta = next(inputs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(m):
+                    th, vt, y_j = theta[j], vartheta[j], y[j]
+                    if state_mean is not None:  # eta_j = mean_j + innovation_j; y_j += eta_j
+                        add(y_j, add(state_mean(th, vt), eta[j], eta[j]), y_j)
+                    step(th, vt, p[j], norm[j], y_j, theta[j + 1], vartheta[j + 1])
+            V_rows = v_rows(theta[:m], vartheta[:m])
+            # V covers rows 0..m-1 and overflows for huge finite states too, so
+            # it only tells when to look for the first non-finite row 1..m
+            if not (np.isfinite(V_rows).all() and np.isfinite(theta[m]).all()
+                    and np.isfinite(vartheta[m]).all()):
+                finite = (np.isfinite(theta[1:m + 1]).all(axis=(1, 2))
+                          & np.isfinite(vartheta[1:m + 1]).all(axis=(1, 2)))
+                if not finite.all():
+                    raise NonFiniteError(k0 + int(np.argmin(finite)))
+            yield _Block(k0, theta[:m], vartheta[:m], V_rows, eta[:m], y[:m], p[:m])
+            theta[0], vartheta[0] = theta[m], vartheta[m]
+    finally:
+        inputs.close()
+    yield _Block(horizon, theta[:1], vartheta[:1], v_rows(theta[:1], vartheta[:1]),
+                 np.empty((0, width)), np.empty((0, width)), np.empty((0, n, width)))
+
+
+def _slot(n, width, alloc=np.empty):
+    """(p, norm, y, eta): one chunk's inputs, p and norm (CHUNK_STEPS, n, width)
+    and y and eta (CHUNK_STEPS, width), as views of the one float array that
+    alloc(size) returns."""
+    size, split = CHUNK_STEPS, 2 * CHUNK_STEPS * n * width
+    flat = alloc(split + 2 * size * width)
+    p, norm = flat[:split].reshape(2, size, n, width)
+    y, eta = flat[split:].reshape(2, size, width)
+    return p, norm, y, eta
+
+
+def _shared_floats(size):
+    """A float array on fresh shared memory, which a forked child writes in place."""
+    return np.frombuffer(mmap.mmap(-1, size * np.dtype(float).itemsize))
+
+
+def _chunk_inputs(cfg, seeds, horizon, slots):
+    """Write chunk c's inputs into slots[c % len(slots)], for c = 0, 1, ...,
+    yielding after each.
+
+    The trial with seed s draws its innovations from default_rng(s) and its
+    regressors with seed s, and _observe builds p, norm and y.  A constant
+    conditional mean is added here, to eta and then y; for a state-dependent
+    one eta is the innovation, which the kernel completes step by step.
+    """
+    ts, noise, regressor = cfg.theta_star, cfg.noise, cfg.regressor
+    width, size = len(seeds), CHUNK_STEPS
+    rngs = [np.random.default_rng(s) for s in seeds]
+    constant_mean = noise.state_mean(ts.size, width) is None
+    add = np.add
+    u = np.empty((width, size))
+    for c, k0 in enumerate(range(0, horizon, size)):
         m = min(size, horizon - k0)
+        p, norm, y, eta = slots[c % len(slots)]
         for row, rng in zip(u, rngs):
             rng.random(out=row[:m])
         innov = noise.innovation(u[:, :m]).T
         # unnamed, the fresh batch is freed once copied into p
         _observe(regressor.generate_batch(k0, k0 + m, seeds), ts, p[:m], norm[:m], y[:m])
-        if state_mean is None:
+        if constant_mean:
             add(noise.conditional_mean(), innov, eta[:m])
             add(y[:m], eta[:m], y[:m])
         else:
-            eta[:m] = innov  # eta_j = mean_j + innovation_j, and y_j += eta_j, per step
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(m):
-                th, vt, y_j = theta[j], vartheta[j], y[j]
-                if state_mean is not None:
-                    add(y_j, add(state_mean(th, vt), eta[j], eta[j]), y_j)
-                step(th, vt, p[j], norm[j], y_j, theta[j + 1], vartheta[j + 1])
-        V_rows = v_rows(theta[:m], vartheta[:m])
-        # V covers rows 0..m-1 and overflows for huge finite states too, so
-        # it only tells when to look for the first non-finite row 1..m
-        if not (np.isfinite(V_rows).all() and np.isfinite(theta[m]).all()
-                and np.isfinite(vartheta[m]).all()):
-            finite = (np.isfinite(theta[1:m + 1]).all(axis=(1, 2))
-                      & np.isfinite(vartheta[1:m + 1]).all(axis=(1, 2)))
-            if not finite.all():
-                raise NonFiniteError(k0 + int(np.argmin(finite)))
-        yield _Block(k0, theta[:m], vartheta[:m], V_rows, eta[:m], y[:m], p[:m])
-        theta[0], vartheta[0] = theta[m], vartheta[m]
-    yield _Block(horizon, theta[:1], vartheta[:1], v_rows(theta[:1], vartheta[:1]),
-                 eta[:0], y[:0], p[:0])
+            eta[:m] = innov
+        yield
+
+
+def _forks(horizon, width):
+    """Whether a pass forks a producer: it has more than one chunk and
+    PIPE_MIN_TRIAL_STEPS trial-steps or more, and may run on two CPUs."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and horizon > CHUNK_STEPS and horizon * width >= PIPE_MIN_TRIAL_STEPS
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _pass_inputs(cfg, seeds, horizon):
+    """Yield each chunk's (p, norm, y, eta) from _chunk_inputs, which runs in
+    this process or, where _forks, in a child that fills chunk c + 1 while the
+    kernel steps chunk c.
+
+    The child writes into two shared slots, and chunk c's slot takes chunk
+    c + 2 once the caller asks for chunk c + 1.  It says each chunk is ready
+    over one pipe and waits for freed slots on another.  Closing the
+    generator, on any exit path, kills and reaps the child; a child that dies
+    raises RuntimeError, with its exception where it sent one.
+    """
+    n, width = cfg.theta_star.size, len(seeds)
+    if not _forks(horizon, width):
+        slot = _slot(n, width)
+        for _ in _chunk_inputs(cfg, seeds, horizon, [slot]):
+            yield slot
+        return
+    chunks = -(-horizon // CHUNK_STEPS)
+    fds = ready_r, ready_w, free_r, free_w = os.pipe() + os.pipe()
+    try:
+        slots = [_slot(n, width, _shared_floats) for _ in range(2)]
+        pid = os.fork()
+    except OSError as exc:  # not an --out error: an internal one
+        for fd in fds:
+            os.close(fd)
+        raise RuntimeError(f"cannot start the kernel's input producer: {exc}") from None
+    if pid == 0:
+        os.close(ready_r)
+        os.close(free_w)
+        _produce(_chunk_inputs(cfg, seeds, horizon, slots), chunks, ready_w, free_r)
+    os.close(ready_w)
+    os.close(free_r)
+    try:
+        for c in range(chunks):
+            if 0 < c < chunks - 1:
+                # chunk c-1's slot may take chunk c+1; a child gone by now
+                # has said why on the ready pipe
+                with contextlib.suppress(BrokenPipeError):
+                    os.write(free_w, _READY)
+            said = os.read(ready_r, 1)
+            if said != _READY:
+                while part := os.read(ready_r, 4096):
+                    said += part
+                said = said.decode(errors="replace")
+                raise RuntimeError("the kernel's input producer "
+                                   + (f"failed: {said}" if said else "died"))
+            yield slots[c % 2]
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _produce(inputs, chunks, ready_w, free_r):
+    """The forked producer's life: before chunk c >= 2 wait for chunk c-2's
+    slot, run `inputs` one chunk on, and say ready; on an exception send its
+    repr.  It leaves through os._exit, never into the parent's frames."""
+    gc.disable()  # a collection here could run a finalizer that the parent owns
+    status = 0
+    try:
+        for c in range(chunks):
+            if c >= 2 and not os.read(free_r, 1):
+                break  # the parent has gone
+            next(inputs)
+            os.write(ready_w, _READY)
+    except BaseException as exc:
+        status = 1
+        with contextlib.suppress(OSError):  # the parent may have gone
+            os.write(ready_w, repr(exc)[:1000].encode(errors="replace"))
+    finally:
+        os._exit(status)
 
 
 def _observe(phi, theta_star, p, norm, y):

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -344,6 +345,135 @@ class TestGoldenSimulate:
         assert main(["simulate", cfg_path, "--out", str(out), "--trials", "4",
                      "--emit-plot-data"]) == 0
         assert {name: output_digest(out / name) for name in os.listdir(out)} == golden["digests"]
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Every multi-chunk kernel pass forks its input producer, as on a machine
+    with two CPUs; gives the pids forked.  Afterwards no child is left."""
+    monkeypatch.setattr(verify, "PIPE_MIN_TRIAL_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@needs_fork
+class TestGoldenReportsForked(TestGoldenReports):
+    """The exact reports again, every pass's inputs made by a forked child."""
+
+    @pytest.fixture(autouse=True)
+    def through_the_child(self, forked):
+        yield
+        assert forked
+
+
+@needs_fork
+class TestGoldenSimulateForked(TestGoldenSimulate):
+    """The exact simulate outputs again, every pass's inputs made by a forked child."""
+
+    @pytest.fixture(autouse=True)
+    def through_the_child(self, forked):
+        yield
+        assert forked
+
+
+@needs_fork
+class TestForkedProducer:
+    def test_divergence_exits_3(self, tmp_path, capfd, monkeypatch, forked):
+        # the parent stops in chunk 0 with the child waiting to fill chunk 2,
+        # and says what the in-process pass says
+        d = small_dict(mode="unrestricted", gains={"gamma": 1e8, "beta": 0.5, "mu": 0.9},
+                       theta0=[5.0, 5.0], horizon=1000)
+        cfg_path = write_config(tmp_path, d)
+        assert main(["simulate", cfg_path, "--out", str(tmp_path / "forked")]) == 3
+        assert len(forked) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("warning: gamma > 1/16: ")
+        assert "error: tuner state became non-finite at step " in err
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["simulate", cfg_path, "--out", str(tmp_path / "in-process")]) == 3
+        assert len(forked) == 1
+        assert capfd.readouterr().err == err
+
+    def test_producer_error_exits_4_on_one_line(self, tmp_path, capfd, forked, monkeypatch):
+        generate = model.IidBounded.generate_batch
+
+        def generate_until_128(self, k0, k1, seeds):
+            if k0 >= 128:
+                raise ValueError("no rows from 128 on")
+            return generate(self, k0, k1, seeds)
+
+        monkeypatch.setattr(model.IidBounded, "generate_batch", generate_until_128)
+        value = verify.lyapunov_value_arrays
+
+        def slow_value(*args):
+            time.sleep(0.2)  # the child has failed and gone before a slot is freed
+            return value(*args)
+
+        monkeypatch.setattr(verify, "lyapunov_value_arrays", slow_value)
+        d = small_dict(horizon=1000, regressor={"kind": "iid_bounded", "bound": 2.0})
+        assert main(["verify", write_config(tmp_path, d), "--check", "bound",
+                     "--out", str(tmp_path / "o")]) == 4
+        assert len(forked) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: internal error: RuntimeError(\"the kernel's input "
+                                "producer failed: ValueError('no rows from 128 on')\")\n")
+
+    def test_a_failed_fork_exits_4_and_closes_its_pipes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "PIPE_MIN_TRIAL_STEPS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        assert main(["verify", write_config(tmp_path, small_dict(horizon=1000)),
+                     "--check", "bound", "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == ("error: internal error: RuntimeError(\"cannot start "
+                                           "the kernel's input producer: [Errno 11] Resource "
+                                           "temporarily unavailable\")\n")
+        if fds is not None:
+            assert sorted(os.listdir("/proc/self/fd")) == fds
+
+    def test_a_consumer_that_stops_early_reaps_the_child(self, forked):
+        cfg = RunConfig.from_dict(small_dict(horizon=1000))
+        blocks = verify.ensemble_blocks(cfg)
+        assert next(blocks).shape == (cfg.ensemble, verify.CHUNK_STEPS)
+        # the child is alive: it fills chunk 1, then waits for a free slot
+        assert os.waitpid(forked[0], os.WNOHANG) == (0, 0)
+        blocks.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_cpu_runs_in_process(self, monkeypatch, forked):
+        cfg = RunConfig.from_dict(small_dict(
+            horizon=1000, regressor={"kind": "iid_bounded", "bound": 2.0},
+            noise={"kind": "state_dependent_bias", "d_amplitude": 0.1, "sd": 0.45}))
+        V = verify.run_ensemble(cfg).V
+        assert len(forked) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert np.array_equal(verify.run_ensemble(cfg).V, V)
 
 
 class TestMalformedNumbers:
