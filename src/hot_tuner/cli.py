@@ -11,11 +11,12 @@ filter would raise it; a filter that ignores it holds.
 CSVs afterwards, so a divergence in any trial exits 3 before any trace is
 written.  HOT_TUNER_THREADS is accepted and has no effect.
 
-A kernel pass of verify.PIPE_MIN_TRIAL_STEPS (4e6) trial-steps or more, on a
-machine where the process may use two CPUs, forks one child that makes each
-chunk's regressors and noise while the parent steps (hot_tuner.verify); the
-outputs are bit-identical to an in-process pass, and a child that dies exits
-4.  getrusage(RUSAGE_SELF) misses the child's CPU time and memory.
+A kernel pass on iid_bounded regressors of verify.PIPE_MIN_TRIAL_STEPS (1e7)
+trial-steps or more, on a machine where the process may use two CPUs, forks
+one child that makes each chunk's regressors and noise while the parent
+steps (hot_tuner.verify); the outputs are bit-identical to an in-process
+pass, and a child that dies exits 4.  getrusage(RUSAGE_SELF) misses the
+child's CPU time and memory.
 """
 from __future__ import annotations
 

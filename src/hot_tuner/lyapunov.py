@@ -18,18 +18,15 @@ def lyapunov_value(state, theta_star, gamma):
                                  np.asarray(theta_star, dtype=float), gamma)
 
 
-def lyapunov_value_arrays(theta, vartheta, theta_star, gamma, scratch=None):
+def lyapunov_value_arrays(theta, vartheta, theta_star, gamma):
     """V = (1/gamma) ||vartheta - theta*||^2 + (1/gamma) ||theta - vartheta||^2.
 
     Broadcasts over leading axes, the N components last; each norm folds
     left over them (model._sum_squares) at every N.  The lockstep kernel,
-    the decrement probe and the library all compute V here.  V is a fresh
-    array; its temporaries go to the two slabs of `scratch`, V's shape each,
-    or to fresh arrays where it is None.
+    the decrement probe and the library all compute V here.
     """
-    s0, s1 = (None, None) if scratch is None else scratch
-    v = _sum_squares(vartheta, theta_star, tmp=s0)
-    v += _sum_squares(theta, vartheta, out=s0, tmp=s1)
+    v = _sum_squares(vartheta, theta_star)
+    v += _sum_squares(theta, vartheta)
     v /= gamma
     return v
 

@@ -65,24 +65,23 @@ def _hash_uniform(words, ks, dim):
     return np.multiply(z.view(np.int64), 1.0 / (1 << 53), out=t.view(np.float64))
 
 
-def _sum_squares(x, y=None, out=None, tmp=None):
+def _sum_squares(x, y=None):
     """Sum over the last axis of (x - y)**2, or of x**2 if y is None, folded
-    left over the slabs x[..., i], each squared and added in place: the one
-    component fold behind V, the normalisations and the ball clip.  Below 8
-    components that is np.sum's order along a contiguous axis (from 8 on
-    np.sum adds pairwise), and it depends on no array's layout.  The first
-    slab goes to `out` and each later one to `tmp`, fresh arrays where None.
+    left over the slabs x[..., i], each a fresh slab squared and added in
+    place: the one component fold behind V, the normalisations and the ball
+    clip.  Below 8 components that is np.sum's order along a contiguous axis
+    (from 8 on np.sum adds pairwise), and it depends on no array's layout.
     """
-    def term(i, dest):
+    def term(i):
         if y is None:
-            return np.multiply(x[..., i], x[..., i], dest)
-        d = np.subtract(x[..., i], y[..., i], dest)
+            return x[..., i] * x[..., i]
+        d = x[..., i] - y[..., i]
         d *= d
         return d
 
-    acc = term(0, out)
+    acc = term(0)
     for i in range(1, x.shape[-1]):
-        acc += term(i, tmp)
+        acc += term(i)
     return acc
 
 

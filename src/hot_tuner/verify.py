@@ -13,9 +13,10 @@ state-dependent mean's, and per chunk V and the finite check.  A trace holds
 the columns simulate writes, V-hat aside, taken block by block; no runner
 computes the constants.
 
-A pass of PIPE_MIN_TRIAL_STEPS trial-steps (horizon x trials) or more and
-more than one chunk, where os.fork exists and the process may run on two or
-more CPUs, forks one child that runs _chunk_inputs into two shared slots,
+A pass on a PIPE_REGRESSORS regressor (per-trial iid draws) of
+PIPE_MIN_TRIAL_STEPS trial-steps (horizon x trials) or more and more than
+one chunk, where os.fork exists and the process may run on two or more
+CPUs, forks one child that runs _chunk_inputs into two shared slots,
 filling the next chunk while the parent steps this one.  Any other pass runs
 it in-process into one slot.  Outputs are bit-identical either way; a child
 that dies raises RuntimeError, an internal error.  getrusage(RUSAGE_SELF)
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lyapunov import clipped_V, lyapunov_value_arrays, theorem4_radius
-from .model import _sum_rows, _sum_squares
+from .model import IidBounded, _sum_rows, _sum_squares
 from .tuner import NonFiniteError, TunerState
 
 Z = 4.0  # standard errors of slack in the decrement and rate tests
@@ -67,13 +68,18 @@ N_FAILING = 20  # failing steps a rate verdict lists
 # runs about 25% slower.
 CHUNK_STEPS = 128
 
-# Trial-steps (horizon x trials) from which a kernel pass forks one child to
-# make each chunk's inputs while it steps the one before: twice the break-even,
-# about 2e6, of a 200-trial verify with per-trial iid regressors and
-# state-dependent noise on a 2-CPU VM, where forking was 8% slower at 4e5.
-# Inputs that cost less to make, such as a shared sinusoid with a constant
-# mean, gain less: there forking was still 4% slower at 4e6.
-PIPE_MIN_TRIAL_STEPS = 4_000_000
+# A kernel pass forks one child to make each chunk's inputs while it steps
+# the one before only on a PIPE_REGRESSORS regressor, from
+# PIPE_MIN_TRIAL_STEPS trial-steps (horizon x trials) on: the inputs and
+# sizes at which forking won every pair of every measured set.  200-trial
+# verify --check all, forked against in-process in alternating pairs on a
+# 2-CPU VM: with iid regressors forking was 20-37% faster at 1e7 and won all
+# 28 pairs of 4 sets, but won from 0 of 6 to 8 of 8 pairs at 4e6.  With
+# the shared sinusoid it won from 1 of 6 pairs (35% slower) to 7 of 8 at
+# 1e7 and from 1 of 6 to 8 of 8 at 4e6: its child, with little to do, waits
+# on the parent and at times takes the parent's CPU when it wakes.
+PIPE_REGRESSORS = (IidBounded,)
+PIPE_MIN_TRIAL_STEPS = 10_000_000
 _READY = b"\0"  # a pipe's byte: a chunk ready, or a slot free
 
 
@@ -168,7 +174,6 @@ def _lockstep(cfg, seeds, horizon, initial):
     theta, vartheta = np.empty((2, size + 1, n, width))
     theta[0] = np.asarray(initial.theta, dtype=float)[:, None]
     vartheta[0] = np.asarray(initial.vartheta, dtype=float)[:, None]
-    scratch = np.empty((2, size, width))  # V's temporaries
     carry, step = _hot_stepper(cfg.gains, n, width)
     carry(theta[0])
 
@@ -177,7 +182,7 @@ def _lockstep(cfg, seeds, horizon, initial):
         overflows to V = inf, which the boundedness check reports."""
         with np.errstate(over="ignore", invalid="ignore"):
             return lyapunov_value_arrays(th.transpose(0, 2, 1), vt.transpose(0, 2, 1),
-                                         ts, cfg.gains.gamma, scratch[:, :len(th)]).T
+                                         ts, cfg.gains.gamma).T
 
     inputs = _pass_inputs(cfg, seeds, horizon)
     try:
@@ -254,10 +259,12 @@ def _chunk_inputs(cfg, seeds, horizon, slots):
         yield
 
 
-def _forks(horizon, width):
-    """Whether a pass forks a producer: it has more than one chunk and
-    PIPE_MIN_TRIAL_STEPS trial-steps or more, and may run on two CPUs."""
+def _forks(cfg, horizon, width):
+    """Whether a pass forks a producer: its regressor is a PIPE_REGRESSORS,
+    it has more than one chunk and PIPE_MIN_TRIAL_STEPS trial-steps or more,
+    and it may run on two CPUs."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and isinstance(cfg.regressor, PIPE_REGRESSORS)
             and horizon > CHUNK_STEPS and horizon * width >= PIPE_MIN_TRIAL_STEPS
             and len(os.sched_getaffinity(0)) >= 2)
 
@@ -274,7 +281,7 @@ def _pass_inputs(cfg, seeds, horizon):
     raises RuntimeError, with its exception where it sent one.
     """
     n, width = cfg.theta_star.size, len(seeds)
-    if not _forks(horizon, width):
+    if not _forks(cfg, horizon, width):
         slot = _slot(n, width)
         for _ in _chunk_inputs(cfg, seeds, horizon, [slot]):
             yield slot

@@ -322,6 +322,27 @@ class TestGoldenReports:
         assert_same_json(out / written, golden)
 
 
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
+def test_full_size_long_random_report_is_exact(tmp_path, monkeypatch, cpus):
+    # 200 trials x 5e4 steps on iid regressors: its ensemble pass forks its
+    # input producer where the process may use two CPUs, and not on one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    forks = []
+    if hasattr(os, "fork"):
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    with open(os.path.join(BENCH_REFERENCE, "verify-long-random.json")) as fh:
+        golden = json.load(fh)
+    out = tmp_path / "out"
+    assert main(["verify", write_config(tmp_path, golden["config"]), "--check", "all",
+                 "--out", str(out), "--seed", "20240613"]) == 0
+    assert_same_json(out / "verify_all.json", golden)
+    assert len(forks) == (len(cpus) > 1 and hasattr(os, "fork"))
+    if forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 with open(os.path.join(HERE, "golden", "simulate-digests.json")) as fh:
     SIMULATE_DIGESTS = json.load(fh)
 
@@ -349,8 +370,10 @@ class TestGoldenSimulate:
 
 @pytest.fixture
 def forked(monkeypatch):
-    """Every multi-chunk kernel pass forks its input producer, as on a machine
-    with two CPUs; gives the pids forked.  Afterwards no child is left."""
+    """Every multi-chunk kernel pass forks its input producer, whatever its
+    regressor, as on a machine with two CPUs; gives the pids forked.
+    Afterwards no child is left."""
+    monkeypatch.setattr(verify, "PIPE_REGRESSORS", object)
     monkeypatch.setattr(verify, "PIPE_MIN_TRIAL_STEPS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pids = []
@@ -435,6 +458,7 @@ class TestForkedProducer:
                                 "producer failed: ValueError('no rows from 128 on')\")\n")
 
     def test_a_failed_fork_exits_4_and_closes_its_pipes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "PIPE_REGRESSORS", object)
         monkeypatch.setattr(verify, "PIPE_MIN_TRIAL_STEPS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
@@ -474,6 +498,19 @@ class TestForkedProducer:
 
         monkeypatch.setattr(os, "fork", no_fork)
         assert np.array_equal(verify.run_ensemble(cfg).V, V)
+
+    def test_a_shared_sinusoid_runs_in_process(self, monkeypatch):
+        # at any size: a shared sinusoid leaves its child too little to do
+        monkeypatch.setattr(verify, "PIPE_MIN_TRIAL_STEPS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def no_fork():
+            raise AssertionError("forked on a shared sinusoid")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg = RunConfig.from_dict(small_dict(horizon=1000))
+        assert isinstance(cfg.regressor, model.Sinusoid)
+        assert verify.run_ensemble(cfg).V.shape == (cfg.ensemble, 1001)
 
 
 class TestMalformedNumbers:

@@ -457,10 +457,10 @@ class TestDecrement:
         consts = cfg.constants()
         captured = []
 
-        def capture(theta, vartheta, *args):
+        def capture(theta, vartheta, theta_star, gamma):
             if theta.shape == (100, n):  # the resamples' V_{k+1}, not the kernel's V
                 captured.append((theta.copy(), vartheta.copy()))
-            return lyapunov_value_arrays(theta, vartheta, *args)
+            return lyapunov_value_arrays(theta, vartheta, theta_star, gamma)
 
         monkeypatch.setattr(verify, "lyapunov_value_arrays", capture)
         report = verify.decrement_report(cfg, consts)
