@@ -178,28 +178,8 @@ def cmd_verify(args):
 
     results = {}
     if "decrement" in checks:
-        report = verify.decrement_report(cfg, consts, harvest=harvest)
-        results["decrement"] = {**dataclasses.asdict(report), "passed": report.all_pass}
-    if "bound" in streams:
-        summary = streams["bound"].result()
-        results["bound"] = {
-            "passed": summary.passed,
-            "max_sup_V": summary.max_sup,
-            "threshold": summary.threshold,
-            "margin": summary.margin,
-            "frac_steps_above_T": summary.frac_steps_above_T,
-            "all_reenter": summary.all_reenter,
-            "note": "finite-horizon proxy for an almost-sure statement",
-        }
-    if "rate" in streams:
-        rate = streams["rate"]
-        results["rate"] = {
-            "passed": rate.passed,
-            "alpha": rate.alpha,
-            "clip_radius": rate.clip_radius,
-            "z": verify.Z,
-            "failing_steps": rate.failing_steps,
-        }
+        results["decrement"] = verify.decrement_report(cfg, consts, harvest=harvest).section()
+    results.update((name, stream.section()) for name, stream in streams.items())
     all_ok = all(res["passed"] for res in results.values())
 
     _write_json(os.path.join(args.out, f"verify_{args.check}.json"),

@@ -13,7 +13,7 @@ state-dependent mean's, and per chunk V and the finite check.  A trace holds
 the columns simulate writes, V-hat aside, taken block by block; no runner
 computes the constants.
 
-A pass on a PIPE_REGRESSORS regressor (per-trial iid draws) of
+A pass on an IidBounded regressor (per-trial iid draws) of
 PIPE_MIN_TRIAL_STEPS trial-steps (horizon x trials) or more and more than
 one chunk, where os.fork exists and the process may run on two or more
 CPUs, forks one child that runs _chunk_inputs into two shared slots,
@@ -39,6 +39,7 @@ check sums each step's trials along the contiguous axis, as np.mean and
 np.std do, and the boundedness check reads re-entry off the last step.
 Every verify command makes one kernel pass; the decrement probe's Harvest
 takes its states from trial 0 of --check all's ensemble, or runs alone.
+Each check's `section()` gives its section of the verify report.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ import math
 import mmap
 import os
 import signal
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,7 +70,7 @@ N_FAILING = 20  # failing steps a rate verdict lists
 CHUNK_STEPS = 128
 
 # A kernel pass forks one child to make each chunk's inputs while it steps
-# the one before only on a PIPE_REGRESSORS regressor, from
+# the one before only on an IidBounded regressor, from
 # PIPE_MIN_TRIAL_STEPS trial-steps (horizon x trials) on: the inputs and
 # sizes at which forking won every pair of every measured set.  200-trial
 # verify --check all, forked against in-process in alternating pairs on a
@@ -78,7 +79,6 @@ CHUNK_STEPS = 128
 # the shared sinusoid it won from 1 of 6 pairs (35% slower) to 7 of 8 at
 # 1e7 and from 1 of 6 to 8 of 8 at 4e6: its child, with little to do, waits
 # on the parent and at times takes the parent's CPU when it wakes.
-PIPE_REGRESSORS = (IidBounded,)
 PIPE_MIN_TRIAL_STEPS = 10_000_000
 _READY = b"\0"  # a pipe's byte: a chunk ready, or a slot free
 
@@ -260,11 +260,11 @@ def _chunk_inputs(cfg, seeds, horizon, slots):
 
 
 def _forks(cfg, horizon, width):
-    """Whether a pass forks a producer: its regressor is a PIPE_REGRESSORS,
-    it has more than one chunk and PIPE_MIN_TRIAL_STEPS trial-steps or more,
-    and it may run on two CPUs."""
+    """Whether a pass forks a producer: its regressor is an IidBounded, it
+    has more than one chunk and PIPE_MIN_TRIAL_STEPS trial-steps or more, and
+    it may run on two CPUs."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and isinstance(cfg.regressor, PIPE_REGRESSORS)
+            and isinstance(cfg.regressor, IidBounded)
             and horizon > CHUNK_STEPS and horizon * width >= PIPE_MIN_TRIAL_STEPS
             and len(os.sched_getaffinity(0)) >= 2)
 
@@ -549,6 +549,10 @@ class DecrementReport:
     def all_pass(self):
         return all(p.passed for p in self.probes)
 
+    def section(self):
+        """The report's decrement section: every probe, z, M and the verdict."""
+        return {**asdict(self), "passed": self.all_pass}
+
 
 def _prober(cfg, consts, phi):
     """probe(state, rng, label): the decrement probe at regressor phi, whose
@@ -603,28 +607,13 @@ def decrement_report(cfg, consts, harvest=None):
 # boundedness check
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundednessSummary:
-    sup_per_trial: np.ndarray
-    max_sup: float
-    threshold: float
-    frac_steps_above_T: float
-    all_finite: bool
-    all_within_threshold: bool
-    all_reenter: bool
-    margin: float
-
-    @property
-    def passed(self):
-        return self.all_finite and self.all_within_threshold and self.all_reenter
-
-
 class BoundednessStream:
     """The Theorem-3 proxy as a running reduction over V.
 
     Feed the ensemble's V to `add` as consecutive (trials, steps) column
-    blocks, starting at step 0; `result` gives the same summary for any
-    split.  Memory is O(trials).
+    blocks, starting at step 0; `sup` is each trial's sup V so far, and
+    `section` gives the same report section for any split.  Memory is
+    O(trials).
     """
 
     def __init__(self, consts):
@@ -644,26 +633,33 @@ class BoundednessStream:
         self.n_above += int(np.count_nonzero(above))
         self.steps += V.shape[1]
 
-    def result(self):
+    def section(self):
+        """The report's bound section: it passes if every trial's sup V is
+        finite and at most max(V0, T) * BOUND_MARGIN, and every trial
+        re-enters {V <= T}."""
         threshold = max(self.v0, self.T) * BOUND_MARGIN
-        return BoundednessSummary(
-            sup_per_trial=self.sup, max_sup=float(np.max(self.sup)),
-            threshold=threshold,
-            frac_steps_above_T=self.n_above / (self.sup.size * self.steps),
-            all_finite=bool(np.all(np.isfinite(self.sup))),
-            all_within_threshold=bool(np.all(self.sup <= threshold)),
-            # a trial re-enters {V <= T} after its last excursion iff it ends there
-            all_reenter=not np.any(self.above_at_end), margin=BOUND_MARGIN)
+        # a trial re-enters {V <= T} after its last excursion iff it ends there
+        reenter = not np.any(self.above_at_end)
+        return {
+            "passed": bool(np.all(np.isfinite(self.sup)) and np.all(self.sup <= threshold)
+                           and reenter),
+            "max_sup_V": float(np.max(self.sup)),
+            "threshold": threshold,
+            "margin": BOUND_MARGIN,
+            "frac_steps_above_T": self.n_above / (self.sup.size * self.steps),
+            "all_reenter": reenter,
+            "note": "finite-horizon proxy for an almost-sure statement",
+        }
 
 
 def boundedness_check(V, consts):
-    """Theorem-3 proxy on a (trials, steps) V matrix: finite sup V, sup below
-    max(V0, T) * BOUND_MARGIN, re-entry."""
+    """Theorem-3 proxy on a (trials, steps) V matrix: BoundednessStream's
+    section of the whole matrix."""
     if V.size == 0:
         raise ValueError("empty ensemble")
     stream = BoundednessStream(consts)
     stream.add(V)
-    return stream.result()
+    return stream.section()
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +703,12 @@ class RateStream:
     @property
     def passed(self):
         return self.n_failing == 0
+
+    def section(self):
+        """The report's rate section: the verdict, alpha, the clip radius, z
+        and the first N_FAILING failing steps."""
+        return {"passed": self.passed, "alpha": self.alpha, "clip_radius": self.clip_radius,
+                "z": Z, "failing_steps": self.failing_steps}
 
     def add(self, V):
         # (steps, trials): a no-op for a kernel block, a transposed view of

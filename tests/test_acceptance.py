@@ -83,8 +83,7 @@ def test_criterion_3_boundedness(cfg, consts):
     for V in verify.ensemble_blocks(dataclasses.replace(cfg, horizon=50_000)):
         stream.add(V)
     assert (stream.sup.size, stream.steps) == (200, 50_001)
-    summary = stream.result()
-    _report("3 boundedness (200 trials, horizon 5e4)", summary.passed)
+    _report("3 boundedness (200 trials, horizon 5e4)", stream.section()["passed"])
 
 
 def test_criterion_4_exponential_rate(cfg, consts):

@@ -368,14 +368,14 @@ class TestGoldenSimulate:
         assert {name: output_digest(out / name) for name in os.listdir(out)} == golden["digests"]
 
 
+def fork_every_pass(cfg, horizon, width):
+    """A verify._forks that forks every multi-chunk pass."""
+    return horizon > verify.CHUNK_STEPS
+
+
 @pytest.fixture
-def forked(monkeypatch):
-    """Every multi-chunk kernel pass forks its input producer, whatever its
-    regressor, as on a machine with two CPUs; gives the pids forked.
-    Afterwards no child is left."""
-    monkeypatch.setattr(verify, "PIPE_REGRESSORS", object)
-    monkeypatch.setattr(verify, "PIPE_MIN_TRIAL_STEPS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def fork_spy(monkeypatch):
+    """The pids that os.fork returns in the test.  Afterwards no child is left."""
     pids = []
     fork = os.fork
 
@@ -389,6 +389,14 @@ def forked(monkeypatch):
     yield pids
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forked(monkeypatch, fork_spy):
+    """Every multi-chunk kernel pass forks its input producer, whatever its
+    regressor and size, on any machine; gives the pids forked."""
+    monkeypatch.setattr(verify, "_forks", fork_every_pass)
+    return fork_spy
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -427,7 +435,7 @@ class TestForkedProducer:
         err = capfd.readouterr().err
         assert err.startswith("warning: gamma > 1/16: ")
         assert "error: tuner state became non-finite at step " in err
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(verify, "_forks", lambda cfg, horizon, width: False)
         assert main(["simulate", cfg_path, "--out", str(tmp_path / "in-process")]) == 3
         assert len(forked) == 1
         assert capfd.readouterr().err == err
@@ -458,9 +466,7 @@ class TestForkedProducer:
                                 "producer failed: ValueError('no rows from 128 on')\")\n")
 
     def test_a_failed_fork_exits_4_and_closes_its_pipes(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "PIPE_REGRESSORS", object)
-        monkeypatch.setattr(verify, "PIPE_MIN_TRIAL_STEPS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(verify, "_forks", fork_every_pass)
 
         def no_fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -485,12 +491,15 @@ class TestForkedProducer:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_one_cpu_runs_in_process(self, monkeypatch, forked):
+    def test_one_cpu_runs_in_process(self, monkeypatch, fork_spy):
+        # the real gate, at any size: two CPUs fork, one does not
+        monkeypatch.setattr(verify, "PIPE_MIN_TRIAL_STEPS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = RunConfig.from_dict(small_dict(
             horizon=1000, regressor={"kind": "iid_bounded", "bound": 2.0},
             noise={"kind": "state_dependent_bias", "d_amplitude": 0.1, "sd": 0.45}))
         V = verify.run_ensemble(cfg).V
-        assert len(forked) == 1
+        assert len(fork_spy) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
         def no_fork():

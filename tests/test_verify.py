@@ -284,7 +284,7 @@ class TestLockstepKernel:
         ens = verify.run_ensemble(cfg, initial=init)
         whole_bound = verify.boundedness_check(ens.V, consts)
         whole_rate = verify.rate_check(ens.V, alpha, consts)
-        assert 0.0 < whole_bound.frac_steps_above_T < 1.0
+        assert 0.0 < whole_bound["frac_steps_above_T"] < 1.0
         assert np.any(whole_rate.mean_Vhat > 0.0)
 
         monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
@@ -294,11 +294,8 @@ class TestLockstepKernel:
         for V in verify.ensemble_blocks(cfg, initial=init):
             bound.add(V)
             rate_blocks.append(rate.add(V))
-        streamed_bound = bound.result()
-        assert np.array_equal(streamed_bound.sup_per_trial, whole_bound.sup_per_trial)
-        for name in ("max_sup", "threshold", "frac_steps_above_T", "all_finite",
-                     "all_within_threshold", "all_reenter", "margin"):
-            assert getattr(streamed_bound, name) == getattr(whole_bound, name)
+        assert np.array_equal(bound.sup, np.max(ens.V, axis=1))
+        assert bound.section() == whole_bound
         for name, blocks in zip(("mean_Vhat", "stderr_Vhat", "envelope", "pass_per_step"),
                                 zip(*rate_blocks)):
             assert np.array_equal(np.concatenate(blocks), getattr(whole_rate, name))
@@ -332,7 +329,7 @@ class TestLockstepKernel:
                 for V in verify.ensemble_blocks(cfg):
                     bound.add(V)
                     rate.add(V)
-                assert bound.result().passed and rate.passed and not rate.failing_steps
+                assert bound.section()["passed"] and rate.passed and not rate.failing_steps
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -507,15 +504,15 @@ class TestBoundedness:
                            theta0=[1.0, -0.5], vartheta0=[1.0, -0.5])
         cfg = RunConfig.from_dict(d)
         ens = verify.run_ensemble(cfg)
-        summary = verify.boundedness_check(ens.V, cfg.constants())
-        assert summary.max_sup == pytest.approx(float(ens.V[:, 0].max()))
-        assert summary.passed
+        section = verify.boundedness_check(ens.V, cfg.constants())
+        assert section["max_sup_V"] == pytest.approx(float(ens.V[:, 0].max()))
+        assert section["passed"]
 
     def test_noisy_reference_bounded(self, small_config):
         ens = verify.run_ensemble(small_config)
-        summary = verify.boundedness_check(ens.V, small_config.constants())
-        assert summary.passed
-        assert summary.frac_steps_above_T == 0.0
+        section = verify.boundedness_check(ens.V, small_config.constants())
+        assert section["passed"]
+        assert section["frac_steps_above_T"] == 0.0
 
     @pytest.mark.parametrize("end_above, reenter", [(False, True), (True, False)])
     def test_reentry_is_read_off_the_last_step(self, small_config, end_above, reenter):
@@ -528,18 +525,14 @@ class TestBoundedness:
         buf[300:, 2] = 2.0 * T
         buf[-1, 2] = 2.0 * T if end_above else T
         whole = verify.boundedness_check(np.ascontiguousarray(buf.T), consts)
-        assert whole.all_reenter is reenter
-        assert whole.passed is reenter
+        assert whole["all_reenter"] is reenter
+        assert whole["passed"] is reenter
         for cols in (1, 7, 256):
             stream = verify.BoundednessStream(consts)
             for V in column_blocks(buf, cols):
                 stream.add(V)
-            summary = stream.result()
-            assert summary.all_reenter is reenter
-            assert np.array_equal(summary.sup_per_trial, whole.sup_per_trial)
-            for name in ("max_sup", "threshold", "frac_steps_above_T", "all_finite",
-                         "all_within_threshold", "margin"):
-                assert getattr(summary, name) == getattr(whole, name)
+            assert np.array_equal(stream.sup, np.max(buf, axis=0))
+            assert stream.section() == whole
 
 
 class TestRate:
