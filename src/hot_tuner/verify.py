@@ -78,7 +78,9 @@ CHUNK_STEPS = 128
 # 28 pairs of 4 sets, but won from 0 of 6 to 8 of 8 pairs at 4e6.  With
 # the shared sinusoid it won from 1 of 6 pairs (35% slower) to 7 of 8 at
 # 1e7 and from 1 of 6 to 8 of 8 at 4e6: its child, with little to do, waits
-# on the parent and at times takes the parent's CPU when it wakes.
+# on the parent and at times takes the parent's CPU when it wakes.  Re-measured
+# on verify-long-random (200 x 5e4, iid): forked ops were faster in all 10
+# alternating pairs (medians 1.42 against 1.81 s).
 PIPE_MIN_TRIAL_STEPS = 10_000_000
 _READY = b"\0"  # a pipe's byte: a chunk ready, or a slot free
 
@@ -91,19 +93,20 @@ _READY = b"\0"  # a pipe's byte: a chunk ready, or a slot free
 class _Block:
     """Trace rows k, k+1, ... of every trial, from one kernel chunk.
 
-    Row j holds the state before observation k+j.  The last block holds the
-    final state alone and no observation.  The state arrays are views of
-    kernel buffers that the next chunk overwrites.  eta, y and phi are views
-    of an input slot that lives until the chunk after next: once the pass is
-    resumed, a forked producer may refill it with that chunk (in-process,
-    the next chunk refills it).  V is a fresh array per block.
+    Row j holds the state before observation k+j.  The last block also holds
+    the final state, row `horizon`, after its last observation, so its state
+    arrays and V have one row more than its observations.  The state arrays
+    are views of kernel buffers that the next chunk overwrites.  eta, y and
+    phi are views of an input slot that lives until the chunk after next:
+    once the pass is resumed, a forked producer may refill it with that chunk
+    (in-process, the next chunk refills it).  V is a fresh array per block.
     """
 
     k: int
     theta: np.ndarray     # (rows, N, trials)
     vartheta: np.ndarray  # (rows, N, trials)
     V: np.ndarray         # (trials, rows)
-    eta: np.ndarray       # (observations, trials); observations == rows or 0
+    eta: np.ndarray       # (observations, trials); observations == rows, or rows - 1 last
     y: np.ndarray         # (observations, trials)
     phi: np.ndarray       # (observations, N, trials)
 
@@ -177,17 +180,11 @@ def _lockstep(cfg, seeds, horizon, initial):
     carry, step = _hot_stepper(cfg.gains, n, width)
     carry(theta[0])
 
-    def v_rows(th, vt):
-        """V of (rows, N, trials) states as (trials, rows).  A huge finite state
-        overflows to V = inf, which the boundedness check reports."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return lyapunov_value_arrays(th.transpose(0, 2, 1), vt.transpose(0, 2, 1),
-                                         ts, cfg.gains.gamma).T
-
     inputs = _pass_inputs(cfg, seeds, horizon)
     try:
         for k0 in range(0, horizon, size):
             m = min(size, horizon - k0)
+            rows = m + (k0 + m == horizon)  # the last chunk's block adds the final state
             p, norm, y, eta = next(inputs)
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in range(m):
@@ -195,42 +192,39 @@ def _lockstep(cfg, seeds, horizon, initial):
                     if state_mean is not None:  # eta_j = mean_j + innovation_j; y_j += eta_j
                         add(y_j, add(state_mean(th, vt), eta[j], eta[j]), y_j)
                     step(th, vt, p[j], norm[j], y_j, theta[j + 1], vartheta[j + 1])
-            V_rows = v_rows(theta[:m], vartheta[:m])
-            # V covers rows 0..m-1 and overflows for huge finite states too, so
-            # it only tells when to look for the first non-finite row 1..m
+                # V as (trials, rows); a huge finite state overflows to V = inf,
+                # which the boundedness check reports
+                V_rows = lyapunov_value_arrays(theta[:rows].transpose(0, 2, 1),
+                                               vartheta[:rows].transpose(0, 2, 1),
+                                               ts, cfg.gains.gamma).T
+            # an infinite V is no fault by itself: it only tells when to look
+            # for the first non-finite row 1..m
             if not (np.isfinite(V_rows).all() and np.isfinite(theta[m]).all()
                     and np.isfinite(vartheta[m]).all()):
                 finite = (np.isfinite(theta[1:m + 1]).all(axis=(1, 2))
                           & np.isfinite(vartheta[1:m + 1]).all(axis=(1, 2)))
                 if not finite.all():
                     raise NonFiniteError(k0 + int(np.argmin(finite)))
-            yield _Block(k0, theta[:m], vartheta[:m], V_rows, eta[:m], y[:m], p[:m])
+            yield _Block(k0, theta[:rows], vartheta[:rows], V_rows, eta[:m], y[:m], p[:m])
             theta[0], vartheta[0] = theta[m], vartheta[m]
     finally:
         inputs.close()
-    yield _Block(horizon, theta[:1], vartheta[:1], v_rows(theta[:1], vartheta[:1]),
-                 np.empty((0, width)), np.empty((0, width)), np.empty((0, n, width)))
 
 
-def _slot(n, width, alloc=np.empty):
+def _slot(n, width):
     """(p, norm, y, eta): one chunk's inputs, p and norm (CHUNK_STEPS, n, width)
-    and y and eta (CHUNK_STEPS, width), as views of the one float array that
-    alloc(size) returns."""
+    and y and eta (CHUNK_STEPS, width), as views of one float array on an
+    anonymous shared mapping, which a forked producer writes in place."""
     size, split = CHUNK_STEPS, 2 * CHUNK_STEPS * n * width
-    flat = alloc(split + 2 * size * width)
+    flat = np.frombuffer(mmap.mmap(-1, (split + 2 * size * width) * np.dtype(float).itemsize))
     p, norm = flat[:split].reshape(2, size, n, width)
     y, eta = flat[split:].reshape(2, size, width)
     return p, norm, y, eta
 
 
-def _shared_floats(size):
-    """A float array on fresh shared memory, which a forked child writes in place."""
-    return np.frombuffer(mmap.mmap(-1, size * np.dtype(float).itemsize))
-
-
 def _chunk_inputs(cfg, seeds, horizon, slots):
     """Write chunk c's inputs into slots[c % len(slots)], for c = 0, 1, ...,
-    yielding after each.
+    yielding that slot after each.
 
     The trial with seed s draws its innovations from default_rng(s) and its
     regressors with seed s, and _observe builds p, norm and y.  A constant
@@ -245,7 +239,7 @@ def _chunk_inputs(cfg, seeds, horizon, slots):
     u = np.empty((width, size))
     for c, k0 in enumerate(range(0, horizon, size)):
         m = min(size, horizon - k0)
-        p, norm, y, eta = slots[c % len(slots)]
+        slot = p, norm, y, eta = slots[c % len(slots)]
         for row, rng in zip(u, rngs):
             rng.random(out=row[:m])
         innov = noise.innovation(u[:, :m]).T
@@ -256,7 +250,7 @@ def _chunk_inputs(cfg, seeds, horizon, slots):
             add(y[:m], eta[:m], y[:m])
         else:
             eta[:m] = innov
-        yield
+        yield slot
 
 
 def _forks(cfg, horizon, width):
@@ -282,14 +276,12 @@ def _pass_inputs(cfg, seeds, horizon):
     """
     n, width = cfg.theta_star.size, len(seeds)
     if not _forks(cfg, horizon, width):
-        slot = _slot(n, width)
-        for _ in _chunk_inputs(cfg, seeds, horizon, [slot]):
-            yield slot
+        yield from _chunk_inputs(cfg, seeds, horizon, [_slot(n, width)])
         return
     chunks = -(-horizon // CHUNK_STEPS)
     fds = ready_r, ready_w, free_r, free_w = os.pipe() + os.pipe()
     try:
-        slots = [_slot(n, width, _shared_floats) for _ in range(2)]
+        slots = [_slot(n, width) for _ in range(2)]
         pid = os.fork()
     except OSError as exc:  # not an --out error: an internal one
         for fd in fds:

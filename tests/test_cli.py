@@ -491,6 +491,28 @@ class TestForkedProducer:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_full_last_chunk_carries_the_final_state(self, monkeypatch, forked):
+        # 14 steps in chunks of 7: the child fills both chunks, and the second
+        # block also holds row 14
+        monkeypatch.setattr(verify, "CHUNK_STEPS", 7)
+        cfg = RunConfig.from_dict(small_dict(
+            horizon=14, regressor={"kind": "iid_bounded", "bound": 2.0}))
+        seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
+
+        def blocks():
+            return [(b.k, len(b.theta), len(b.eta), b.V)
+                    for b in verify._lockstep(cfg, seeds, 14, cfg.initial_state())]
+
+        through_child = blocks()
+        assert len(forked) == 1
+        monkeypatch.setattr(verify, "_forks", lambda cfg, horizon, width: False)
+        in_process = blocks()
+        assert len(forked) == 1
+        # (k, rows, observations): rows 0..6, then 7..14, each row once
+        assert [blk[:3] for blk in through_child] == [(0, 7, 7), (7, 8, 7)]
+        assert [blk[:3] for blk in in_process] == [blk[:3] for blk in through_child]
+        assert all(np.array_equal(a[3], b[3]) for a, b in zip(through_child, in_process))
+
     def test_one_cpu_runs_in_process(self, monkeypatch, fork_spy):
         # the real gate, at any size: two CPUs fork, one does not
         monkeypatch.setattr(verify, "PIPE_MIN_TRIAL_STEPS", 0)

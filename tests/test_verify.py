@@ -45,7 +45,8 @@ def grid_config(n, regressor, noise, horizon):
 
 # The kernel oracle's cases: (n, regressor, noise, horizon, chunk).  60 steps
 # in chunks of 7 end on a 4-step tail chunk; 300 steps at the default chunk
-# run 128, 128 and 44.
+# run 128, 128 and 44; 7 and 14 steps in chunks of 7 end on a full chunk,
+# whose block also carries the final state.
 KERNEL_GRID = [
     *(pytest.param(n, regressor, noise, 60, 7, id=f"{n}-{regressor}-{noise}")
       for n in (1, 2, 3, 7) for regressor in sorted(REGRESSORS) for noise in sorted(NOISES)),
@@ -54,6 +55,10 @@ KERNEL_GRID = [
     *(pytest.param(2, "iid_bounded", noise, 300, verify.CHUNK_STEPS,
                    id=f"2-iid_bounded-{noise}-300")
       for noise in ("biased_gaussian", "state_dependent_bias")),
+    *(pytest.param(2, regressor, noise, horizon, 7, id=f"2-{regressor}-{noise}-{horizon}")
+      for regressor, noise in (("iid_bounded", "state_dependent_bias"),
+                               ("sinusoid", "biased_gaussian"))
+      for horizon in (7, 14)),
 ]
 
 
