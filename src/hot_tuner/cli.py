@@ -151,12 +151,11 @@ def cmd_simulate(args):
         terminal_error_per_trial=errors))
 
     if args.emit_plot_data:
-        report = verify.rate_check(np.stack([t.V for t in traces]),
-                                   cfg.effective_alpha(consts), consts)
-        step = max(1, report.mean_Vhat.size // 1000)
+        mean, _, envelope, _ = verify.rate_check(np.stack([t.V for t in traces]),
+                                                 cfg.effective_alpha(consts), consts)
+        step = max(1, mean.size // 1000)
         _write_csv(os.path.join(args.out, "plotdata.csv"), ["k", "mean_Vhat", "envelope"],
-                   range(0, report.mean_Vhat.size, step),
-                   (report.mean_Vhat[::step], report.envelope[::step]))
+                   range(0, mean.size, step), (mean[::step], envelope[::step]))
     return EXIT_OK
 
 
@@ -164,22 +163,7 @@ def cmd_verify(args):
     checks = ("decrement", "bound", "rate") if args.check == "all" else (args.check,)
     cfg, consts, constants = _setup(args, "bound" in checks or "rate" in checks)
 
-    streams = {}
-    if "bound" in checks:
-        streams["bound"] = verify.BoundednessStream(consts)
-    if "rate" in checks:
-        streams["rate"] = verify.RateStream(cfg.effective_alpha(consts), consts)
-    # one kernel pass: the ensemble's trial 0 feeds the harvest, or decrement_report runs it
-    harvest = verify.Harvest(cfg) if "decrement" in checks and streams else None
-    if streams:
-        for V in verify.ensemble_blocks(cfg, harvest=harvest):
-            for stream in streams.values():
-                stream.add(V)
-
-    results = {}
-    if "decrement" in checks:
-        results["decrement"] = verify.decrement_report(cfg, consts, harvest=harvest).section()
-    results.update((name, stream.section()) for name, stream in streams.items())
+    results = verify.run_checks(cfg, consts, checks)
     all_ok = all(res["passed"] for res in results.values())
 
     _write_json(os.path.join(args.out, f"verify_{args.check}.json"),

@@ -37,9 +37,9 @@ reductions fed chunk by chunk, whose memory is O(trials * CHUNK_STEPS) at
 any horizon.  Each reads a chunk's V as the kernel lays it out: the rate
 check sums each step's trials along the contiguous axis, as np.mean and
 np.std do, and the boundedness check reads re-entry off the last step.
-Every verify command makes one kernel pass; the decrement probe's Harvest
-takes its states from trial 0 of --check all's ensemble, or runs alone.
-Each check's `section()` gives its section of the verify report.
+run_checks makes a verify command's one kernel pass and returns each check's
+section of the verify report: the decrement probe's Harvest takes its
+states from trial 0 of the bound and rate checks' ensemble, or runs alone.
 """
 from __future__ import annotations
 
@@ -421,30 +421,17 @@ class EnsembleResult:
     horizon: int
 
 
-def ensemble_blocks(cfg, initial=None, harvest=None):
-    """V of a lockstep ensemble as consecutive (trials, steps) column blocks.
-
-    Trial t < cfg.ensemble uses seed cfg.trial_seed(t).  Feed the blocks, in order, to a
-    BoundednessStream or RateStream to check the ensemble without holding
-    its full V matrix.  A Harvest passed as `harvest` takes trial 0's states
-    as the blocks go by.
-    """
-    seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
-    init = cfg.initial_state() if initial is None else initial
-    for blk in _lockstep(cfg, seeds, cfg.horizon, init):
-        if harvest is not None:
-            harvest.add(blk)
-        yield blk.V
-
-
 def run_ensemble(cfg, initial=None):
-    """The ensemble_blocks run as one (trials, horizon+1) V matrix.
+    """V of the lockstep ensemble, trial t < cfg.ensemble from seed
+    cfg.trial_seed(t), as one (trials, horizon+1) matrix.
 
     Per-trial regressor and noise streams match run_trajectory(cfg,
     cfg.trial_seed(t)) exactly.
     """
-    return EnsembleResult(V=np.concatenate(list(ensemble_blocks(cfg, initial)), axis=1),
-                          horizon=cfg.horizon)
+    seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
+    init = cfg.initial_state() if initial is None else initial
+    blocks = [blk.V for blk in _lockstep(cfg, seeds, cfg.horizon, init)]
+    return EnsembleResult(V=np.concatenate(blocks, axis=1), horizon=cfg.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +458,8 @@ class Harvest:
     The rows are up to N_HARVEST distinct, evenly spaced rows, 0 to horizon =
     min(cfg.horizon, 2000), of the run with seed cfg.trial_seed(0) from the
     config's initial state.  `add` takes them from the kernel blocks of any
-    run whose trial 0 is that trajectory, such as the checks' ensemble;
-    `run` makes the one-wide run itself.
+    run whose trial 0 is that trajectory, such as run_checks' ensemble; `run`
+    makes the one-wide run itself.
     """
 
     def __init__(self, cfg):
@@ -495,12 +482,9 @@ class Harvest:
         return self
 
 
-def probe_states(cfg, consts, harvest=None):
-    """Labelled probe states: V-spheres {0.1K, K, T, 10T} plus harvested ones.
-
-    The harvested states come from `harvest`, a Harvest(cfg) that a run of
-    the config fed, or else from a one-wide run of Harvest(cfg).
-    """
+def probe_states(cfg, consts, harvest):
+    """Labelled probe states: V-spheres {0.1K, K, T, 10T}, then the states
+    of `harvest`, a Harvest(cfg) that a run of the config fed."""
     rng = np.random.default_rng([cfg.base_seed, 0, 0x9E37])
     ts = cfg.theta_star
     gamma = cfg.gains.gamma
@@ -510,8 +494,6 @@ def probe_states(cfg, consts, harvest=None):
                      ("T", consts.T), ("10T", 10.0 * consts.T)):
         if v > 0:
             probes.append((label, state_on_sphere(v, ts, gamma, rng)))
-    if harvest is None:
-        harvest = Harvest(cfg).run()
     return probes + harvest.states
 
 
@@ -582,11 +564,8 @@ def _prober(cfg, consts, phi):
     return probe
 
 
-def decrement_report(cfg, consts, harvest=None):
-    """Run the decrement probe over sphere and harvested states.
-
-    A Harvest fed by the checks' ensemble saves the one-wide harvest run.
-    """
+def decrement_report(cfg, consts, harvest):
+    """Run the decrement probe over the sphere states and those of `harvest`."""
     states = probe_states(cfg, consts, harvest)
     rng = np.random.default_rng([cfg.base_seed, 0, 0xDEC])
     phi = cfg.regressor.generate_batch(0, 1, [cfg.trial_seed(0)])[0, :, 0]
@@ -658,21 +637,6 @@ def boundedness_check(V, consts):
 # exponential rate check
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RateReport:
-    alpha: float
-    clip_radius: float
-    mean_Vhat: np.ndarray
-    stderr_Vhat: np.ndarray
-    envelope: np.ndarray
-    pass_per_step: np.ndarray
-    z: float
-
-    @property
-    def passed(self):
-        return bool(np.all(self.pass_per_step))
-
-
 class RateStream:
     """The supermartingale-envelope check as a running reduction over V.
 
@@ -731,8 +695,41 @@ class RateStream:
 def rate_check(V, alpha, consts):
     """Ensemble mean of V-hat (clipped at the Theorem-4 radius) over a
     (trials, steps) V matrix against the supermartingale envelope
-    (1-alpha)^k * Vhat_0: RateStream's reduction of the whole matrix."""
-    stream = RateStream(alpha, consts)
-    mean, stderr, envelope, ok = stream.add(V)
-    return RateReport(alpha=alpha, clip_radius=stream.clip_radius, mean_Vhat=mean,
-                      stderr_Vhat=stderr, envelope=envelope, pass_per_step=ok, z=Z)
+    (1-alpha)^k * Vhat_0: RateStream's per-step (mean, stderr, envelope,
+    pass) arrays of the whole matrix."""
+    return RateStream(alpha, consts).add(V)
+
+
+# ---------------------------------------------------------------------------
+# the verify pass
+# ---------------------------------------------------------------------------
+
+def run_checks(cfg, consts, checks):
+    """Each check named in `checks` -- "decrement", "bound", "rate" -- as its
+    section of the verify report, in that order, from one kernel pass.
+
+    The bound and rate checks stream the ensemble's V, whose trial 0 feeds
+    the decrement probe's Harvest; the decrement check alone runs the
+    Harvest's one-wide pass.
+    """
+    streams = {}
+    if "bound" in checks:
+        streams["bound"] = BoundednessStream(consts)
+    if "rate" in checks:
+        streams["rate"] = RateStream(cfg.effective_alpha(consts), consts)
+    harvest = Harvest(cfg) if "decrement" in checks else None
+    if streams:
+        seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
+        for blk in _lockstep(cfg, seeds, cfg.horizon, cfg.initial_state()):
+            if harvest is not None:
+                harvest.add(blk)
+            for stream in streams.values():
+                stream.add(blk.V)
+        del blk  # its views would hold the kernel's buffers through the probes
+    elif harvest is not None:
+        harvest.run()
+    sections = {}
+    if harvest is not None:
+        sections["decrement"] = decrement_report(cfg, consts, harvest).section()
+    sections.update((name, stream.section()) for name, stream in streams.items())
+    return sections

@@ -113,6 +113,14 @@ class TestSimulate:
         assert f"argument --trials: must be >= 1, got {trials}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_trials_not_an_int_is_an_option_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, small_dict())
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", cfg_path, "--out", str(tmp_path / "o"), "--trials", "abc"])
+        assert exc.value.code == 2
+        assert "argument --trials: invalid int value: 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
         cfg_path = write_config(tmp_path, small_dict(base_seed=-1))
@@ -163,23 +171,45 @@ class TestSimulate:
         assert [row["k"] for row in rows] == [str(k) for k in range(0, 2501, 2)]
         cfg = load_config(cfg_path)
         consts = cfg.constants()
-        report = verify.rate_check(
+        mean, _, envelope, _ = verify.rate_check(
             np.stack([verify.run_trajectory(cfg, cfg.trial_seed(t)).V for t in range(3)]),
             cfg.effective_alpha(consts), consts)
-        assert 0 < np.count_nonzero(report.mean_Vhat[::2]) < len(rows)
-        for name, want in (("mean_Vhat", report.mean_Vhat), ("envelope", report.envelope)):
+        assert 0 < np.count_nonzero(mean[::2]) < len(rows)
+        for name, want in (("mean_Vhat", mean), ("envelope", envelope)):
             got = np.array([float(row[name]) for row in rows])
             assert np.array_equal(got, want[::2]), name  # bitwise round-trip
 
 
 class TestVerifyCommand:
-    def test_verify_all_passes_on_reference(self, tmp_path):
+    def test_verify_all_passes_on_reference(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, small_dict(horizon=500, ensemble=20))
         out = str(tmp_path / "out")
         assert main(["verify", cfg_path, "--check", "all", "--out", out]) == 0
         payload = json.loads((tmp_path / "out" / "verify_all.json").read_text())
         assert payload["passed"] is True
         assert set(payload["checks"]) == {"decrement", "bound", "rate"}
+        assert capsys.readouterr().out == "decrement: PASS\nbound: PASS\nrate: PASS\n"
+
+    def test_a_failed_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a zero margin puts the bound threshold below every trial's sup V
+        monkeypatch.setattr(verify, "BOUND_MARGIN", 0.0)
+        cfg_path = write_config(tmp_path, small_dict(horizon=500, ensemble=20))
+        out = str(tmp_path / "out")
+        assert main(["verify", cfg_path, "--check", "all", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "decrement: PASS\nbound: FAIL\nrate: PASS\n"
+        assert captured.err == ""
+        payload = json.loads((tmp_path / "out" / "verify_all.json").read_text())
+        assert payload["passed"] is False
+        assert payload["checks"]["bound"]["passed"] is False
+
+    def test_one_trial_passes_every_check(self, tmp_path):
+        # one trial has no spread: the rate check's standard error is 0
+        cfg_path = write_config(tmp_path, small_dict(horizon=500, ensemble=1))
+        out = str(tmp_path / "out")
+        assert main(["verify", cfg_path, "--check", "all", "--out", out]) == 0
+        payload = json.loads((tmp_path / "out" / "verify_all.json").read_text())
+        assert payload["checks"]["rate"]["passed"] is True
 
     def test_verify_decrement_zero_noise(self, tmp_path):
         d = small_dict(noise={"kind": "zero"}, d_max=0.0, sigma_max=0.0)
@@ -483,8 +513,9 @@ class TestForkedProducer:
 
     def test_a_consumer_that_stops_early_reaps_the_child(self, forked):
         cfg = RunConfig.from_dict(small_dict(horizon=1000))
-        blocks = verify.ensemble_blocks(cfg)
-        assert next(blocks).shape == (cfg.ensemble, verify.CHUNK_STEPS)
+        seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
+        blocks = verify._lockstep(cfg, seeds, cfg.horizon, cfg.initial_state())
+        assert next(blocks).V.shape == (cfg.ensemble, verify.CHUNK_STEPS)
         # the child is alive: it fills chunk 1, then waits for a free slot
         assert os.waitpid(forked[0], os.WNOHANG) == (0, 0)
         blocks.close()
@@ -627,6 +658,7 @@ class TestMalformedNumbers:
         # a declared bound below 0 fails, even within 1e-12 of a zero analytic bound
         ("d_max", dict(noise={"kind": "zero"}, d_max=-1e-13, sigma_max=0.0)),
         ("sigma_max", dict(noise={"kind": "zero"}, d_max=0.0, sigma_max=-5e-13)),
+        ("gains.gamma", dict(gains={"gamma": 0.0, "beta": 0.5, "mu": 0.1})),
     ])
     def test_usage_error_names_field(self, tmp_path, capsys, field, overrides):
         cfg_path = write_config(tmp_path, small_dict(**overrides))
@@ -730,6 +762,16 @@ class TestUndecodableConfig:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: config field '(file)': invalid JSON in {path}: ")
         assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5"])
+    def test_top_level_value_must_be_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["constants", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: config field '(file)': "
+                                "top-level JSON value must be an object\n")
+        assert captured.out == ""
 
 
 class TestUnknownKeys:

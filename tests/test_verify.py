@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hot_tuner.config import ConfigError, RunConfig
+from hot_tuner.config import ConfigError, RunConfig, load_config
 from hot_tuner.lyapunov import clipped_V, lyapunov_value_arrays, theorem4_radius
 from hot_tuner.model import StateDependentBias, UniformBiased, Zero
 from hot_tuner.tuner import NonFiniteError, TunerState, hot_step
 from hot_tuner import verify
 
-from conftest import reference_dict, rows
+from conftest import REFERENCE_PATH, reference_dict, rows
 
 NOISES = {
     "zero": dict(noise={"kind": "zero"}, d_max=0.0, sigma_max=0.0),
@@ -290,22 +290,23 @@ class TestLockstepKernel:
         whole_bound = verify.boundedness_check(ens.V, consts)
         whole_rate = verify.rate_check(ens.V, alpha, consts)
         assert 0.0 < whole_bound["frac_steps_above_T"] < 1.0
-        assert np.any(whole_rate.mean_Vhat > 0.0)
+        assert np.any(whole_rate[0] > 0.0)
 
         monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
         bound = verify.BoundednessStream(consts)
         rate = verify.RateStream(alpha, consts)
         rate_blocks = []
-        for V in verify.ensemble_blocks(cfg, initial=init):
-            bound.add(V)
-            rate_blocks.append(rate.add(V))
+        seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
+        for blk in verify._lockstep(cfg, seeds, cfg.horizon, init):
+            bound.add(blk.V)
+            rate_blocks.append(rate.add(blk.V))
         assert np.array_equal(bound.sup, np.max(ens.V, axis=1))
         assert bound.section() == whole_bound
-        for name, blocks in zip(("mean_Vhat", "stderr_Vhat", "envelope", "pass_per_step"),
-                                zip(*rate_blocks)):
-            assert np.array_equal(np.concatenate(blocks), getattr(whole_rate, name))
-        assert rate.clip_radius == whole_rate.clip_radius
-        assert rate.passed is whole_rate.passed
+        for name, blocks, whole in zip(("mean", "stderr", "envelope", "pass"),
+                                       zip(*rate_blocks), whole_rate):
+            assert np.array_equal(np.concatenate(blocks), whole), name
+        assert rate.clip_radius == theorem4_radius(alpha, consts)
+        assert rate.passed is bool(np.all(whole_rate[3]))
 
     def test_working_set_is_bounded(self):
         # a chunk's slabs set a verify run's peak memory, O(trials * chunk) at
@@ -313,9 +314,10 @@ class TestLockstepKernel:
         cfg = RunConfig.from_dict(reference_dict(
             horizon=2000, ensemble=200, resamples=500,
             **NOISES["state_dependent_bias"], **REGRESSORS["iid_bounded"]))
+        seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
         tracemalloc.start()
         try:
-            for _ in verify.ensemble_blocks(cfg):
+            for _ in verify._lockstep(cfg, seeds, cfg.horizon, cfg.initial_state()):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -329,18 +331,36 @@ class TestLockstepKernel:
             consts = cfg.constants()
             tracemalloc.start()
             try:
-                bound = verify.BoundednessStream(consts)
-                rate = verify.RateStream(cfg.effective_alpha(consts), consts)
-                for V in verify.ensemble_blocks(cfg):
-                    bound.add(V)
-                    rate.add(V)
-                assert bound.section()["passed"] and rate.passed and not rate.failing_steps
+                sections = verify.run_checks(cfg, consts, ("bound", "rate"))
+                assert sections["bound"]["passed"] and sections["rate"]["passed"]
+                assert not sections["rate"]["failing_steps"]
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         # a verdict that kept 40 B a step would add about 720 KB
         assert peak(20_000) <= peak(2_000) + 16 * 1024
+
+    def test_probes_start_after_the_pass_releases_its_buffers(self, monkeypatch):
+        # a kernel block kept past the pass would hold the state buffers and
+        # the input slot, about 1 MB at 200 trials, through the probes
+        cfg = load_config(REFERENCE_PATH)
+        consts = cfg.constants()
+        report = verify.decrement_report
+        held = []
+
+        def spy(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return report(*args)
+
+        monkeypatch.setattr(verify, "decrement_report", spy)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            verify.run_checks(cfg, consts, ("decrement", "bound", "rate"))
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] - start < 256 * 1024
 
     @pytest.mark.parametrize("chunk", [40, 37, 38, 18])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -401,7 +421,7 @@ class TestProbeStates:
 
     def test_labels_cover_spheres_and_harvest(self, small_config):
         consts = small_config.constants()
-        probes = verify.probe_states(small_config, consts)
+        probes = verify.probe_states(small_config, consts, verify.Harvest(small_config).run())
         labels = [l for l, _ in probes]
         assert {"0.1K", "K", "T", "10T"}.issubset(labels)
         assert sum(l.startswith("traj") for l in labels) == verify.N_HARVEST
@@ -416,8 +436,9 @@ class TestHarvest:
         # over several chunks; at 30 the harvest takes each of the run's rows
         cfg = RunConfig.from_dict(reference_dict(**{"horizon": 2300, "ensemble": 6, **overrides}))
         harvest = verify.Harvest(cfg)
-        for _ in verify.ensemble_blocks(cfg, harvest=harvest):
-            pass
+        seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
+        for blk in verify._lockstep(cfg, seeds, cfg.horizon, cfg.initial_state()):
+            harvest.add(blk)
         alone = verify.Harvest(cfg).run()
         assert harvest.horizon == min(cfg.horizon, 2000)
         assert len(alone.states) == min(cfg.horizon + 1, verify.N_HARVEST)
@@ -465,8 +486,9 @@ class TestDecrement:
             return lyapunov_value_arrays(theta, vartheta, theta_star, gamma)
 
         monkeypatch.setattr(verify, "lyapunov_value_arrays", capture)
-        report = verify.decrement_report(cfg, consts)
-        states = verify.probe_states(cfg, consts)
+        harvest = verify.Harvest(cfg).run()
+        report = verify.decrement_report(cfg, consts, harvest)
+        states = verify.probe_states(cfg, consts, harvest)
         assert len(captured) == len(states)
         one_step = dataclasses.replace(cfg, horizon=1)
         for (label, state), (th, vt) in zip(states, captured):
@@ -474,7 +496,6 @@ class TestDecrement:
             assert np.array_equal(th, np.tile(trace.theta[1], (100, 1))), label
             assert np.array_equal(vt, np.tile(trace.vartheta[1], (100, 1))), label
         # a harvested probe's V_k is the V the kernel recorded for its state
-        harvest = verify.Harvest(cfg)
         V = verify.run_trajectory(dataclasses.replace(cfg, horizon=harvest.horizon),
                                   cfg.trial_seed(0)).V
         harvested = [p for p in report.probes if p.label.startswith("traj[")]
@@ -492,7 +513,7 @@ class TestDecrement:
         for noise in (Zero(), cfg.noise, UniformBiased(center=-0.08, halfwidth=0.3),
                       StateDependentBias(d_amplitude=0.1, sd=0.45)):
             report = verify.decrement_report(dataclasses.replace(cfg, noise=noise), consts,
-                                             harvest=harvest)
+                                             harvest)
             kinds |= {p.noise_kind for p in report.probes}
             assert report.all_pass
         assert len(kinds) == 4
@@ -553,8 +574,9 @@ class TestRate:
         want_mean = np.mean(vhat, axis=1)
         want_stderr = np.std(vhat, axis=1, ddof=1) / np.sqrt(trials)
         # the whole matrix as run_ensemble lays it out, and kernel-like blocks
-        whole = verify.rate_check(np.ascontiguousarray(buf.T), alpha, consts)
-        reports = [(whole.mean_Vhat, whole.stderr_Vhat, whole.pass_per_step)]
+        whole_mean, whole_stderr, _, whole_ok = verify.rate_check(
+            np.ascontiguousarray(buf.T), alpha, consts)
+        reports = [(whole_mean, whole_stderr, whole_ok)]
         for cols in (1, 7, 256):
             stream = verify.RateStream(alpha, consts)
             mean, stderr, _, ok = (np.concatenate(a) for a in
@@ -563,7 +585,7 @@ class TestRate:
         for mean, stderr, ok in reports:
             assert np.array_equal(mean, want_mean)
             assert np.array_equal(stderr, want_stderr)
-            assert np.array_equal(ok, whole.pass_per_step)
+            assert np.array_equal(ok, whole_ok)
 
     def test_streamed_verdict_lists_the_first_failing_steps(self, small_config):
         consts = small_config.constants()
@@ -576,10 +598,10 @@ class TestRate:
         buf = np.full((600, 8), 0.5 * radius)
         buf[0] = radius + 1.0
         buf[fail] = radius + 2.0 + np.random.default_rng(3).uniform(0.0, 0.1, (len(fail), 8))
-        whole = verify.rate_check(np.ascontiguousarray(buf.T), alpha, consts)
-        failing = np.flatnonzero(~whole.pass_per_step)
+        ok = verify.rate_check(np.ascontiguousarray(buf.T), alpha, consts)[3]
+        failing = np.flatnonzero(~ok)
         assert np.array_equal(failing, fail)
-        assert failing[19] > 256 and not whole.passed
+        assert failing[19] > 256 and not np.all(ok)
         for cols in (1, 7, 256):
             stream = verify.RateStream(alpha, consts)
             for V in column_blocks(buf, cols):
@@ -587,6 +609,16 @@ class TestRate:
             assert stream.passed is False
             assert stream.failing_steps == failing[:20].tolist()
             assert stream.n_failing == failing.size
+
+    def test_one_trial_has_no_spread(self, small_config):
+        consts = small_config.constants()
+        alpha = consts.c1 / 2.0
+        radius = theorem4_radius(alpha, consts)
+        buf = radius + np.random.default_rng(1).lognormal(sigma=4.0, size=(600, 1))
+        mean, stderr, _, ok = verify.rate_check(np.ascontiguousarray(buf.T), alpha, consts)
+        assert np.array_equal(mean, clipped_V(buf[:, 0], radius))
+        assert np.array_equal(stderr, np.zeros(600))
+        assert ok[0]
 
     def test_invalid_alpha(self, small_config):
         consts = small_config.constants()
@@ -599,10 +631,10 @@ class TestRate:
         consts = cfg.constants()
         alpha = consts.c1 / 2.0
         ens = verify.run_ensemble(dataclasses.replace(cfg, ensemble=4))
-        report = verify.rate_check(ens.V, alpha, consts)
+        _, _, envelope, ok = verify.rate_check(ens.V, alpha, consts)
         # V0 is far below the clip radius, so Vhat stays identically zero
-        assert np.all(report.envelope == 0.0)
-        assert report.passed
+        assert np.all(envelope == 0.0)
+        assert np.all(ok)
 
     def test_conformance_from_outside(self, small_config):
         cfg = small_config
@@ -613,5 +645,4 @@ class TestRate:
                                       cfg.gains.gamma, np.random.default_rng(5))
         ens = verify.run_ensemble(dataclasses.replace(cfg, ensemble=16, horizon=500),
                                   initial=init)
-        report = verify.rate_check(ens.V, alpha, consts)
-        assert report.passed
+        assert np.all(verify.rate_check(ens.V, alpha, consts)[3])
