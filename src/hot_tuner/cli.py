@@ -11,12 +11,15 @@ filter would raise it; a filter that ignores it holds.
 CSVs afterwards, so a divergence in any trial exits 3 before any trace is
 written.  HOT_TUNER_THREADS is accepted and has no effect.
 
-A kernel pass on iid_bounded regressors of verify.PIPE_MIN_TRIAL_STEPS (1e7)
-trial-steps or more, on a machine where the process may use two CPUs, forks
-one child that makes each chunk's regressors and noise while the parent
-steps (hot_tuner.verify); the outputs are bit-identical to an in-process
-pass, and a child that dies exits 4.  getrusage(RUSAGE_SELF) misses the
-child's CPU time and memory.
+A command forks at most one helper process, and only where the process may
+use two CPUs (hot_tuner.verify).  A kernel pass on iid_bounded regressors of
+verify.PIPE_MIN_TRIAL_STEPS (1e7) trial-steps or more forks one child that
+makes each chunk's regressors and noise while the parent steps.  Any other
+verify pass with the decrement check forks the decrement prober instead, a
+child that runs the probes while the parent steps.  The outputs are
+bit-identical to an in-process run; a helper that cannot start or dies, like
+any other OSError of the kernel's own, exits 4.  getrusage(RUSAGE_SELF)
+misses the helper's CPU time and memory.
 """
 from __future__ import annotations
 
@@ -246,8 +249,9 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
     except OSError as exc:
-        # load_config raises ConfigError for the config and _print a RuntimeError
-        # for stdout, so this is from --out
+        # load_config raises ConfigError for the config, _print a RuntimeError
+        # for stdout and the kernel RuntimeError for its pipes, forks and
+        # mappings, so this is from --out
         print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -18,10 +18,14 @@ PIPE_MIN_TRIAL_STEPS trial-steps (horizon x trials) or more and more than
 one chunk, where os.fork exists and the process may run on two or more
 CPUs, forks one child that runs _chunk_inputs into two shared slots,
 filling the next chunk while the parent steps this one.  Any other pass runs
-it in-process into one slot.  Outputs are bit-identical either way; a child
-that dies raises RuntimeError, an internal error.  getrusage(RUSAGE_SELF)
-does not count the child's CPU time or memory: RUSAGE_CHILDREN counts them
-once the pass has reaped it.
+it in-process into one slot.  A verify pass that does not fork its producer
+but may run on two CPUs forks the decrement prober instead, when the
+decrement check runs: a child that probes the sphere states, then trial 0's
+harvested states as the pass sends them, and sends the probes back.  So a
+verify command has at most one helper process.  Outputs are bit-identical
+either way; a helper that cannot start or dies raises RuntimeError, an
+internal error.  getrusage(RUSAGE_SELF) does not count a helper's CPU time
+or memory: RUSAGE_CHILDREN counts them once the pass has reaped it.
 
 The observation rows -- phi at full width, 1 + |phi|^2 and phi . theta* --
 are built in one place, _observe, for the kernel and the decrement probe,
@@ -39,15 +43,19 @@ check sums each step's trials along the contiguous axis, as np.mean and
 np.std do, and the boundedness check reads re-entry off the last step.
 run_checks makes a verify command's one kernel pass and returns each check's
 section of the verify report: the decrement probe's Harvest takes its
-states from trial 0 of the bound and rate checks' ensemble, or runs alone.
+states from trial 0 of the bound and rate checks' ensemble, or runs alone,
+and probes them in-process or hands them to the prober.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
+import itertools
 import math
 import mmap
 import os
+import pickle
 import signal
 from dataclasses import asdict, dataclass
 
@@ -216,7 +224,11 @@ def _slot(n, width):
     and y and eta (CHUNK_STEPS, width), as views of one float array on an
     anonymous shared mapping, which a forked producer writes in place."""
     size, split = CHUNK_STEPS, 2 * CHUNK_STEPS * n * width
-    flat = np.frombuffer(mmap.mmap(-1, (split + 2 * size * width) * np.dtype(float).itemsize))
+    try:
+        buf = mmap.mmap(-1, (split + 2 * size * width) * np.dtype(float).itemsize)
+    except OSError as exc:  # not an --out error: an internal one
+        raise RuntimeError(f"cannot map the kernel's input slot: {exc}") from None
+    flat = np.frombuffer(buf)
     p, norm = flat[:split].reshape(2, size, n, width)
     y, eta = flat[split:].reshape(2, size, width)
     return p, norm, y, eta
@@ -253,14 +265,107 @@ def _chunk_inputs(cfg, seeds, horizon, slots):
         yield slot
 
 
+def _two_cpus():
+    """Whether os.fork exists and this process may run on two or more CPUs."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
 def _forks(cfg, horizon, width):
     """Whether a pass forks a producer: its regressor is an IidBounded, it
     has more than one chunk and PIPE_MIN_TRIAL_STEPS trial-steps or more, and
     it may run on two CPUs."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and isinstance(cfg.regressor, IidBounded)
+    return (isinstance(cfg.regressor, IidBounded)
             and horizon > CHUNK_STEPS and horizon * width >= PIPE_MIN_TRIAL_STEPS
-            and len(os.sched_getaffinity(0)) >= 2)
+            and _two_cpus())
+
+
+def _send(fd, data):
+    """Write all of data to fd."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd, size):
+    """Read exactly size bytes from fd; EOFError if the writer closes first."""
+    data = b""
+    while len(data) < size:
+        part = os.read(fd, size - len(data))
+        if not part:
+            raise EOFError("the parent has gone")
+        data += part
+    return data
+
+
+class _Child:
+    """A forked helper process, with one pipe down to it and one back up.
+
+    The child runs work(down, up) -- the read end of the pipe down and the
+    write end of the pipe up -- with the cyclic collector off, sends up the
+    repr of any exception, and leaves through os._exit, never into the
+    parent's frames.  Failing to start raises RuntimeError, an internal
+    error, with every fd closed.  In the parent, leaving the `with` block on
+    any exit path kills and reaps the child.
+    """
+
+    def __init__(self, name, work):
+        self.name = name
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError as exc:  # not an --out error: an internal one
+            for fd in fds:
+                os.close(fd)
+            raise RuntimeError(f"cannot start {name}: {exc}") from None
+        down, self.down, self.up, up = fds  # read, write ends; self.* stay in the parent
+        if pid == 0:
+            gc.disable()  # a collection here could run a finalizer that the parent owns
+            status = 0
+            try:
+                os.close(self.down)
+                os.close(self.up)
+                work(down, up)
+            except BaseException as exc:
+                status = 1
+                with contextlib.suppress(OSError):  # the parent may have gone
+                    _send(up, repr(exc)[:1000].encode(errors="replace"))
+            finally:
+                os._exit(status)
+        os.close(down)
+        os.close(up)
+        self.pid = pid
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        os.close(self.up)
+        os.close(self.down)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+    def send(self, data):
+        # a child gone by now has said why on the pipe up
+        with contextlib.suppress(BrokenPipeError):
+            _send(self.down, data)
+
+    def ready(self):
+        """Wait for the child's _READY byte; what it sends instead, or its
+        death, raises RuntimeError."""
+        said = os.read(self.up, 1)
+        if said != _READY:
+            said = (said + self.rest()).decode(errors="replace")
+            raise RuntimeError(f"{self.name} " + (f"failed: {said}" if said else "died"))
+
+    def rest(self):
+        """All the child sends up from here until it exits."""
+        parts = []
+        while part := os.read(self.up, 1 << 16):
+            parts.append(part)
+        return b"".join(parts)
 
 
 def _pass_inputs(cfg, seeds, horizon):
@@ -270,7 +375,7 @@ def _pass_inputs(cfg, seeds, horizon):
 
     The child writes into two shared slots, and chunk c's slot takes chunk
     c + 2 once the caller asks for chunk c + 1.  It says each chunk is ready
-    over one pipe and waits for freed slots on another.  Closing the
+    on the pipe up and waits for freed slots on the pipe down.  Closing the
     generator, on any exit path, kills and reaps the child; a child that dies
     raises RuntimeError, with its exception where it sent one.
     """
@@ -279,60 +384,24 @@ def _pass_inputs(cfg, seeds, horizon):
         yield from _chunk_inputs(cfg, seeds, horizon, [_slot(n, width)])
         return
     chunks = -(-horizon // CHUNK_STEPS)
-    fds = ready_r, ready_w, free_r, free_w = os.pipe() + os.pipe()
-    try:
-        slots = [_slot(n, width) for _ in range(2)]
-        pid = os.fork()
-    except OSError as exc:  # not an --out error: an internal one
-        for fd in fds:
-            os.close(fd)
-        raise RuntimeError(f"cannot start the kernel's input producer: {exc}") from None
-    if pid == 0:
-        os.close(ready_r)
-        os.close(free_w)
-        _produce(_chunk_inputs(cfg, seeds, horizon, slots), chunks, ready_w, free_r)
-    os.close(ready_w)
-    os.close(free_r)
-    try:
+    slots = [_slot(n, width) for _ in range(2)]
+    produce = functools.partial(_produce, _chunk_inputs(cfg, seeds, horizon, slots), chunks)
+    with _Child("the kernel's input producer", produce) as child:
         for c in range(chunks):
             if 0 < c < chunks - 1:
-                # chunk c-1's slot may take chunk c+1; a child gone by now
-                # has said why on the ready pipe
-                with contextlib.suppress(BrokenPipeError):
-                    os.write(free_w, _READY)
-            said = os.read(ready_r, 1)
-            if said != _READY:
-                while part := os.read(ready_r, 4096):
-                    said += part
-                said = said.decode(errors="replace")
-                raise RuntimeError("the kernel's input producer "
-                                   + (f"failed: {said}" if said else "died"))
+                child.send(_READY)  # chunk c-1's slot may take chunk c+1
+            child.ready()
             yield slots[c % 2]
-    finally:
-        os.close(ready_r)
-        os.close(free_w)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
 
 
-def _produce(inputs, chunks, ready_w, free_r):
-    """The forked producer's life: before chunk c >= 2 wait for chunk c-2's
-    slot, run `inputs` one chunk on, and say ready; on an exception send its
-    repr.  It leaves through os._exit, never into the parent's frames."""
-    gc.disable()  # a collection here could run a finalizer that the parent owns
-    status = 0
-    try:
-        for c in range(chunks):
-            if c >= 2 and not os.read(free_r, 1):
-                break  # the parent has gone
-            next(inputs)
-            os.write(ready_w, _READY)
-    except BaseException as exc:
-        status = 1
-        with contextlib.suppress(OSError):  # the parent may have gone
-            os.write(ready_w, repr(exc)[:1000].encode(errors="replace"))
-    finally:
-        os._exit(status)
+def _produce(inputs, chunks, free, ready):
+    """The forked producer's work: before chunk c >= 2 wait for chunk c-2's
+    slot, run `inputs` one chunk on, and say ready."""
+    for c in range(chunks):
+        if c >= 2 and not os.read(free, 1):
+            return  # the parent has gone
+        next(inputs)
+        os.write(ready, _READY)
 
 
 def _observe(phi, theta_star, p, norm, y):
@@ -459,7 +528,9 @@ class Harvest:
     min(cfg.horizon, 2000), of the run with seed cfg.trial_seed(0) from the
     config's initial state.  `add` takes them from the kernel blocks of any
     run whose trial 0 is that trajectory, such as run_checks' ensemble; `run`
-    makes the one-wide run itself.
+    makes the one-wide run itself.  Where `prober` is set, `add` sends each
+    block's states down to that child, as fixed-size float64 records,
+    instead of keeping them, and the child reads them with `received`.
     """
 
     def __init__(self, cfg):
@@ -467,13 +538,28 @@ class Harvest:
         self.horizon = min(cfg.horizon, 2000)
         self.rows = np.linspace(0, self.horizon, min(N_HARVEST, self.horizon + 1), dtype=int)
         self.states = []
+        self.prober = None
 
     def add(self, blk):
-        for i in self.rows[(self.rows >= blk.k) & (self.rows < blk.k + len(blk.theta))]:
+        rows = self.rows[(self.rows >= blk.k) & (self.rows < blk.k + len(blk.theta))]
+        if self.prober is not None:
+            if rows.size:  # (rows, 2, N): theta, then vartheta, of each row
+                j = rows - blk.k
+                self.prober.send(np.stack((blk.theta[j, :, 0], blk.vartheta[j, :, 0]), 1))
+            return
+        for i in rows:
             j = i - blk.k
             self.states.append((f"traj[{i}]", TunerState(
                 theta=blk.theta[j, :, 0].copy(), vartheta=blk.vartheta[j, :, 0].copy(),
                 step=int(i))))
+
+    def received(self, fd):
+        """The labelled states that `add` sent a prober, read from fd as they arrive."""
+        n = self.cfg.theta_star.size
+        size = 2 * n * np.dtype(float).itemsize
+        for i in self.rows:
+            theta, vartheta = np.frombuffer(_receive(fd, size)).reshape(2, n).copy()
+            yield f"traj[{i}]", TunerState(theta=theta, vartheta=vartheta, step=int(i))
 
     def run(self):
         cfg = self.cfg
@@ -564,14 +650,32 @@ def _prober(cfg, consts, phi):
     return probe
 
 
-def decrement_report(cfg, consts, harvest):
-    """Run the decrement probe over the sphere states and those of `harvest`."""
-    states = probe_states(cfg, consts, harvest)
+def _probes(cfg, consts, states):
+    """The decrement probe at trial 0's first regressor row, over the
+    labelled states in order, from one resampling stream."""
     rng = np.random.default_rng([cfg.base_seed, 0, 0xDEC])
     phi = cfg.regressor.generate_batch(0, 1, [cfg.trial_seed(0)])[0, :, 0]
     probe = _prober(cfg, consts, phi)
-    return DecrementReport(probes=[probe(state, rng, label) for label, state in states],
-                           z=Z, resamples=cfg.resamples)
+    return [probe(state, rng, label) for label, state in states]
+
+
+def _probe_beside(cfg, consts, harvest, down, up):
+    """The prober child's work: probe the sphere states, then each state of
+    `harvest` as it arrives down the pipe, and send _READY and the pickled
+    probes up.  Forked before the pass, its harvest holds no states."""
+    states = itertools.chain(probe_states(cfg, consts, harvest), harvest.received(down))
+    _send(up, _READY + pickle.dumps(_probes(cfg, consts, states)))
+
+
+def decrement_report(cfg, consts, harvest):
+    """Run the decrement probe over the sphere states and those of `harvest`,
+    or join the prober child that its `add` fed, which ran them."""
+    if harvest.prober is None:
+        probes = _probes(cfg, consts, probe_states(cfg, consts, harvest))
+    else:
+        harvest.prober.ready()
+        probes = pickle.loads(harvest.prober.rest())
+    return DecrementReport(probes=probes, z=Z, resamples=cfg.resamples)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +814,9 @@ def run_checks(cfg, consts, checks):
 
     The bound and rate checks stream the ensemble's V, whose trial 0 feeds
     the decrement probe's Harvest; the decrement check alone runs the
-    Harvest's one-wide pass.
+    Harvest's one-wide pass.  Where the process may run on two CPUs and the
+    pass does not fork its input producer, the probes run in a prober child
+    forked before the pass, which the Harvest feeds as the pass goes.
     """
     streams = {}
     if "bound" in checks:
@@ -718,18 +824,24 @@ def run_checks(cfg, consts, checks):
     if "rate" in checks:
         streams["rate"] = RateStream(cfg.effective_alpha(consts), consts)
     harvest = Harvest(cfg) if "decrement" in checks else None
-    if streams:
-        seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
-        for blk in _lockstep(cfg, seeds, cfg.horizon, cfg.initial_state()):
-            if harvest is not None:
-                harvest.add(blk)
-            for stream in streams.values():
-                stream.add(blk.V)
-        del blk  # its views would hold the kernel's buffers through the probes
-    elif harvest is not None:
-        harvest.run()
     sections = {}
-    if harvest is not None:
-        sections["decrement"] = decrement_report(cfg, consts, harvest).section()
+    with contextlib.ExitStack() as prober:
+        if harvest is not None and _two_cpus() and not (
+                _forks(cfg, cfg.horizon, cfg.ensemble) if streams
+                else _forks(cfg, harvest.horizon, 1)):
+            harvest.prober = prober.enter_context(_Child(
+                "the decrement prober", functools.partial(_probe_beside, cfg, consts, harvest)))
+        if streams:
+            seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
+            for blk in _lockstep(cfg, seeds, cfg.horizon, cfg.initial_state()):
+                if harvest is not None:
+                    harvest.add(blk)
+                for stream in streams.values():
+                    stream.add(blk.V)
+            del blk  # its views would hold the kernel's buffers through the probes
+        elif harvest is not None:
+            harvest.run()
+        if harvest is not None:
+            sections["decrement"] = decrement_report(cfg, consts, harvest).section()
     sections.update((name, stream.section()) for name, stream in streams.items())
     return sections

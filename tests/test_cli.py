@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -190,8 +191,9 @@ class TestVerifyCommand:
         assert set(payload["checks"]) == {"decrement", "bound", "rate"}
         assert capsys.readouterr().out == "decrement: PASS\nbound: PASS\nrate: PASS\n"
 
-    def test_a_failed_check_exits_1(self, tmp_path, capsys, monkeypatch):
-        # a zero margin puts the bound threshold below every trial's sup V
+    def test_a_failed_check_exits_1(self, tmp_path, capsys, monkeypatch, fork_spy):
+        # a zero margin puts the bound threshold below every trial's sup V;
+        # fork_spy checks that no prober outlives the command
         monkeypatch.setattr(verify, "BOUND_MARGIN", 0.0)
         cfg_path = write_config(tmp_path, small_dict(horizon=500, ensemble=20))
         out = str(tmp_path / "out")
@@ -341,15 +343,43 @@ class TestGoldenReports:
                      "--seed", "20240613"]) == 0
         assert_same_json(out / "verify_all.json", golden)
 
-    @pytest.mark.parametrize("workload", list(FULL_SIZE))
-    def test_full_size_benchmark_output_is_exact(self, tmp_path, workload):
-        # 200 trials x 2000 steps for verify, 20 trials for simulate
+    @staticmethod
+    def helpers(workload, cpus):
+        """The processes a full-size op forks: verify's decrement prober, on two CPUs."""
+        return int(workload == "verify-reference" and len(cpus) > 1 and hasattr(os, "fork"))
+
+    @pytest.mark.parametrize("workload, cpus", [
+        pytest.param("verify-reference", {0, 1}, id="verify-reference"),
+        pytest.param("verify-reference", {0}, id="verify-reference-one-cpu"),
+        pytest.param("simulate-reference", {0, 1}, id="simulate-reference")])
+    def test_full_size_benchmark_output_is_exact(self, tmp_path, monkeypatch, fork_spy,
+                                                 workload, cpus):
+        # 200 trials x 2000 steps for verify, 20 trials for simulate; the
+        # decrement probes run in a forked prober where two CPUs may run them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         options, written = FULL_SIZE[workload]
         with open(os.path.join(BENCH_REFERENCE, f"{workload}.json")) as fh:
             golden = json.load(fh)
         out = tmp_path / "out"
         assert main([options[0], REFERENCE_PATH, *options[1:], "--out", str(out)]) == 0
         assert_same_json(out / written, golden)
+        assert len(fork_spy) == self.helpers(workload, cpus)
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
+def test_full_size_decrement_report_is_exact(tmp_path, monkeypatch, fork_spy, cpus):
+    # verify --check decrement alone on configs/reference.json: its section
+    # of the full-size verify report, probed by a forked prober on two CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    with open(os.path.join(BENCH_REFERENCE, "verify-reference.json")) as fh:
+        golden = json.load(fh)
+    out = tmp_path / "out"
+    assert main(["verify", REFERENCE_PATH, "--check", "decrement", "--out", str(out)]) == 0
+    with open(out / "verify_decrement.json", encoding="utf-8") as fh:
+        got = json.load(fh)
+    assert (json.dumps(got["checks"]["decrement"], sort_keys=True)
+            == json.dumps(golden["checks"]["decrement"], sort_keys=True))
+    assert len(fork_spy) == (len(cpus) > 1 and hasattr(os, "fork"))
 
 
 @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
@@ -407,6 +437,9 @@ def fork_every_pass(cfg, horizon, width):
 def fork_spy(monkeypatch):
     """The pids that os.fork returns in the test.  Afterwards no child is left."""
     pids = []
+    if not hasattr(os, "fork"):  # no child to spy on or to reap
+        yield pids
+        return
     fork = os.fork
 
     def spy():
@@ -435,6 +468,11 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 @needs_fork
 class TestGoldenReportsForked(TestGoldenReports):
     """The exact reports again, every pass's inputs made by a forked child."""
+
+    @staticmethod
+    def helpers(workload, cpus):
+        """Every op forks its input producer, and so no prober beside it."""
+        return 1
 
     @pytest.fixture(autouse=True)
     def through_the_child(self, forked):
@@ -573,6 +611,120 @@ class TestForkedProducer:
         cfg = RunConfig.from_dict(small_dict(horizon=1000))
         assert isinstance(cfg.regressor, model.Sinusoid)
         assert verify.run_ensemble(cfg).V.shape == (cfg.ensemble, 1001)
+
+
+def open_fds():
+    """This process's open fds, where /proc/self/fd lists them, else None."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@needs_fork
+class TestProber:
+    """verify's decrement probes in a forked child beside the kernel pass."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_prober_error_exits_4_on_one_line(self, tmp_path, capfd, monkeypatch, fork_spy):
+        prober = verify._prober
+
+        def fails_on_fourth(*args):
+            probe = prober(*args)
+            calls = []
+
+            def counted(*probe_args):
+                calls.append(None)
+                if len(calls) == 4:
+                    raise RuntimeError("no 4th probe")
+                return probe(*probe_args)
+            return counted
+
+        monkeypatch.setattr(verify, "_prober", fails_on_fourth)
+        assert main(["verify", write_config(tmp_path, small_dict(horizon=500)), "--check", "all",
+                     "--out", str(tmp_path / "o")]) == 4
+        assert len(fork_spy) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: internal error: RuntimeError(\"the decrement prober "
+                                "failed: RuntimeError('no 4th probe')\")\n")
+
+    @pytest.mark.parametrize("check", ["decrement", "all"])
+    def test_divergence_exits_3(self, tmp_path, capfd, monkeypatch, fork_spy, check):
+        # the parent stops mid-pass with the child waiting for a state, and
+        # says what the in-process pass says
+        d = small_dict(mode="unrestricted", gains={"gamma": 1e8, "beta": 0.5, "mu": 0.9},
+                       theta0=[5.0, 5.0], horizon=1000)
+        cfg_path = write_config(tmp_path, d)
+        assert main(["verify", cfg_path, "--check", check, "--out", str(tmp_path / "a")]) == 3
+        assert len(fork_spy) == 1
+        err = capfd.readouterr().err
+        assert "error: tuner state became non-finite at step " in err
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["verify", cfg_path, "--check", check, "--out", str(tmp_path / "b")]) == 3
+        assert len(fork_spy) == 1
+        assert capfd.readouterr().err == err
+
+    def test_a_failed_fork_exits_4_and_closes_its_pipes(self, tmp_path, capsys, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = open_fds()
+        assert main(["verify", write_config(tmp_path, small_dict()), "--check", "decrement",
+                     "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == ("error: internal error: RuntimeError('cannot start "
+                                           "the decrement prober: [Errno 11] Resource "
+                                           "temporarily unavailable')\n")
+        assert open_fds() == fds
+
+
+class TestKernelOSErrors:
+    """An OSError of the kernel's own is an internal error, not an --out one."""
+
+    @pytest.mark.parametrize("helper, check", [
+        ("the kernel's input producer", "bound"), ("the decrement prober", "decrement")])
+    def test_a_failed_second_pipe_exits_4_and_closes_the_first(self, tmp_path, capsys,
+                                                                monkeypatch, fork_spy,
+                                                                helper, check):
+        monkeypatch.setattr(verify, "_forks", lambda cfg, horizon, width: check == "bound")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pipe, calls = os.pipe, []
+
+        def second_fails():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(24, "Too many open files")
+            return pipe()
+
+        monkeypatch.setattr(os, "pipe", second_fails)
+        fds = open_fds()
+        assert main(["verify", write_config(tmp_path, small_dict(horizon=1000)),
+                     "--check", check, "--out", str(tmp_path / "o")]) == 4
+        error = RuntimeError(f"cannot start {helper}: [Errno 24] Too many open files")
+        assert capsys.readouterr().err == f"error: internal error: {error!r}\n"
+        assert len(calls) == 2 and fork_spy == []
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
+    @pytest.mark.parametrize("check", ["bound", "all"])
+    def test_a_failed_slot_mapping_exits_4(self, tmp_path, capsys, monkeypatch, fork_spy,
+                                           check, cpus):
+        # an in-process pass's one slot, beside a prober on two CPUs for all
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+        def no_memory(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        fds = open_fds()
+        assert main(["verify", write_config(tmp_path, small_dict()), "--check", check,
+                     "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == ("error: internal error: RuntimeError(\"cannot map "
+                                           "the kernel's input slot: [Errno 12] Cannot "
+                                           "allocate memory\")\n")
+        assert len(fork_spy) == (check == "all" and len(cpus) > 1 and hasattr(os, "fork"))
+        assert open_fds() == fds
 
 
 class TestMalformedNumbers:
