@@ -11,15 +11,9 @@ filter would raise it; a filter that ignores it holds.
 CSVs afterwards, so a divergence in any trial exits 3 before any trace is
 written.  HOT_TUNER_THREADS is accepted and has no effect.
 
-A command forks at most one helper process, and only where the process may
-use two CPUs (hot_tuner.verify).  A kernel pass on iid_bounded regressors of
-verify.PIPE_MIN_TRIAL_STEPS (1e7) trial-steps or more forks one child that
-makes each chunk's regressors and noise while the parent steps.  Any other
-verify pass with the decrement check forks the decrement prober instead, a
-child that runs the probes while the parent steps.  The outputs are
-bit-identical to an in-process run; a helper that cannot start or dies, like
-any other OSError of the kernel's own, exits 4.  getrusage(RUSAGE_SELF)
-misses the helper's CPU time and memory.
+A command forks at most one helper process, as hot_tuner.verify sets out,
+with bit-identical outputs; a helper that cannot start or dies, like any
+other OSError of the kernel's own, exits 4.
 """
 from __future__ import annotations
 

@@ -21,11 +21,12 @@ filling the next chunk while the parent steps this one.  Any other pass runs
 it in-process into one slot.  A verify pass that does not fork its producer
 but may run on two CPUs forks the decrement prober instead, when the
 decrement check runs: a child that probes the sphere states, then trial 0's
-harvested states as the pass sends them, and sends the probes back.  So a
-verify command has at most one helper process.  Outputs are bit-identical
-either way; a helper that cannot start or dies raises RuntimeError, an
-internal error.  getrusage(RUSAGE_SELF) does not count a helper's CPU time
-or memory: RUSAGE_CHILDREN counts them once the pass has reaped it.
+harvested states as the pass sends them pickled, and sends the probes back.
+So a verify command has at most one helper process.  Outputs are
+bit-identical either way; a helper that cannot start or dies raises
+RuntimeError, an internal error.  getrusage(RUSAGE_SELF) does not count a
+helper's CPU time or memory: RUSAGE_CHILDREN counts them once the pass has
+reaped it.
 
 The observation rows -- phi at full width, 1 + |phi|^2 and phi . theta* --
 are built in one place, _observe, for the kernel and the decrement probe,
@@ -41,10 +42,11 @@ reductions fed chunk by chunk, whose memory is O(trials * CHUNK_STEPS) at
 any horizon.  Each reads a chunk's V as the kernel lays it out: the rate
 check sums each step's trials along the contiguous axis, as np.mean and
 np.std do, and the boundedness check reads re-entry off the last step.
-run_checks makes a verify command's one kernel pass and returns each check's
+run_checks makes every verify command's one kernel pass, over the bound
+and rate checks' ensemble or over trial 0 alone, and returns each check's
 section of the verify report: the decrement probe's Harvest takes its
-states from trial 0 of the bound and rate checks' ensemble, or runs alone,
-and probes them in-process or hands them to the prober.
+states from that pass's trial 0 and keeps them for the in-process probes or
+hands them to the prober.
 """
 from __future__ import annotations
 
@@ -287,17 +289,6 @@ def _send(fd, data):
         view = view[os.write(fd, view):]
 
 
-def _receive(fd, size):
-    """Read exactly size bytes from fd; EOFError if the writer closes first."""
-    data = b""
-    while len(data) < size:
-        part = os.read(fd, size - len(data))
-        if not part:
-            raise EOFError("the parent has gone")
-        data += part
-    return data
-
-
 class _Child:
     """A forked helper process, with one pipe down to it and one back up.
 
@@ -527,50 +518,31 @@ class Harvest:
     The rows are up to N_HARVEST distinct, evenly spaced rows, 0 to horizon =
     min(cfg.horizon, 2000), of the run with seed cfg.trial_seed(0) from the
     config's initial state.  `add` takes them from the kernel blocks of any
-    run whose trial 0 is that trajectory, such as run_checks' ensemble; `run`
-    makes the one-wide run itself.  Where `prober` is set, `add` sends each
-    block's states down to that child, as fixed-size float64 records,
-    instead of keeping them, and the child reads them with `received`.
+    run whose trial 0 is that trajectory, such as run_checks' pass, and keeps
+    each (label, TunerState) in `states` or, where `prober` is set, sends it
+    pickled down to that child.
     """
 
     def __init__(self, cfg):
-        self.cfg = cfg
         self.horizon = min(cfg.horizon, 2000)
         self.rows = np.linspace(0, self.horizon, min(N_HARVEST, self.horizon + 1), dtype=int)
         self.states = []
         self.prober = None
 
     def add(self, blk):
-        rows = self.rows[(self.rows >= blk.k) & (self.rows < blk.k + len(blk.theta))]
-        if self.prober is not None:
-            if rows.size:  # (rows, 2, N): theta, then vartheta, of each row
-                j = rows - blk.k
-                self.prober.send(np.stack((blk.theta[j, :, 0], blk.vartheta[j, :, 0]), 1))
-            return
-        for i in rows:
+        for i in self.rows[(self.rows >= blk.k) & (self.rows < blk.k + len(blk.theta))]:
             j = i - blk.k
-            self.states.append((f"traj[{i}]", TunerState(
-                theta=blk.theta[j, :, 0].copy(), vartheta=blk.vartheta[j, :, 0].copy(),
-                step=int(i))))
-
-    def received(self, fd):
-        """The labelled states that `add` sent a prober, read from fd as they arrive."""
-        n = self.cfg.theta_star.size
-        size = 2 * n * np.dtype(float).itemsize
-        for i in self.rows:
-            theta, vartheta = np.frombuffer(_receive(fd, size)).reshape(2, n).copy()
-            yield f"traj[{i}]", TunerState(theta=theta, vartheta=vartheta, step=int(i))
-
-    def run(self):
-        cfg = self.cfg
-        for blk in _lockstep(cfg, [cfg.trial_seed(0)], self.horizon, cfg.initial_state()):
-            self.add(blk)
-        return self
+            state = (f"traj[{i}]", TunerState(theta=blk.theta[j, :, 0].copy(),
+                                               vartheta=blk.vartheta[j, :, 0].copy(),
+                                               step=int(i)))
+            if self.prober is None:
+                self.states.append(state)
+            else:
+                self.prober.send(pickle.dumps(state))
 
 
-def probe_states(cfg, consts, harvest):
-    """Labelled probe states: V-spheres {0.1K, K, T, 10T}, then the states
-    of `harvest`, a Harvest(cfg) that a run of the config fed."""
+def probe_states(cfg, consts):
+    """The labelled V-sphere probe states {0.1K, K, T, 10T}."""
     rng = np.random.default_rng([cfg.base_seed, 0, 0x9E37])
     ts = cfg.theta_star
     gamma = cfg.gains.gamma
@@ -580,7 +552,7 @@ def probe_states(cfg, consts, harvest):
                      ("T", consts.T), ("10T", 10.0 * consts.T)):
         if v > 0:
             probes.append((label, state_on_sphere(v, ts, gamma, rng)))
-    return probes + harvest.states
+    return probes
 
 
 # ---------------------------------------------------------------------------
@@ -659,11 +631,12 @@ def _probes(cfg, consts, states):
     return [probe(state, rng, label) for label, state in states]
 
 
-def _probe_beside(cfg, consts, harvest, down, up):
-    """The prober child's work: probe the sphere states, then each state of
-    `harvest` as it arrives down the pipe, and send _READY and the pickled
-    probes up.  Forked before the pass, its harvest holds no states."""
-    states = itertools.chain(probe_states(cfg, consts, harvest), harvest.received(down))
+def _probe_beside(cfg, consts, rows, down, up):
+    """The prober child's work: probe the sphere states, then the pickled
+    state of each harvest row as it arrives down the pipe, and send _READY
+    and the pickled probes up."""
+    pipe = os.fdopen(down, "rb")
+    states = itertools.chain(probe_states(cfg, consts), (pickle.load(pipe) for _ in rows))
     _send(up, _READY + pickle.dumps(_probes(cfg, consts, states)))
 
 
@@ -671,7 +644,7 @@ def decrement_report(cfg, consts, harvest):
     """Run the decrement probe over the sphere states and those of `harvest`,
     or join the prober child that its `add` fed, which ran them."""
     if harvest.prober is None:
-        probes = _probes(cfg, consts, probe_states(cfg, consts, harvest))
+        probes = _probes(cfg, consts, probe_states(cfg, consts) + harvest.states)
     else:
         harvest.prober.ready()
         probes = pickle.loads(harvest.prober.rest())
@@ -812,11 +785,12 @@ def run_checks(cfg, consts, checks):
     """Each check named in `checks` -- "decrement", "bound", "rate" -- as its
     section of the verify report, in that order, from one kernel pass.
 
-    The bound and rate checks stream the ensemble's V, whose trial 0 feeds
-    the decrement probe's Harvest; the decrement check alone runs the
-    Harvest's one-wide pass.  Where the process may run on two CPUs and the
-    pass does not fork its input producer, the probes run in a prober child
-    forked before the pass, which the Harvest feeds as the pass goes.
+    With the bound or rate check the pass runs the ensemble, whose V the
+    checks stream and whose trial 0 feeds the decrement probe's Harvest;
+    with the decrement check alone it runs trial 0 over the Harvest's
+    horizon.  Where the process may run on two CPUs and the pass does not
+    fork its input producer, the probes run in a prober child forked before
+    the pass, which the Harvest feeds as the pass goes.
     """
     streams = {}
     if "bound" in checks:
@@ -824,23 +798,21 @@ def run_checks(cfg, consts, checks):
     if "rate" in checks:
         streams["rate"] = RateStream(cfg.effective_alpha(consts), consts)
     harvest = Harvest(cfg) if "decrement" in checks else None
+    if streams:
+        seeds, horizon = [cfg.trial_seed(t) for t in range(cfg.ensemble)], cfg.horizon
+    else:
+        seeds, horizon = [cfg.trial_seed(0)], harvest.horizon
     sections = {}
     with contextlib.ExitStack() as prober:
-        if harvest is not None and _two_cpus() and not (
-                _forks(cfg, cfg.horizon, cfg.ensemble) if streams
-                else _forks(cfg, harvest.horizon, 1)):
-            harvest.prober = prober.enter_context(_Child(
-                "the decrement prober", functools.partial(_probe_beside, cfg, consts, harvest)))
-        if streams:
-            seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
-            for blk in _lockstep(cfg, seeds, cfg.horizon, cfg.initial_state()):
-                if harvest is not None:
-                    harvest.add(blk)
-                for stream in streams.values():
-                    stream.add(blk.V)
-            del blk  # its views would hold the kernel's buffers through the probes
-        elif harvest is not None:
-            harvest.run()
+        if harvest is not None and _two_cpus() and not _forks(cfg, horizon, len(seeds)):
+            probe = functools.partial(_probe_beside, cfg, consts, harvest.rows)
+            harvest.prober = prober.enter_context(_Child("the decrement prober", probe))
+        for blk in _lockstep(cfg, seeds, horizon, cfg.initial_state()):
+            if harvest is not None:
+                harvest.add(blk)
+            for stream in streams.values():
+                stream.add(blk.V)
+        del blk  # its views would hold the kernel's buffers through the probes
         if harvest is not None:
             sections["decrement"] = decrement_report(cfg, consts, harvest).section()
     sections.update((name, stream.section()) for name, stream in streams.items())

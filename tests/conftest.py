@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from hot_tuner import cli
+from hot_tuner import cli, verify
 from hot_tuner.config import RunConfig
 
 REFERENCE_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -39,6 +39,16 @@ def no_stray_cli_warning(monkeypatch):
 def rows(src, k0, k1, seed):
     """Regressor rows k0..k1-1 of one seed, (k1-k0, N), from a one-seed batch."""
     return src.generate_batch(k0, k1, [seed])[:, :, 0]
+
+
+def harvest_alone(cfg):
+    """A verify.Harvest fed by the one-wide pass of trial 0 over the harvest's
+    horizon, as verify --check decrement runs it."""
+    harvest = verify.Harvest(cfg)
+    for blk in verify._lockstep(cfg, [cfg.trial_seed(0)], harvest.horizon,
+                                cfg.initial_state()):
+        harvest.add(blk)
+    return harvest
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from hot_tuner.model import (
 from hot_tuner.tuner import Gains, TunerState, hot_step
 from hot_tuner import verify
 
-from conftest import reference_dict
+from conftest import harvest_alone, reference_dict
 from test_lyapunov import bisect_greatest_root_K, bisect_greatest_root_T
 
 Z = 4.0
@@ -55,7 +55,7 @@ def noise_kinds():
 def decrement(cfg, consts):
     """The probes of one decrement report per noise kind, each at the
     reference constants and from the same harvested states."""
-    harvest = verify.Harvest(cfg).run()
+    harvest = harvest_alone(cfg)
     probes = []
     for noise in noise_kinds():
         assert noise.d_max <= cfg.d_max + 1e-12

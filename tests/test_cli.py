@@ -234,6 +234,7 @@ class TestVerifyCommand:
         dict(horizon=300, regressor={"kind": "iid_bounded", "bound": 2.0},
              noise={"kind": "state_dependent_bias", "d_amplitude": 0.1, "sd": 0.45}),
         dict(horizon=30),  # below N_HARVEST: the harvest takes every row of the run
+        dict(horizon=2300),  # past the harvest's 2000 rows, which --check decrement runs
     ])
     @pytest.mark.parametrize("check", ["decrement", "bound", "rate"])
     def test_all_reports_the_decrement_check_alone(self, tmp_path, overrides, check):
@@ -248,11 +249,12 @@ class TestVerifyCommand:
             sections[name] = payload["checks"][check]
         assert sections["all"] == sections[check]
 
-    @pytest.mark.parametrize("horizon", [30, 300])
+    @pytest.mark.parametrize("horizon", [30, 300, 2300])
     @pytest.mark.parametrize("check", ["decrement", "bound", "rate", "all"])
     def test_one_kernel_pass_per_command(self, tmp_path, monkeypatch, check, horizon):
         # --check all harvests from its ensemble and --check decrement runs
-        # the harvest alone; either way the probe's states lie within the run
+        # trial 0 alone over the harvest's rows, at most 2000; either way the
+        # probe's states lie within the run
         calls = []
         lockstep = verify._lockstep
 
@@ -263,13 +265,13 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "_lockstep", counted)
         cfg_path = write_config(tmp_path, small_dict(horizon=horizon))
         assert main(["verify", cfg_path, "--check", check, "--out", str(tmp_path / "o")]) == 0
-        assert calls == [(1 if check == "decrement" else 3, horizon)]
+        assert calls == [(1, min(horizon, 2000)) if check == "decrement" else (3, horizon)]
         payload = json.loads((tmp_path / "o" / f"verify_{check}.json").read_text())
         if check in ("decrement", "all"):
             rows = [int(p["label"][5:-1]) for p in payload["checks"]["decrement"]["probes"]
                     if p["label"].startswith("traj[")]
             assert len(set(rows)) == len(rows) == min(horizon + 1, verify.N_HARVEST)
-            assert all(0 <= i <= horizon for i in rows)
+            assert all(0 <= i <= min(horizon, 2000) for i in rows)
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         cfg_path = write_config(tmp_path, small_dict(horizon=300, ensemble=10))
@@ -380,6 +382,26 @@ def test_full_size_decrement_report_is_exact(tmp_path, monkeypatch, fork_spy, cp
     assert (json.dumps(got["checks"]["decrement"], sort_keys=True)
             == json.dumps(golden["checks"]["decrement"], sort_keys=True))
     assert len(fork_spy) == (len(cpus) > 1 and hasattr(os, "fork"))
+
+
+def test_pickled_states_probe_as_in_process(tmp_path, monkeypatch, fork_spy):
+    # iid regressors and state-dependent noise: the decrement section of
+    # --check decrement and of --check all is the same whether a forked
+    # prober reads the harvested states pickled or the probes run in-process
+    cfg_path = write_config(tmp_path, small_dict(
+        horizon=300, regressor={"kind": "iid_bounded", "bound": 2.0},
+        noise={"kind": "state_dependent_bias", "d_amplitude": 0.1, "sd": 0.45}))
+    sections = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        for check in ("decrement", "all"):
+            forks = len(fork_spy)
+            out = tmp_path / f"{check}-{len(cpus)}"
+            assert main(["verify", cfg_path, "--check", check, "--out", str(out)]) == 0
+            assert len(fork_spy) - forks == (len(cpus) > 1 and hasattr(os, "fork"))
+            payload = json.loads((out / f"verify_{check}.json").read_text())
+            sections.append(json.dumps(payload["checks"]["decrement"], sort_keys=True))
+    assert len(set(sections)) == 1
 
 
 @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])

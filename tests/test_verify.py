@@ -11,7 +11,7 @@ from hot_tuner.model import StateDependentBias, UniformBiased, Zero
 from hot_tuner.tuner import NonFiniteError, TunerState, hot_step
 from hot_tuner import verify
 
-from conftest import REFERENCE_PATH, reference_dict, rows
+from conftest import REFERENCE_PATH, harvest_alone, reference_dict, rows
 
 NOISES = {
     "zero": dict(noise={"kind": "zero"}, d_max=0.0, sigma_max=0.0),
@@ -421,7 +421,7 @@ class TestProbeStates:
 
     def test_labels_cover_spheres_and_harvest(self, small_config):
         consts = small_config.constants()
-        probes = verify.probe_states(small_config, consts, verify.Harvest(small_config).run())
+        probes = verify.probe_states(small_config, consts) + harvest_alone(small_config).states
         labels = [l for l, _ in probes]
         assert {"0.1K", "K", "T", "10T"}.issubset(labels)
         assert sum(l.startswith("traj") for l in labels) == verify.N_HARVEST
@@ -439,7 +439,7 @@ class TestHarvest:
         seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
         for blk in verify._lockstep(cfg, seeds, cfg.horizon, cfg.initial_state()):
             harvest.add(blk)
-        alone = verify.Harvest(cfg).run()
+        alone = harvest_alone(cfg)
         assert harvest.horizon == min(cfg.horizon, 2000)
         assert len(alone.states) == min(cfg.horizon + 1, verify.N_HARVEST)
         assert [label for label, _ in harvest.states] == [label for label, _ in alone.states]
@@ -486,9 +486,9 @@ class TestDecrement:
             return lyapunov_value_arrays(theta, vartheta, theta_star, gamma)
 
         monkeypatch.setattr(verify, "lyapunov_value_arrays", capture)
-        harvest = verify.Harvest(cfg).run()
+        harvest = harvest_alone(cfg)
         report = verify.decrement_report(cfg, consts, harvest)
-        states = verify.probe_states(cfg, consts, harvest)
+        states = verify.probe_states(cfg, consts) + harvest.states
         assert len(captured) == len(states)
         one_step = dataclasses.replace(cfg, horizon=1)
         for (label, state), (th, vt) in zip(states, captured):
@@ -508,7 +508,7 @@ class TestDecrement:
         # each kind against the same (d_max, sigma_max) constants and states
         cfg = small_config
         consts = cfg.constants()
-        harvest = verify.Harvest(cfg).run()
+        harvest = harvest_alone(cfg)
         kinds = set()
         for noise in (Zero(), cfg.noise, UniformBiased(center=-0.08, halfwidth=0.3),
                       StateDependentBias(d_amplitude=0.1, sd=0.45)):
