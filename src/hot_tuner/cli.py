@@ -11,9 +11,10 @@ filter would raise it; a filter that ignores it holds.
 CSVs afterwards, so a divergence in any trial exits 3 before any trace is
 written.  HOT_TUNER_THREADS is accepted and has no effect.
 
-A command forks at most one helper process, as hot_tuner.verify sets out,
-with bit-identical outputs; a helper that cannot start or dies, like any
-other OSError of the kernel's own, exits 4.
+A command forks at most one helper process, the kernel's input producer,
+and only on long iid passes, as hot_tuner.verify sets out, with
+bit-identical outputs; a producer that cannot start or dies, like any other
+OSError of the kernel's own, exits 4.
 """
 from __future__ import annotations
 

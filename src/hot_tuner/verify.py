@@ -18,15 +18,11 @@ PIPE_MIN_TRIAL_STEPS trial-steps (horizon x trials) or more and more than
 one chunk, where os.fork exists and the process may run on two or more
 CPUs, forks one child that runs _chunk_inputs into two shared slots,
 filling the next chunk while the parent steps this one.  Any other pass runs
-it in-process into one slot.  A verify pass that does not fork its producer
-but may run on two CPUs forks the decrement prober instead, when the
-decrement check runs: a child that probes the sphere states, then trial 0's
-harvested states as the pass sends them pickled, and sends the probes back.
-So a verify command has at most one helper process.  Outputs are
-bit-identical either way; a helper that cannot start or dies raises
-RuntimeError, an internal error.  getrusage(RUSAGE_SELF) does not count a
-helper's CPU time or memory: RUSAGE_CHILDREN counts them once the pass has
-reaped it.
+it in-process into one slot.  So a command forks at most this input
+producer, and only on long iid passes.  Outputs are bit-identical either
+way; a producer that cannot start or dies raises RuntimeError, an internal
+error.  getrusage(RUSAGE_SELF) does not count its CPU time or memory:
+RUSAGE_CHILDREN counts them once the pass has reaped it.
 
 The observation rows -- phi at full width, 1 + |phi|^2 and phi . theta* --
 are built in one place, _observe, for the kernel and the decrement probe,
@@ -45,19 +41,17 @@ np.std do, and the boundedness check reads re-entry off the last step.
 run_checks makes every verify command's one kernel pass, over the bound
 and rate checks' ensemble or over trial 0 alone, and returns each check's
 section of the verify report: the decrement probe's Harvest takes its
-states from that pass's trial 0 and keeps them for the in-process probes or
-hands them to the prober.
+states from that pass's trial 0, and the probes run on them in-process
+once the pass is done.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
 import gc
-import itertools
 import math
 import mmap
 import os
-import pickle
 import signal
 from dataclasses import asdict, dataclass
 
@@ -267,19 +261,14 @@ def _chunk_inputs(cfg, seeds, horizon, slots):
         yield slot
 
 
-def _two_cpus():
-    """Whether os.fork exists and this process may run on two or more CPUs."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
-
-
 def _forks(cfg, horizon, width):
-    """Whether a pass forks a producer: its regressor is an IidBounded, it
-    has more than one chunk and PIPE_MIN_TRIAL_STEPS trial-steps or more, and
-    it may run on two CPUs."""
-    return (isinstance(cfg.regressor, IidBounded)
+    """Whether a pass forks a producer: os.fork exists, its regressor is an
+    IidBounded, it has more than one chunk and PIPE_MIN_TRIAL_STEPS
+    trial-steps or more, and the process may run on two or more CPUs."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and isinstance(cfg.regressor, IidBounded)
             and horizon > CHUNK_STEPS and horizon * width >= PIPE_MIN_TRIAL_STEPS
-            and _two_cpus())
+            and len(os.sched_getaffinity(0)) >= 2)
 
 
 def _send(fd, data):
@@ -348,15 +337,10 @@ class _Child:
         death, raises RuntimeError."""
         said = os.read(self.up, 1)
         if said != _READY:
-            said = (said + self.rest()).decode(errors="replace")
+            while part := os.read(self.up, 1 << 16):
+                said += part
+            said = said.decode(errors="replace")
             raise RuntimeError(f"{self.name} " + (f"failed: {said}" if said else "died"))
-
-    def rest(self):
-        """All the child sends up from here until it exits."""
-        parts = []
-        while part := os.read(self.up, 1 << 16):
-            parts.append(part)
-        return b"".join(parts)
 
 
 def _pass_inputs(cfg, seeds, horizon):
@@ -519,26 +503,20 @@ class Harvest:
     min(cfg.horizon, 2000), of the run with seed cfg.trial_seed(0) from the
     config's initial state.  `add` takes them from the kernel blocks of any
     run whose trial 0 is that trajectory, such as run_checks' pass, and keeps
-    each (label, TunerState) in `states` or, where `prober` is set, sends it
-    pickled down to that child.
+    each (label, TunerState) in `states`, in row order.
     """
 
     def __init__(self, cfg):
         self.horizon = min(cfg.horizon, 2000)
         self.rows = np.linspace(0, self.horizon, min(N_HARVEST, self.horizon + 1), dtype=int)
         self.states = []
-        self.prober = None
 
     def add(self, blk):
         for i in self.rows[(self.rows >= blk.k) & (self.rows < blk.k + len(blk.theta))]:
             j = i - blk.k
-            state = (f"traj[{i}]", TunerState(theta=blk.theta[j, :, 0].copy(),
-                                               vartheta=blk.vartheta[j, :, 0].copy(),
-                                               step=int(i)))
-            if self.prober is None:
-                self.states.append(state)
-            else:
-                self.prober.send(pickle.dumps(state))
+            self.states.append((f"traj[{i}]", TunerState(theta=blk.theta[j, :, 0].copy(),
+                                                          vartheta=blk.vartheta[j, :, 0].copy(),
+                                                          step=int(i))))
 
 
 def probe_states(cfg, consts):
@@ -622,32 +600,14 @@ def _prober(cfg, consts, phi):
     return probe
 
 
-def _probes(cfg, consts, states):
-    """The decrement probe at trial 0's first regressor row, over the
-    labelled states in order, from one resampling stream."""
+def decrement_report(cfg, consts, harvest):
+    """The decrement probe at trial 0's first regressor row over the sphere
+    states, then those of `harvest`, in order, from one resampling stream."""
     rng = np.random.default_rng([cfg.base_seed, 0, 0xDEC])
     phi = cfg.regressor.generate_batch(0, 1, [cfg.trial_seed(0)])[0, :, 0]
     probe = _prober(cfg, consts, phi)
-    return [probe(state, rng, label) for label, state in states]
-
-
-def _probe_beside(cfg, consts, rows, down, up):
-    """The prober child's work: probe the sphere states, then the pickled
-    state of each harvest row as it arrives down the pipe, and send _READY
-    and the pickled probes up."""
-    pipe = os.fdopen(down, "rb")
-    states = itertools.chain(probe_states(cfg, consts), (pickle.load(pipe) for _ in rows))
-    _send(up, _READY + pickle.dumps(_probes(cfg, consts, states)))
-
-
-def decrement_report(cfg, consts, harvest):
-    """Run the decrement probe over the sphere states and those of `harvest`,
-    or join the prober child that its `add` fed, which ran them."""
-    if harvest.prober is None:
-        probes = _probes(cfg, consts, probe_states(cfg, consts) + harvest.states)
-    else:
-        harvest.prober.ready()
-        probes = pickle.loads(harvest.prober.rest())
+    probes = [probe(state, rng, label)
+              for label, state in probe_states(cfg, consts) + harvest.states]
     return DecrementReport(probes=probes, z=Z, resamples=cfg.resamples)
 
 
@@ -788,9 +748,9 @@ def run_checks(cfg, consts, checks):
     With the bound or rate check the pass runs the ensemble, whose V the
     checks stream and whose trial 0 feeds the decrement probe's Harvest;
     with the decrement check alone it runs trial 0 over the Harvest's
-    horizon.  Where the process may run on two CPUs and the pass does not
-    fork its input producer, the probes run in a prober child forked before
-    the pass, which the Harvest feeds as the pass goes.
+    horizon.  The decrement probes run in-process after the pass.  The
+    command forks at most the pass's input producer, and only on long iid
+    passes.
     """
     streams = {}
     if "bound" in checks:
@@ -802,18 +762,14 @@ def run_checks(cfg, consts, checks):
         seeds, horizon = [cfg.trial_seed(t) for t in range(cfg.ensemble)], cfg.horizon
     else:
         seeds, horizon = [cfg.trial_seed(0)], harvest.horizon
-    sections = {}
-    with contextlib.ExitStack() as prober:
-        if harvest is not None and _two_cpus() and not _forks(cfg, horizon, len(seeds)):
-            probe = functools.partial(_probe_beside, cfg, consts, harvest.rows)
-            harvest.prober = prober.enter_context(_Child("the decrement prober", probe))
-        for blk in _lockstep(cfg, seeds, horizon, cfg.initial_state()):
-            if harvest is not None:
-                harvest.add(blk)
-            for stream in streams.values():
-                stream.add(blk.V)
-        del blk  # its views would hold the kernel's buffers through the probes
+    for blk in _lockstep(cfg, seeds, horizon, cfg.initial_state()):
         if harvest is not None:
-            sections["decrement"] = decrement_report(cfg, consts, harvest).section()
+            harvest.add(blk)
+        for stream in streams.values():
+            stream.add(blk.V)
+    del blk  # its views would hold the kernel's buffers through the probes
+    sections = {}
+    if harvest is not None:
+        sections["decrement"] = decrement_report(cfg, consts, harvest).section()
     sections.update((name, stream.section()) for name, stream in streams.items())
     return sections

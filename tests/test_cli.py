@@ -193,7 +193,7 @@ class TestVerifyCommand:
 
     def test_a_failed_check_exits_1(self, tmp_path, capsys, monkeypatch, fork_spy):
         # a zero margin puts the bound threshold below every trial's sup V;
-        # fork_spy checks that no prober outlives the command
+        # fork_spy checks that the command forks no helper
         monkeypatch.setattr(verify, "BOUND_MARGIN", 0.0)
         cfg_path = write_config(tmp_path, small_dict(horizon=500, ensemble=20))
         out = str(tmp_path / "out")
@@ -204,6 +204,19 @@ class TestVerifyCommand:
         payload = json.loads((tmp_path / "out" / "verify_all.json").read_text())
         assert payload["passed"] is False
         assert payload["checks"]["bound"]["passed"] is False
+        assert fork_spy == []
+
+    @pytest.mark.parametrize("check", ["decrement", "all"])
+    def test_divergence_exits_3(self, tmp_path, capsys, fork_spy, check):
+        # the pass stops mid-way, before any probe, and writes no report
+        d = small_dict(mode="unrestricted", gains={"gamma": 1e8, "beta": 0.5, "mu": 0.9},
+                       theta0=[5.0, 5.0], horizon=1000)
+        out = tmp_path / "o"
+        assert main(["verify", write_config(tmp_path, d), "--check", check,
+                     "--out", str(out)]) == 3
+        assert "error: tuner state became non-finite at step " in capsys.readouterr().err
+        assert fork_spy == []
+        assert list(out.glob("verify_*.json")) == []
 
     def test_one_trial_passes_every_check(self, tmp_path):
         # one trial has no spread: the rate check's standard error is 0
@@ -345,34 +358,27 @@ class TestGoldenReports:
                      "--seed", "20240613"]) == 0
         assert_same_json(out / "verify_all.json", golden)
 
-    @staticmethod
-    def helpers(workload, cpus):
-        """The processes a full-size op forks: verify's decrement prober, on two CPUs."""
-        return int(workload == "verify-reference" and len(cpus) > 1 and hasattr(os, "fork"))
+    helpers = 0  # the processes a full-size op forks, on two CPUs
 
-    @pytest.mark.parametrize("workload, cpus", [
-        pytest.param("verify-reference", {0, 1}, id="verify-reference"),
-        pytest.param("verify-reference", {0}, id="verify-reference-one-cpu"),
-        pytest.param("simulate-reference", {0, 1}, id="simulate-reference")])
+    @pytest.mark.parametrize("workload", list(FULL_SIZE))
     def test_full_size_benchmark_output_is_exact(self, tmp_path, monkeypatch, fork_spy,
-                                                 workload, cpus):
-        # 200 trials x 2000 steps for verify, 20 trials for simulate; the
-        # decrement probes run in a forked prober where two CPUs may run them
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+                                                 workload):
+        # 200 trials x 2000 steps for verify, 20 trials for simulate, on two
+        # CPUs: neither pass is long enough on iid regressors to fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         options, written = FULL_SIZE[workload]
         with open(os.path.join(BENCH_REFERENCE, f"{workload}.json")) as fh:
             golden = json.load(fh)
         out = tmp_path / "out"
         assert main([options[0], REFERENCE_PATH, *options[1:], "--out", str(out)]) == 0
         assert_same_json(out / written, golden)
-        assert len(fork_spy) == self.helpers(workload, cpus)
+        assert len(fork_spy) == self.helpers
 
 
-@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
-def test_full_size_decrement_report_is_exact(tmp_path, monkeypatch, fork_spy, cpus):
+def test_full_size_decrement_report_is_exact(tmp_path, monkeypatch, fork_spy):
     # verify --check decrement alone on configs/reference.json: its section
-    # of the full-size verify report, probed by a forked prober on two CPUs
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    # of the full-size verify report, probed in-process on two CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with open(os.path.join(BENCH_REFERENCE, "verify-reference.json")) as fh:
         golden = json.load(fh)
     out = tmp_path / "out"
@@ -381,27 +387,7 @@ def test_full_size_decrement_report_is_exact(tmp_path, monkeypatch, fork_spy, cp
         got = json.load(fh)
     assert (json.dumps(got["checks"]["decrement"], sort_keys=True)
             == json.dumps(golden["checks"]["decrement"], sort_keys=True))
-    assert len(fork_spy) == (len(cpus) > 1 and hasattr(os, "fork"))
-
-
-def test_pickled_states_probe_as_in_process(tmp_path, monkeypatch, fork_spy):
-    # iid regressors and state-dependent noise: the decrement section of
-    # --check decrement and of --check all is the same whether a forked
-    # prober reads the harvested states pickled or the probes run in-process
-    cfg_path = write_config(tmp_path, small_dict(
-        horizon=300, regressor={"kind": "iid_bounded", "bound": 2.0},
-        noise={"kind": "state_dependent_bias", "d_amplitude": 0.1, "sd": 0.45}))
-    sections = []
-    for cpus in ({0, 1}, {0}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        for check in ("decrement", "all"):
-            forks = len(fork_spy)
-            out = tmp_path / f"{check}-{len(cpus)}"
-            assert main(["verify", cfg_path, "--check", check, "--out", str(out)]) == 0
-            assert len(fork_spy) - forks == (len(cpus) > 1 and hasattr(os, "fork"))
-            payload = json.loads((out / f"verify_{check}.json").read_text())
-            sections.append(json.dumps(payload["checks"]["decrement"], sort_keys=True))
-    assert len(set(sections)) == 1
+    assert fork_spy == []
 
 
 @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
@@ -491,10 +477,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 class TestGoldenReportsForked(TestGoldenReports):
     """The exact reports again, every pass's inputs made by a forked child."""
 
-    @staticmethod
-    def helpers(workload, cpus):
-        """Every op forks its input producer, and so no prober beside it."""
-        return 1
+    helpers = 1  # every op forks its input producer
 
     @pytest.fixture(autouse=True)
     def through_the_child(self, forked):
@@ -640,77 +623,14 @@ def open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
-@needs_fork
-class TestProber:
-    """verify's decrement probes in a forked child beside the kernel pass."""
-
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-    def test_prober_error_exits_4_on_one_line(self, tmp_path, capfd, monkeypatch, fork_spy):
-        prober = verify._prober
-
-        def fails_on_fourth(*args):
-            probe = prober(*args)
-            calls = []
-
-            def counted(*probe_args):
-                calls.append(None)
-                if len(calls) == 4:
-                    raise RuntimeError("no 4th probe")
-                return probe(*probe_args)
-            return counted
-
-        monkeypatch.setattr(verify, "_prober", fails_on_fourth)
-        assert main(["verify", write_config(tmp_path, small_dict(horizon=500)), "--check", "all",
-                     "--out", str(tmp_path / "o")]) == 4
-        assert len(fork_spy) == 1
-        captured = capfd.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: internal error: RuntimeError(\"the decrement prober "
-                                "failed: RuntimeError('no 4th probe')\")\n")
-
-    @pytest.mark.parametrize("check", ["decrement", "all"])
-    def test_divergence_exits_3(self, tmp_path, capfd, monkeypatch, fork_spy, check):
-        # the parent stops mid-pass with the child waiting for a state, and
-        # says what the in-process pass says
-        d = small_dict(mode="unrestricted", gains={"gamma": 1e8, "beta": 0.5, "mu": 0.9},
-                       theta0=[5.0, 5.0], horizon=1000)
-        cfg_path = write_config(tmp_path, d)
-        assert main(["verify", cfg_path, "--check", check, "--out", str(tmp_path / "a")]) == 3
-        assert len(fork_spy) == 1
-        err = capfd.readouterr().err
-        assert "error: tuner state became non-finite at step " in err
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert main(["verify", cfg_path, "--check", check, "--out", str(tmp_path / "b")]) == 3
-        assert len(fork_spy) == 1
-        assert capfd.readouterr().err == err
-
-    def test_a_failed_fork_exits_4_and_closes_its_pipes(self, tmp_path, capsys, monkeypatch):
-        def no_fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        fds = open_fds()
-        assert main(["verify", write_config(tmp_path, small_dict()), "--check", "decrement",
-                     "--out", str(tmp_path / "o")]) == 4
-        assert capsys.readouterr().err == ("error: internal error: RuntimeError('cannot start "
-                                           "the decrement prober: [Errno 11] Resource "
-                                           "temporarily unavailable')\n")
-        assert open_fds() == fds
-
-
 class TestKernelOSErrors:
     """An OSError of the kernel's own is an internal error, not an --out one."""
 
-    @pytest.mark.parametrize("helper, check", [
-        ("the kernel's input producer", "bound"), ("the decrement prober", "decrement")])
+    @pytest.mark.parametrize("helper, check", [("the kernel's input producer", "bound")])
     def test_a_failed_second_pipe_exits_4_and_closes_the_first(self, tmp_path, capsys,
                                                                 monkeypatch, fork_spy,
                                                                 helper, check):
-        monkeypatch.setattr(verify, "_forks", lambda cfg, horizon, width: check == "bound")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(verify, "_forks", fork_every_pass)
         pipe, calls = os.pipe, []
 
         def second_fails():
@@ -728,12 +648,11 @@ class TestKernelOSErrors:
         assert len(calls) == 2 and fork_spy == []
         assert open_fds() == fds
 
-    @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
     @pytest.mark.parametrize("check", ["bound", "all"])
     def test_a_failed_slot_mapping_exits_4(self, tmp_path, capsys, monkeypatch, fork_spy,
-                                           check, cpus):
-        # an in-process pass's one slot, beside a prober on two CPUs for all
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+                                           check):
+        # an in-process pass's one slot, on two CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
         def no_memory(*args, **kwargs):
             raise OSError(12, "Cannot allocate memory")
@@ -745,7 +664,7 @@ class TestKernelOSErrors:
         assert capsys.readouterr().err == ("error: internal error: RuntimeError(\"cannot map "
                                            "the kernel's input slot: [Errno 12] Cannot "
                                            "allocate memory\")\n")
-        assert len(fork_spy) == (check == "all" and len(cpus) > 1 and hasattr(os, "fork"))
+        assert fork_spy == []
         assert open_fds() == fds
 
 
