@@ -375,10 +375,11 @@ class TestGoldenReports:
         assert len(fork_spy) == self.helpers
 
 
-def test_full_size_decrement_report_is_exact(tmp_path, monkeypatch, fork_spy):
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
+def test_full_size_decrement_report_is_exact(tmp_path, monkeypatch, fork_spy, cpus):
     # verify --check decrement alone on configs/reference.json: its section
-    # of the full-size verify report, probed in-process on two CPUs
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # of the full-size verify report, probed in-process on one CPU or two
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     with open(os.path.join(BENCH_REFERENCE, "verify-reference.json")) as fh:
         golden = json.load(fh)
     out = tmp_path / "out"
@@ -648,11 +649,12 @@ class TestKernelOSErrors:
         assert len(calls) == 2 and fork_spy == []
         assert open_fds() == fds
 
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
     @pytest.mark.parametrize("check", ["bound", "all"])
     def test_a_failed_slot_mapping_exits_4(self, tmp_path, capsys, monkeypatch, fork_spy,
-                                           check):
-        # an in-process pass's one slot, on two CPUs
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+                                           check, cpus):
+        # an in-process pass's one slot, on one CPU or two
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
         def no_memory(*args, **kwargs):
             raise OSError(12, "Cannot allocate memory")
