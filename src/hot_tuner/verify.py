@@ -16,10 +16,11 @@ computes the constants.
 A pass on an IidBounded regressor (per-trial iid draws) of
 PIPE_MIN_TRIAL_STEPS trial-steps (horizon x trials) or more and more than
 one chunk, where os.fork exists and the process may run on two or more
-CPUs, forks one child that runs _chunk_inputs into two shared slots,
-filling the next chunk while the parent steps this one.  Any other pass runs
-it in-process into one slot.  So a command forks at most this input
-producer, and only on long iid passes.  Outputs are bit-identical either
+CPUs, forks one child, the input producer, that runs _chunk_inputs into
+two shared slots, filling the next chunk while the parent steps this one.
+Any other pass runs it in-process into one slot.  _pass_inputs owns the
+producer -- its pipes, fork, loop and reaping -- so a command forks at most
+this child, and only on long iid passes.  Outputs are bit-identical either
 way; a producer that cannot start or dies raises RuntimeError, an internal
 error.  getrusage(RUSAGE_SELF) does not count its CPU time or memory:
 RUSAGE_CHILDREN counts them once the pass has reaped it.
@@ -47,7 +48,6 @@ once the pass is done.
 from __future__ import annotations
 
 import contextlib
-import functools
 import gc
 import math
 import mmap
@@ -73,18 +73,9 @@ N_FAILING = 20  # failing steps a rate verdict lists
 # runs about 25% slower.
 CHUNK_STEPS = 128
 
-# A kernel pass forks one child to make each chunk's inputs while it steps
-# the one before only on an IidBounded regressor, from
-# PIPE_MIN_TRIAL_STEPS trial-steps (horizon x trials) on: the inputs and
-# sizes at which forking won every pair of every measured set.  200-trial
-# verify --check all, forked against in-process in alternating pairs on a
-# 2-CPU VM: with iid regressors forking was 20-37% faster at 1e7 and won all
-# 28 pairs of 4 sets, but won from 0 of 6 to 8 of 8 pairs at 4e6.  With
-# the shared sinusoid it won from 1 of 6 pairs (35% slower) to 7 of 8 at
-# 1e7 and from 1 of 6 to 8 of 8 at 4e6: its child, with little to do, waits
-# on the parent and at times takes the parent's CPU when it wakes.  Re-measured
-# on verify-long-random (200 x 5e4, iid): forked ops were faster in all 10
-# alternating pairs (medians 1.42 against 1.81 s).
+# A kernel pass forks its input producer only on an IidBounded regressor,
+# from PIPE_MIN_TRIAL_STEPS trial-steps (horizon x trials) on: the inputs and
+# sizes at which forking won every pair of every measured set (README).
 PIPE_MIN_TRIAL_STEPS = 10_000_000
 _READY = b"\0"  # a pipe's byte: a chunk ready, or a slot free
 
@@ -102,8 +93,9 @@ class _Block:
     arrays and V have one row more than its observations.  The state arrays
     are views of kernel buffers that the next chunk overwrites.  eta, y and
     phi are views of an input slot that lives until the chunk after next:
-    once the pass is resumed, a forked producer may refill it with that chunk
-    (in-process, the next chunk refills it).  V is a fresh array per block.
+    once the pass is resumed, _pass_inputs' forked producer may refill it
+    with that chunk (in-process, the next chunk refills it).  V is a fresh
+    array per block.
     """
 
     k: int
@@ -271,112 +263,78 @@ def _forks(cfg, horizon, width):
             and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _send(fd, data):
-    """Write all of data to fd."""
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-class _Child:
-    """A forked helper process, with one pipe down to it and one back up.
-
-    The child runs work(down, up) -- the read end of the pipe down and the
-    write end of the pipe up -- with the cyclic collector off, sends up the
-    repr of any exception, and leaves through os._exit, never into the
-    parent's frames.  Failing to start raises RuntimeError, an internal
-    error, with every fd closed.  In the parent, leaving the `with` block on
-    any exit path kills and reaps the child.
-    """
-
-    def __init__(self, name, work):
-        self.name = name
-        fds = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-        except OSError as exc:  # not an --out error: an internal one
-            for fd in fds:
-                os.close(fd)
-            raise RuntimeError(f"cannot start {name}: {exc}") from None
-        down, self.down, self.up, up = fds  # read, write ends; self.* stay in the parent
-        if pid == 0:
-            gc.disable()  # a collection here could run a finalizer that the parent owns
-            status = 0
-            try:
-                os.close(self.down)
-                os.close(self.up)
-                work(down, up)
-            except BaseException as exc:
-                status = 1
-                with contextlib.suppress(OSError):  # the parent may have gone
-                    _send(up, repr(exc)[:1000].encode(errors="replace"))
-            finally:
-                os._exit(status)
-        os.close(down)
-        os.close(up)
-        self.pid = pid
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        os.close(self.up)
-        os.close(self.down)
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-
-    def send(self, data):
-        # a child gone by now has said why on the pipe up
-        with contextlib.suppress(BrokenPipeError):
-            _send(self.down, data)
-
-    def ready(self):
-        """Wait for the child's _READY byte; what it sends instead, or its
-        death, raises RuntimeError."""
-        said = os.read(self.up, 1)
-        if said != _READY:
-            while part := os.read(self.up, 1 << 16):
-                said += part
-            said = said.decode(errors="replace")
-            raise RuntimeError(f"{self.name} " + (f"failed: {said}" if said else "died"))
-
-
 def _pass_inputs(cfg, seeds, horizon):
     """Yield each chunk's (p, norm, y, eta) from _chunk_inputs, which runs in
-    this process or, where _forks, in a child that fills chunk c + 1 while the
-    kernel steps chunk c.
+    this process or, where _forks, in the one child a command forks, the
+    kernel's input producer, which fills chunk c + 1 while the kernel steps
+    chunk c.
 
     The child writes into two shared slots, and chunk c's slot takes chunk
     c + 2 once the caller asks for chunk c + 1.  It says each chunk is ready
-    on the pipe up and waits for freed slots on the pipe down.  Closing the
-    generator, on any exit path, kills and reaps the child; a child that dies
-    raises RuntimeError, with its exception where it sent one.
+    on the pipe up and, before chunk c >= 2, waits on the pipe down for chunk
+    c - 2's slot.  It runs with the cyclic collector off, sends up the repr
+    of any exception, and leaves through os._exit, never into the parent's
+    frames.  Failing to start raises RuntimeError, an internal error, with
+    every fd closed.  Closing the generator, on any exit path, kills and
+    reaps the child; a child that dies raises RuntimeError, with its
+    exception where it sent one.
     """
     n, width = cfg.theta_star.size, len(seeds)
     if not _forks(cfg, horizon, width):
         yield from _chunk_inputs(cfg, seeds, horizon, [_slot(n, width)])
         return
+    name = "the kernel's input producer"
     chunks = -(-horizon // CHUNK_STEPS)
     slots = [_slot(n, width) for _ in range(2)]
-    produce = functools.partial(_produce, _chunk_inputs(cfg, seeds, horizon, slots), chunks)
-    with _Child("the kernel's input producer", produce) as child:
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError as exc:  # not an --out error: an internal one
+        for fd in fds:
+            os.close(fd)
+        raise RuntimeError(f"cannot start {name}: {exc}") from None
+    free, down, up, ready = fds  # read, write ends; the child keeps free and ready
+    if pid == 0:
+        gc.disable()  # a collection here could run a finalizer that the parent owns
+        status = 0
+        try:
+            os.close(down)
+            os.close(up)
+            inputs = _chunk_inputs(cfg, seeds, horizon, slots)
+            for c in range(chunks):
+                if c >= 2 and not os.read(free, 1):
+                    break  # the parent has gone
+                next(inputs)
+                os.write(ready, _READY)
+        except BaseException as exc:
+            status = 1
+            with contextlib.suppress(OSError):  # the parent may have gone
+                # one write: at most 1000 bytes, under PIPE_BUF, go up whole
+                os.write(ready, repr(exc).encode(errors="replace")[:1000])
+        finally:
+            os._exit(status)
+    try:
+        os.close(free)
+        os.close(ready)
         for c in range(chunks):
-            if 0 < c < chunks - 1:
-                child.send(_READY)  # chunk c-1's slot may take chunk c+1
-            child.ready()
+            if 0 < c < chunks - 1:  # chunk c-1's slot may take chunk c+1
+                # a child gone by now has said why on the pipe up
+                with contextlib.suppress(BrokenPipeError):
+                    os.write(down, _READY)
+            said = os.read(up, 1)
+            if said != _READY:
+                while part := os.read(up, 1 << 16):
+                    said += part
+                said = said.decode(errors="replace")
+                raise RuntimeError(f"{name} " + (f"failed: {said}" if said else "died"))
             yield slots[c % 2]
-
-
-def _produce(inputs, chunks, free, ready):
-    """The forked producer's work: before chunk c >= 2 wait for chunk c-2's
-    slot, run `inputs` one chunk on, and say ready."""
-    for c in range(chunks):
-        if c >= 2 and not os.read(free, 1):
-            return  # the parent has gone
-        next(inputs)
-        os.write(ready, _READY)
+    finally:
+        os.close(up)
+        os.close(down)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _observe(phi, theta_star, p, norm, y):

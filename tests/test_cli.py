@@ -7,6 +7,7 @@ import json
 import math
 import mmap
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -392,24 +393,17 @@ def test_full_size_decrement_report_is_exact(tmp_path, monkeypatch, fork_spy, cp
 
 
 @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
-def test_full_size_long_random_report_is_exact(tmp_path, monkeypatch, cpus):
+def test_full_size_long_random_report_is_exact(tmp_path, monkeypatch, fork_spy, cpus):
     # 200 trials x 5e4 steps on iid regressors: its ensemble pass forks its
     # input producer where the process may use two CPUs, and not on one
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    forks = []
-    if hasattr(os, "fork"):
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
     with open(os.path.join(BENCH_REFERENCE, "verify-long-random.json")) as fh:
         golden = json.load(fh)
     out = tmp_path / "out"
     assert main(["verify", write_config(tmp_path, golden["config"]), "--check", "all",
                  "--out", str(out), "--seed", "20240613"]) == 0
     assert_same_json(out / "verify_all.json", golden)
-    assert len(forks) == (len(cpus) > 1 and hasattr(os, "fork"))
-    if forks:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    assert len(fork_spy) == (len(cpus) > 1 and hasattr(os, "fork"))
 
 
 with open(os.path.join(HERE, "golden", "simulate-digests.json")) as fh:
@@ -469,6 +463,11 @@ def forked(monkeypatch, fork_spy):
     regressor and size, on any machine; gives the pids forked."""
     monkeypatch.setattr(verify, "_forks", fork_every_pass)
     return fork_spy
+
+
+def open_fds():
+    """This process's open fds, where /proc/self/fd lists them, else None."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -538,6 +537,44 @@ class TestForkedProducer:
         assert captured.out == ""
         assert captured.err == ("error: internal error: RuntimeError(\"the kernel's input "
                                 "producer failed: ValueError('no rows from 128 on')\")\n")
+
+    def test_a_producer_that_dies_exits_4_on_one_line(self, tmp_path, capfd, forked,
+                                                      monkeypatch):
+        # the child dies without a word, killed in chunk 1, and leaves no fd
+        # or process behind
+        generate, parent = model.IidBounded.generate_batch, os.getpid()
+
+        def die_at_128(self, k0, k1, seeds):
+            if k0 >= 128 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return generate(self, k0, k1, seeds)
+
+        monkeypatch.setattr(model.IidBounded, "generate_batch", die_at_128)
+        fds = open_fds()
+        d = small_dict(horizon=1000, regressor={"kind": "iid_bounded", "bound": 2.0})
+        assert main(["verify", write_config(tmp_path, d), "--check", "bound",
+                     "--out", str(tmp_path / "o")]) == 4
+        assert len(forked) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: internal error: RuntimeError(\"the kernel's input "
+                                "producer died\")\n")
+        assert open_fds() == fds
+
+    def test_forked_passes_leave_no_fd_open(self, tmp_path, capsys, forked):
+        # a verify pass that completes, then a simulate pass that diverges
+        fds = open_fds()
+        d = small_dict(horizon=1000, regressor={"kind": "iid_bounded", "bound": 2.0})
+        assert main(["verify", write_config(tmp_path, d), "--check", "bound",
+                     "--out", str(tmp_path / "verify")]) == 0
+        assert len(forked) == 1
+        assert open_fds() == fds
+        d = small_dict(mode="unrestricted", gains={"gamma": 1e8, "beta": 0.5, "mu": 0.9},
+                       theta0=[5.0, 5.0], horizon=1000)
+        assert main(["simulate", write_config(tmp_path, d, "diverges.json"),
+                     "--out", str(tmp_path / "simulate")]) == 3
+        assert len(forked) == 2
+        assert open_fds() == fds
 
     def test_a_failed_fork_exits_4_and_closes_its_pipes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(verify, "_forks", fork_every_pass)
@@ -619,18 +656,11 @@ class TestForkedProducer:
         assert verify.run_ensemble(cfg).V.shape == (cfg.ensemble, 1001)
 
 
-def open_fds():
-    """This process's open fds, where /proc/self/fd lists them, else None."""
-    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-
 class TestKernelOSErrors:
     """An OSError of the kernel's own is an internal error, not an --out one."""
 
-    @pytest.mark.parametrize("helper, check", [("the kernel's input producer", "bound")])
     def test_a_failed_second_pipe_exits_4_and_closes_the_first(self, tmp_path, capsys,
-                                                                monkeypatch, fork_spy,
-                                                                helper, check):
+                                                                monkeypatch, fork_spy):
         monkeypatch.setattr(verify, "_forks", fork_every_pass)
         pipe, calls = os.pipe, []
 
@@ -643,8 +673,9 @@ class TestKernelOSErrors:
         monkeypatch.setattr(os, "pipe", second_fails)
         fds = open_fds()
         assert main(["verify", write_config(tmp_path, small_dict(horizon=1000)),
-                     "--check", check, "--out", str(tmp_path / "o")]) == 4
-        error = RuntimeError(f"cannot start {helper}: [Errno 24] Too many open files")
+                     "--check", "bound", "--out", str(tmp_path / "o")]) == 4
+        error = RuntimeError("cannot start the kernel's input producer: "
+                             "[Errno 24] Too many open files")
         assert capsys.readouterr().err == f"error: internal error: {error!r}\n"
         assert len(calls) == 2 and fork_spy == []
         assert open_fds() == fds
