@@ -41,9 +41,9 @@ check sums each step's trials along the contiguous axis, as np.mean and
 np.std do, and the boundedness check reads re-entry off the last step.
 run_checks makes every verify command's one kernel pass, over the bound
 and rate checks' ensemble or over trial 0 alone, and returns each check's
-section of the verify report: the decrement probe's Harvest takes its
-states from that pass's trial 0, and the probes run on them in-process
-once the pass is done.
+section of the verify report: once the pass is done, decrement_report
+probes, in-process, the sphere states and then the states that the
+Harvest took from that pass's trial 0.
 """
 from __future__ import annotations
 
@@ -513,28 +513,26 @@ class DecrementReport:
     z: float
     resamples: int
 
-    @property
-    def all_pass(self):
-        return all(p.passed for p in self.probes)
-
     def section(self):
         """The report's decrement section: every probe, z, M and the verdict."""
-        return {**asdict(self), "passed": self.all_pass}
+        return {**asdict(self), "passed": all(p.passed for p in self.probes)}
 
 
-def _prober(cfg, consts, phi):
-    """probe(state, rng, label): the decrement probe at regressor phi, whose
-    M = cfg.resamples draws of cfg.noise each take the kernel's step from the
-    frozen state as a column of (N, M) buffers that the probes of one report
-    share."""
+def decrement_report(cfg, consts, states):
+    """The decrement probe at trial 0's first regressor row over the labelled
+    (label, TunerState) `states`, in order, from one resampling stream: each
+    probe's M = cfg.resamples draws of cfg.noise take the kernel's step from
+    its frozen state as the columns of (N, M) buffers that the probes share."""
     ts, gamma, noise, M = cfg.theta_star, cfg.gains.gamma, cfg.noise, cfg.resamples
+    rng = np.random.default_rng([cfg.base_seed, 0, 0xDEC])
+    phi = cfg.regressor.generate_batch(0, 1, [cfg.trial_seed(0)])[0, :, 0]
     p, norm = np.empty((2, ts.size, M))
     y = np.empty(M)
     _observe(phi[:, None], ts, p, norm, y)
     th, vt = np.empty((2,) + p.shape)
     carry, step = _hot_stepper(cfg.gains, ts.size, M)
-
-    def probe(state, rng, label):
+    probes = []
+    for label, state in states:
         mean_eta = noise.conditional_mean(state.theta, state.vartheta)
         eta = mean_eta + noise.innovation(rng.uniform(size=M))
         th[...], vt[...] = state.theta[:, None], state.vartheta[:, None]
@@ -550,23 +548,12 @@ def _prober(cfg, consts, phi):
             # an overflowed V has a NaN spread, and a NaN stderr
             stderr = 0.0 if np.ptp(v_next) == 0.0 else float(np.std(v_next, ddof=1) / math.sqrt(M))
         bound = v_k - consts.c1 * v_k + consts.c2 * math.sqrt(v_k) + consts.c_hat
-        return DecrementProbe(
+        probes.append(DecrementProbe(
             label=label, noise_kind=type(noise).__name__, V_k=v_k,
             mean_V_next=mean, stderr=stderr, bound=bound,
             passed=mean <= bound + Z * stderr,
-            strictly_decreasing=(mean - v_k) < Z * stderr)
-    return probe
-
-
-def decrement_report(cfg, consts, harvest):
-    """The decrement probe at trial 0's first regressor row over the sphere
-    states, then those of `harvest`, in order, from one resampling stream."""
-    rng = np.random.default_rng([cfg.base_seed, 0, 0xDEC])
-    phi = cfg.regressor.generate_batch(0, 1, [cfg.trial_seed(0)])[0, :, 0]
-    probe = _prober(cfg, consts, phi)
-    probes = [probe(state, rng, label)
-              for label, state in probe_states(cfg, consts) + harvest.states]
-    return DecrementReport(probes=probes, z=Z, resamples=cfg.resamples)
+            strictly_decreasing=(mean - v_k) < Z * stderr))
+    return DecrementReport(probes=probes, z=Z, resamples=M)
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +693,9 @@ def run_checks(cfg, consts, checks):
     With the bound or rate check the pass runs the ensemble, whose V the
     checks stream and whose trial 0 feeds the decrement probe's Harvest;
     with the decrement check alone it runs trial 0 over the Harvest's
-    horizon.  The decrement probes run in-process after the pass.  The
-    command forks at most the pass's input producer, and only on long iid
-    passes.
+    horizon.  After the pass, decrement_report probes, in-process,
+    probe_states and then the Harvest's states.  The command forks at most
+    the pass's input producer, and only on long iid passes.
     """
     streams = {}
     if "bound" in checks:
@@ -728,6 +715,7 @@ def run_checks(cfg, consts, checks):
     del blk  # its views would hold the kernel's buffers through the probes
     sections = {}
     if harvest is not None:
-        sections["decrement"] = decrement_report(cfg, consts, harvest).section()
+        states = probe_states(cfg, consts) + harvest.states
+        sections["decrement"] = decrement_report(cfg, consts, states).section()
     sections.update((name, stream.section()) for name, stream in streams.items())
     return sections

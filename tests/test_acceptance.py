@@ -55,13 +55,13 @@ def noise_kinds():
 def decrement(cfg, consts):
     """The probes of one decrement report per noise kind, each at the
     reference constants and from the same harvested states."""
-    harvest = harvest_alone(cfg)
+    states = verify.probe_states(cfg, consts) + harvest_alone(cfg).states
     probes = []
     for noise in noise_kinds():
         assert noise.d_max <= cfg.d_max + 1e-12
         assert noise.sigma_max <= cfg.sigma_max + 1e-12
         probes += verify.decrement_report(dataclasses.replace(cfg, noise=noise), consts,
-                                          harvest).probes
+                                          states).probes
     return probes
 
 

@@ -655,6 +655,29 @@ class TestForkedProducer:
         assert isinstance(cfg.regressor, model.Sinusoid)
         assert verify.run_ensemble(cfg).V.shape == (cfg.ensemble, 1001)
 
+    IID = {"kind": "iid_bounded", "bound": 2.0}
+
+    @pytest.mark.parametrize("regressor, horizon, width, cpus, has_fork, forks", [
+        # verify-long-random's pass, at exactly PIPE_MIN_TRIAL_STEPS
+        pytest.param(IID, 50_000, 200, {0, 1}, True, True, id="iid-at-the-gate"),
+        pytest.param(IID, 49_999, 200, {0, 1}, True, False, id="iid-one-step-short"),
+        pytest.param(IID, verify.CHUNK_STEPS, 100_000, {0, 1}, True, False, id="iid-one-chunk"),
+        pytest.param({"kind": "piecewise_constant", "bound": 2.0, "dwell": 5}, 50_000, 200,
+                     {0, 1}, True, False, id="piecewise-constant"),
+        pytest.param(None, 50_000, 200, {0, 1}, True, False, id="sinusoid"),
+        pytest.param(IID, 50_000, 200, {0}, True, False, id="iid-one-cpu"),
+        pytest.param(IID, 50_000, 200, {0, 1}, False, False, id="iid-no-fork"),
+    ])
+    def test_fork_gate_edges(self, monkeypatch, regressor, horizon, width, cpus, has_fork,
+                             forks):
+        # the gate alone, which starts no process: only a long, multi-chunk
+        # pass on per-trial iid regressors forks, and only where it can
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        if not has_fork:
+            monkeypatch.delattr(os, "fork", raising=False)
+        cfg = RunConfig.from_dict(small_dict(regressor=regressor) if regressor else small_dict())
+        assert verify._forks(cfg, horizon, width) is (forks and hasattr(os, "fork"))
+
 
 class TestKernelOSErrors:
     """An OSError of the kernel's own is an internal error, not an --out one."""

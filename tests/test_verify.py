@@ -453,10 +453,8 @@ class TestDecrement:
     def test_zero_noise_degenerate_resampling(self, zero_noise_config):
         cfg = zero_noise_config
         consts = cfg.constants()
-        rng = np.random.default_rng(1)
         state = cfg.initial_state()
-        phi = rows(cfg.regressor, 0, 1, cfg.trial_seed(0))[0]
-        probe = verify._prober(cfg, consts, phi)(state, rng, "")
+        probe = verify.decrement_report(cfg, consts, [("", state)]).probes[0]
         assert probe.stderr == 0.0
         assert probe.passed
 
@@ -465,8 +463,7 @@ class TestDecrement:
         consts = cfg.constants()
         state = TunerState(theta=cfg.theta_star.copy(),
                            vartheta=cfg.theta_star.copy())
-        phi = rows(cfg.regressor, 0, 1, cfg.trial_seed(0))[0]
-        probe = verify._prober(cfg, consts, phi)(state, np.random.default_rng(2), "")
+        probe = verify.decrement_report(cfg, consts, [("", state)]).probes[0]
         assert probe.V_k == 0.0
         assert probe.mean_V_next <= consts.c_hat + 4 * probe.stderr
 
@@ -487,8 +484,8 @@ class TestDecrement:
 
         monkeypatch.setattr(verify, "lyapunov_value_arrays", capture)
         harvest = harvest_alone(cfg)
-        report = verify.decrement_report(cfg, consts, harvest)
         states = verify.probe_states(cfg, consts) + harvest.states
+        report = verify.decrement_report(cfg, consts, states)
         assert len(captured) == len(states)
         one_step = dataclasses.replace(cfg, horizon=1)
         for (label, state), (th, vt) in zip(states, captured):
@@ -508,14 +505,14 @@ class TestDecrement:
         # each kind against the same (d_max, sigma_max) constants and states
         cfg = small_config
         consts = cfg.constants()
-        harvest = harvest_alone(cfg)
+        states = verify.probe_states(cfg, consts) + harvest_alone(cfg).states
         kinds = set()
         for noise in (Zero(), cfg.noise, UniformBiased(center=-0.08, halfwidth=0.3),
                       StateDependentBias(d_amplitude=0.1, sd=0.45)):
             report = verify.decrement_report(dataclasses.replace(cfg, noise=noise), consts,
-                                             harvest)
+                                             states)
             kinds |= {p.noise_kind for p in report.probes}
-            assert report.all_pass
+            assert report.section()["passed"]
         assert len(kinds) == 4
 
 
