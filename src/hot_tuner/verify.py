@@ -5,13 +5,13 @@ Every HOT update here is a step of _hot_stepper on component-major
 is lyapunov_value_arrays, whose norms fold left too.  Every multi-step run
 -- traces, ensembles and simulate -- goes through one lockstep kernel that
 advances every trial CHUNK_STEPS steps at a time, laid out
-(steps, N, trials).  Per chunk, _chunk_inputs does the work that does not
-read the state: every trial's innovations and regressors from its own seed,
-the observation rows, and every eta and y if the conditional mean is a
-constant.  The kernel makes per step only the update's ufunc calls, and a
-state-dependent mean's, and per chunk V and the finite check.  A trace holds
-the columns simulate writes, V-hat aside, taken block by block; no runner
-computes the constants.
+(steps, N, trials).  Per chunk, _chunk_inputs does the work that only the
+seeds decide: every trial's innovations and regressors from its own seed,
+and the observation rows.  The kernel adds the conditional mean to eta and
+eta to y, a constant mean per chunk and a state-dependent one per step, and
+makes per step only the update's ufunc calls, and per chunk V and the finite
+check.  A trace holds the columns simulate writes, V-hat aside, taken block
+by block; no runner computes the constants.
 
 A pass on an IidBounded regressor (per-trial iid draws) of
 PIPE_MIN_TRIAL_STEPS trial-steps (horizon x trials) or more and more than
@@ -42,8 +42,8 @@ np.std do, and the boundedness check reads re-entry off the last step.
 run_checks makes every verify command's one kernel pass, over the bound
 and rate checks' ensemble or over trial 0 alone, and returns each check's
 section of the verify report: once the pass is done, decrement_report
-probes, in-process, the sphere states and then the states that the
-Harvest took from that pass's trial 0.
+probes, in-process, every state of the Harvest: the sphere states and then
+the states it took from that pass's trial 0.
 """
 from __future__ import annotations
 
@@ -91,11 +91,11 @@ class _Block:
     Row j holds the state before observation k+j.  The last block also holds
     the final state, row `horizon`, after its last observation, so its state
     arrays and V have one row more than its observations.  The state arrays
-    are views of kernel buffers that the next chunk overwrites.  eta, y and
-    phi are views of an input slot that lives until the chunk after next:
-    once the pass is resumed, _pass_inputs' forked producer may refill it
-    with that chunk (in-process, the next chunk refills it).  V is a fresh
-    array per block.
+    are views of kernel buffers that the next chunk overwrites.  eta and y,
+    which the kernel completed, and phi are views of an input slot that
+    lives until the chunk after next: once the pass is resumed, the forked
+    producer may refill it with that chunk (in-process, the next chunk
+    refills it).  V is a fresh array per block.
     """
 
     k: int
@@ -160,14 +160,15 @@ def _hot_stepper(gains, n, width):
 def _lockstep(cfg, seeds, horizon, initial):
     """Advance one trial per seed through `horizon` observations in lockstep.
 
-    _chunk_inputs makes each chunk's observation rows and noise, so for
-    N < 8 the kernel is bitwise a hot_step loop.  Yields _Blocks that cover
-    trace rows 0..horizon in order; raises NonFiniteError naming the first
-    step whose update is not finite.
+    _chunk_inputs makes each chunk's observation rows and innovations; this
+    adds the conditional mean to eta and eta to y in the slot, a constant
+    mean once per chunk.  So for N < 8 the kernel is bitwise a hot_step
+    loop.  Yields _Blocks that cover trace rows 0..horizon in order; raises
+    NonFiniteError naming the first step whose update is not finite.
     """
     ts = cfg.theta_star
     n, width, size = ts.size, len(seeds), CHUNK_STEPS
-    state_mean = cfg.noise.state_mean(n, width)  # None: a constant mean, added per chunk
+    state_mean = cfg.noise.state_mean(n, width)  # None: a constant mean
     add = np.add
 
     theta, vartheta = np.empty((2, size + 1, n, width))
@@ -182,6 +183,8 @@ def _lockstep(cfg, seeds, horizon, initial):
             m = min(size, horizon - k0)
             rows = m + (k0 + m == horizon)  # the last chunk's block adds the final state
             p, norm, y, eta = next(inputs)
+            if state_mean is None:  # eta = mean + innovation; y += eta
+                add(y[:m], add(cfg.noise.conditional_mean(), eta[:m], eta[:m]), y[:m])
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in range(m):
                     th, vt, y_j = theta[j], vartheta[j], y[j]
@@ -226,30 +229,23 @@ def _chunk_inputs(cfg, seeds, horizon, slots):
     """Write chunk c's inputs into slots[c % len(slots)], for c = 0, 1, ...,
     yielding that slot after each.
 
-    The trial with seed s draws its innovations from default_rng(s) and its
-    regressors with seed s, and _observe builds p, norm and y.  A constant
-    conditional mean is added here, to eta and then y; for a state-dependent
-    one eta is the innovation, which the kernel completes step by step.
+    The trial with seed s draws its innovations, into eta, from
+    default_rng(s) and its regressors with seed s, and _observe builds p,
+    norm and y = phi . theta*: only what the seeds decide, never the
+    conditional mean, which the kernel adds.
     """
     ts, noise, regressor = cfg.theta_star, cfg.noise, cfg.regressor
     width, size = len(seeds), CHUNK_STEPS
     rngs = [np.random.default_rng(s) for s in seeds]
-    constant_mean = noise.state_mean(ts.size, width) is None
-    add = np.add
     u = np.empty((width, size))
     for c, k0 in enumerate(range(0, horizon, size)):
         m = min(size, horizon - k0)
         slot = p, norm, y, eta = slots[c % len(slots)]
         for row, rng in zip(u, rngs):
             rng.random(out=row[:m])
-        innov = noise.innovation(u[:, :m]).T
+        eta[:m] = noise.innovation(u[:, :m]).T
         # unnamed, the fresh batch is freed once copied into p
         _observe(regressor.generate_batch(k0, k0 + m, seeds), ts, p[:m], norm[:m], y[:m])
-        if constant_mean:
-            add(noise.conditional_mean(), innov, eta[:m])
-            add(y[:m], eta[:m], y[:m])
-        else:
-            eta[:m] = innov
         yield slot
 
 
@@ -455,19 +451,24 @@ def state_on_sphere(v, theta_star, gamma, rng):
 
 
 class Harvest:
-    """Labelled states of trial 0 at the trace rows the decrement probe starts from.
+    """Every labelled (label, TunerState) state the decrement probe starts from.
 
-    The rows are up to N_HARVEST distinct, evenly spaced rows, 0 to horizon =
-    min(cfg.horizon, 2000), of the run with seed cfg.trial_seed(0) from the
-    config's initial state.  `add` takes them from the kernel blocks of any
-    run whose trial 0 is that trajectory, such as run_checks' pass, and keeps
-    each (label, TunerState) in `states`, in row order.
+    `states` starts with the V-sphere states {0.1K, K, T, 10T}, none for
+    degenerate constants (NaN K and T).  `add` appends, in row order, trial
+    0's states at up to N_HARVEST distinct, evenly spaced rows, 0 to horizon
+    = min(cfg.horizon, 2000), of the run with seed cfg.trial_seed(0) from the
+    config's initial state, from the kernel blocks of any run whose trial 0
+    is that trajectory, such as run_checks' pass.
     """
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, consts):
         self.horizon = min(cfg.horizon, 2000)
         self.rows = np.linspace(0, self.horizon, min(N_HARVEST, self.horizon + 1), dtype=int)
-        self.states = []
+        rng = np.random.default_rng([cfg.base_seed, 0, 0x9E37])
+        spheres = (("0.1K", 0.1 * consts.K), ("K", consts.K), ("T", consts.T),
+                   ("10T", 10.0 * consts.T))
+        self.states = [(label, state_on_sphere(v, cfg.theta_star, cfg.gains.gamma, rng))
+                       for label, v in spheres if v > 0]
 
     def add(self, blk):
         for i in self.rows[(self.rows >= blk.k) & (self.rows < blk.k + len(blk.theta))]:
@@ -475,20 +476,6 @@ class Harvest:
             self.states.append((f"traj[{i}]", TunerState(theta=blk.theta[j, :, 0].copy(),
                                                           vartheta=blk.vartheta[j, :, 0].copy(),
                                                           step=int(i))))
-
-
-def probe_states(cfg, consts):
-    """The labelled V-sphere probe states {0.1K, K, T, 10T}."""
-    rng = np.random.default_rng([cfg.base_seed, 0, 0x9E37])
-    ts = cfg.theta_star
-    gamma = cfg.gains.gamma
-    probes = []
-    # degenerate constants have NaN K and T, and so no spheres
-    for label, v in (("0.1K", 0.1 * consts.K), ("K", consts.K),
-                     ("T", consts.T), ("10T", 10.0 * consts.T)):
-        if v > 0:
-            probes.append((label, state_on_sphere(v, ts, gamma, rng)))
-    return probes
 
 
 # ---------------------------------------------------------------------------
@@ -693,16 +680,16 @@ def run_checks(cfg, consts, checks):
     With the bound or rate check the pass runs the ensemble, whose V the
     checks stream and whose trial 0 feeds the decrement probe's Harvest;
     with the decrement check alone it runs trial 0 over the Harvest's
-    horizon.  After the pass, decrement_report probes, in-process,
-    probe_states and then the Harvest's states.  The command forks at most
-    the pass's input producer, and only on long iid passes.
+    horizon.  After the pass, decrement_report probes, in-process, the
+    Harvest's states: its V-sphere states, then trial 0's.  The command
+    forks at most the pass's input producer, and only on long iid passes.
     """
     streams = {}
     if "bound" in checks:
         streams["bound"] = BoundednessStream(consts)
     if "rate" in checks:
         streams["rate"] = RateStream(cfg.effective_alpha(consts), consts)
-    harvest = Harvest(cfg) if "decrement" in checks else None
+    harvest = Harvest(cfg, consts) if "decrement" in checks else None
     if streams:
         seeds, horizon = [cfg.trial_seed(t) for t in range(cfg.ensemble)], cfg.horizon
     else:
@@ -715,7 +702,6 @@ def run_checks(cfg, consts, checks):
     del blk  # its views would hold the kernel's buffers through the probes
     sections = {}
     if harvest is not None:
-        states = probe_states(cfg, consts) + harvest.states
-        sections["decrement"] = decrement_report(cfg, consts, states).section()
+        sections["decrement"] = decrement_report(cfg, consts, harvest.states).section()
     sections.update((name, stream.section()) for name, stream in streams.items())
     return sections

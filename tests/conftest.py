@@ -42,9 +42,9 @@ def rows(src, k0, k1, seed):
 
 
 def harvest_alone(cfg):
-    """A verify.Harvest fed by the one-wide pass of trial 0 over the harvest's
-    horizon, as verify --check decrement runs it."""
-    harvest = verify.Harvest(cfg)
+    """A verify.Harvest at cfg's constants fed by the one-wide pass of trial 0
+    over the harvest's horizon, as verify --check decrement runs it."""
+    harvest = verify.Harvest(cfg, cfg.constants())
     for blk in verify._lockstep(cfg, [cfg.trial_seed(0)], harvest.horizon,
                                 cfg.initial_state()):
         harvest.add(blk)

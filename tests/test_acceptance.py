@@ -55,7 +55,7 @@ def noise_kinds():
 def decrement(cfg, consts):
     """The probes of one decrement report per noise kind, each at the
     reference constants and from the same harvested states."""
-    states = verify.probe_states(cfg, consts) + harvest_alone(cfg).states
+    states = harvest_alone(cfg).states
     probes = []
     for noise in noise_kinds():
         assert noise.d_max <= cfg.d_max + 1e-12

@@ -7,7 +7,7 @@ import pytest
 
 from hot_tuner.config import ConfigError, RunConfig, load_config
 from hot_tuner.lyapunov import clipped_V, lyapunov_value_arrays, theorem4_radius
-from hot_tuner.model import StateDependentBias, UniformBiased, Zero
+from hot_tuner.model import BiasedGaussianTruncated, StateDependentBias, UniformBiased, Zero
 from hot_tuner.tuner import NonFiniteError, TunerState, hot_step
 from hot_tuner import verify
 
@@ -277,6 +277,33 @@ class TestLockstepKernel:
             horizon=60, ensemble=3, resamples=500,
             **NOISES[noise], **REGRESSORS[regressor])))
 
+    @pytest.mark.parametrize("noise", ["biased_gaussian", "state_dependent_bias"])
+    def test_producer_writes_only_what_the_seeds_decide(self, noise, monkeypatch):
+        # eta is each trial's innovations and y = phi . theta*; the producer
+        # never asks the noise for its mean, which the kernel adds
+        cfg = grid_config(2, "iid_bounded", noise, 300)
+        seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
+
+        def no_mean(*args):
+            raise AssertionError("the producer read the conditional mean")
+
+        for cls in (BiasedGaussianTruncated, StateDependentBias):
+            monkeypatch.setattr(cls, "conditional_mean", no_mean)
+            monkeypatch.setattr(cls, "state_mean", no_mean)
+        eta, y = [], []
+        chunks = verify._chunk_inputs(cfg, seeds, cfg.horizon, [verify._slot(2, len(seeds))])
+        for k0, (_, _, y_c, eta_c) in zip(range(0, cfg.horizon, verify.CHUNK_STEPS), chunks):
+            m = min(verify.CHUNK_STEPS, cfg.horizon - k0)
+            eta.append(eta_c[:m].copy())
+            y.append(y_c[:m].copy())
+        eta, y = np.concatenate(eta), np.concatenate(y)
+        assert eta.shape == y.shape == (cfg.horizon, len(seeds))
+        for t, seed in enumerate(seeds):
+            draws = np.random.default_rng(seed).random(cfg.horizon)
+            assert np.array_equal(eta[:, t], cfg.noise.innovation(draws))
+            phi = rows(cfg.regressor, 0, cfg.horizon, seed)
+            assert np.array_equal(y[:, t], [float(row @ cfg.theta_star) for row in phi])
+
     @pytest.mark.parametrize("chunk", [1, 7, 256, 1000])
     def test_streamed_checks_equal_whole_matrix(self, chunk, monkeypatch):
         cfg = RunConfig.from_dict(reference_dict(horizon=300, ensemble=6,
@@ -420,10 +447,8 @@ class TestProbeStates:
             assert got == pytest.approx(v, rel=1e-12)
 
     def test_labels_cover_spheres_and_harvest(self, small_config):
-        consts = small_config.constants()
-        probes = verify.probe_states(small_config, consts) + harvest_alone(small_config).states
-        labels = [l for l, _ in probes]
-        assert {"0.1K", "K", "T", "10T"}.issubset(labels)
+        labels = [l for l, _ in harvest_alone(small_config).states]
+        assert labels[:4] == ["0.1K", "K", "T", "10T"]
         assert sum(l.startswith("traj") for l in labels) == verify.N_HARVEST
 
 
@@ -435,13 +460,14 @@ class TestHarvest:
         # at horizon 2300 the ensemble runs past the 2000-row harvest horizon,
         # over several chunks; at 30 the harvest takes each of the run's rows
         cfg = RunConfig.from_dict(reference_dict(**{"horizon": 2300, "ensemble": 6, **overrides}))
-        harvest = verify.Harvest(cfg)
+        harvest = verify.Harvest(cfg, cfg.constants())
         seeds = [cfg.trial_seed(t) for t in range(cfg.ensemble)]
         for blk in verify._lockstep(cfg, seeds, cfg.horizon, cfg.initial_state()):
             harvest.add(blk)
         alone = harvest_alone(cfg)
         assert harvest.horizon == min(cfg.horizon, 2000)
-        assert len(alone.states) == min(cfg.horizon + 1, verify.N_HARVEST)
+        traj = [label for label, _ in alone.states if label.startswith("traj[")]
+        assert len(traj) == min(cfg.horizon + 1, verify.N_HARVEST)
         assert [label for label, _ in harvest.states] == [label for label, _ in alone.states]
         for (_, got), (_, want) in zip(harvest.states, alone.states):
             assert got.step == want.step
@@ -484,7 +510,7 @@ class TestDecrement:
 
         monkeypatch.setattr(verify, "lyapunov_value_arrays", capture)
         harvest = harvest_alone(cfg)
-        states = verify.probe_states(cfg, consts) + harvest.states
+        states = harvest.states
         report = verify.decrement_report(cfg, consts, states)
         assert len(captured) == len(states)
         one_step = dataclasses.replace(cfg, horizon=1)
@@ -505,7 +531,7 @@ class TestDecrement:
         # each kind against the same (d_max, sigma_max) constants and states
         cfg = small_config
         consts = cfg.constants()
-        states = verify.probe_states(cfg, consts) + harvest_alone(cfg).states
+        states = harvest_alone(cfg).states
         kinds = set()
         for noise in (Zero(), cfg.noise, UniformBiased(center=-0.08, halfwidth=0.3),
                       StateDependentBias(d_amplitude=0.1, sd=0.45)):
